@@ -8,7 +8,7 @@ captures a reproducible run.
 Exit codes: 0 clean termination (converged / horizon), 2 singular termination
 (a scientific outcome, not a failure), 3 inconclusive termination
 (dt collapse / step budget), 10 configuration errors, 11 IO errors,
-12 solver failures.
+12 solver failures (including geometry that cannot be assembled).
 """
 
 import argparse
@@ -23,7 +23,8 @@ import numpy as np
 from .diagnostics import FrameSink, classify_singularity, hypothesis_monitors
 from .flow import (CSV_COLUMNS, FlowError, SteppingPolicy, TimeSeriesRecord,
                    run_flow)
-from .geometry import (FlowParams, build_cache, gauss_bonnet_residual,
+from .geometry import (FlowParams, GeometryError, build_cache,
+                       gauss_bonnet_residual, mean_curvature_integral,
                        penalized_energy, willmore_bound_residual)
 from .mesh import MeshError, TriangleMesh, load_mesh, make_icosphere, save_mesh
 from .remesh import RemeshError
@@ -310,7 +311,7 @@ def cmd_flow(args) -> int:
 
     try:
         records, report = run_flow(mesh, cfg.params, policy, sinks=sinks)
-    except (FlowError, RemeshError) as exc:
+    except (FlowError, RemeshError, GeometryError) as exc:
         logger.error("solver failure: %s", exc)
         return EXIT_SOLVER
     except OSError as exc:
@@ -440,7 +441,7 @@ def cmd_energy(args) -> int:
         "w0": cache.w0,
         "helfrich": cache.helfrich,
         "penalized": cache.penalized,
-        "int_H": float(np.sum(cache.H * cache.vertex_areas)),
+        "int_H": mean_curvature_integral(cache),
         "sup_Asq": cache.sup_Asq,
         "clamp_mass": cache.clamp_mass,
         "gauss_bonnet_residual": gauss_bonnet_residual(cache, mesh.genus),

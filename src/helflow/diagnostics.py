@@ -15,7 +15,7 @@ import numpy as np
 
 from .flow import FlowState
 from .geometry import (FlowParams, GeometryCache, build_cache,
-                       penalized_energy)
+                       mean_curvature_integral, penalized_energy)
 from .mesh import TriangleMesh
 from .sphere_ode import theory_bounds
 
@@ -332,7 +332,7 @@ def hypothesis_monitors(state: FlowState, params: FlowParams) -> dict:
     c0 < 0) the remaining budget against the finite-time bound.
     """
     cache = state.cache
-    int_h = float(np.sum(cache.H * cache.vertex_areas))
+    int_h = mean_curvature_integral(cache)
     bounds = theory_bounds(params, e0=state.energy0)
     out = {
         "t": state.t,

@@ -22,14 +22,15 @@ Time has units length^4 (fourth-order scaling).
 import hashlib
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .geometry import FlowParams, GeometryCache, build_cache, flow_velocity
-from .mesh import TriangleMesh, load_mesh, save_mesh, signed_volume
+from .geometry import (FlowParams, GeometryCache, GeometryError, build_cache,
+                       flow_velocity, mean_curvature_integral)
+from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh, signed_volume
 
 logger = logging.getLogger(__name__)
 
@@ -133,10 +134,7 @@ class TimeSeriesRecord:
     step_rejections: int
 
 
-CSV_COLUMNS = (
-    "t", "dt", "area", "volume", "willmore", "w0", "helfrich", "penalized",
-    "int_H", "sup_Asq", "grad_l2", "clamp_mass", "step_rejections",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(TimeSeriesRecord))
 
 
 @dataclass
@@ -262,8 +260,9 @@ def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
 
     On acceptance: positions advance, t increases by the (possibly capped) dt,
     and dt grows for the next attempt.  On rejection (energy increased beyond
-    tolerance): the geometry is unchanged, dt shrinks, and the rejection
-    counter increments.  The caller decides what a too-small dt means.
+    tolerance, or the trial positions do not form a valid mesh or geometry):
+    the geometry is unchanged, dt shrinks, and the rejection counter
+    increments.  The caller decides what a too-small dt means.
     """
     cache = state.cache
     if cache.penalized is None or cache.params != params:
@@ -282,10 +281,16 @@ def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
         v_new = solver.solve(v_old, cache.vertex_areas, cache.laplacian, dt,
                              velocity)
 
-    new_mesh = state.mesh.with_vertices(v_new)
-    new_cache = build_cache(new_mesh, params)
+    # A trial that overflows is judged by the checks below, not by warnings.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_mesh = state.mesh.with_vertices(v_new)
+            new_cache = build_cache(new_mesh, params)
+    except (GeometryError, MeshError) as exc:
+        logger.debug("trial step at dt=%.3e rejected: %s", dt, exc)
+        new_cache = None
     tolerance = policy.energy_increase_tol_rel * abs(state.energy0)
-    if new_cache.penalized - cache.penalized <= tolerance:
+    if new_cache is not None and new_cache.penalized - cache.penalized <= tolerance:
         rate = (v_new - v_old) / dt
         rate_norm = float(
             np.sqrt(np.sum(np.einsum("ij,ij->i", rate, rate)
@@ -320,7 +325,7 @@ def _make_record(state: FlowState, grad_l2: float) -> TimeSeriesRecord:
         w0=c.w0,
         helfrich=c.helfrich,
         penalized=c.penalized,
-        int_H=float(np.sum(c.H * c.vertex_areas)),
+        int_H=mean_curvature_integral(c),
         sup_Asq=c.sup_Asq,
         grad_l2=grad_l2,
         clamp_mass=c.clamp_mass,
@@ -426,8 +431,7 @@ def _needs_remesh(state: FlowState, policy: SteppingPolicy,
     drift = policy.remesh_edge_drift
     if not (target / drift <= mean_edge <= target * drift):
         return True
-    min_angle = state.mesh.face_angles().min()
-    return min_angle < policy.remesh_min_angle
+    return state.cache.min_angle < policy.remesh_min_angle
 
 
 def _apply_remesh(state: FlowState, params: FlowParams, target_edge0: float,

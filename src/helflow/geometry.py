@@ -94,7 +94,8 @@ class GeometryCache:
     Vertex arrays: ``vertex_areas`` (length^2), ``normals``, ``H`` (1/length),
     ``K`` (1/length^2), ``A0sq``, ``Asq`` (1/length^2 each).  ``laplacian`` is
     the integrated cotangent operator (row sums zero; apply and divide by
-    ``vertex_areas`` for the pointwise Laplacian).  Energies that need flow
+    ``vertex_areas`` for the pointwise Laplacian).  ``min_angle`` is the
+    smallest interior face angle in radians.  Energies that need flow
     parameters (``helfrich``, ``penalized``) are populated when ``build_cache``
     receives them.
     """
@@ -112,6 +113,7 @@ class GeometryCache:
     w0: float
     clamp_mass: float
     sup_Asq: float
+    min_angle: float
     helfrich: float | None = None
     penalized: float | None = None
     params: FlowParams | None = field(default=None, repr=False)
@@ -264,6 +266,7 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
         w0=float(np.sum(A0sq * a)),
         clamp_mass=clamp_mass,
         sup_Asq=float(Asq.max()),
+        min_angle=float(fd.angles.min()),
     )
     if params is not None:
         cache.params = params

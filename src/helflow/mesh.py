@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,10 +59,60 @@ def _as_vertex_array(vertices) -> np.ndarray:
 
 
 def _as_face_array(faces) -> np.ndarray:
-    f = np.array(faces, dtype=np.int64)
+    # Another mesh's faces (read-only int64) are shared, not copied.
+    shared = (isinstance(faces, np.ndarray) and faces.dtype == np.int64
+              and not faces.flags.writeable)
+    f = faces if shared else np.array(faces, dtype=np.int64)
     if f.ndim != 2 or f.shape[1] != 3:
         raise MeshError(f"faces must have shape (m, 3), got {f.shape}")
     return f
+
+
+def _directed_edges(faces: np.ndarray) -> np.ndarray:
+    """The three directed edges of every face: (0, 1), (1, 2), (2, 0) blocks."""
+    return np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+
+
+class Topology:
+    """Connectivity of one faces array: unique edges, edge-face pairs and
+    face components.
+
+    A mesh builds its topology on first use; meshes that only move vertices
+    hold the same instance, so a flow computes connectivity once per remesh,
+    not once per step.  Face components are computed on first use.  Indices
+    are stored as int32 to keep the shared arrays small.
+    """
+
+    def __init__(self, faces: np.ndarray):
+        self.faces = faces
+        # One lexicographic sort of the undirected edge incidences gives both
+        # the unique edges (first of each run) and the face pairs (neighbours
+        # within a run).
+        e = np.sort(_directed_edges(faces).astype(np.int32), axis=1)
+        fidx = np.tile(np.arange(len(faces), dtype=np.int32), 3)
+        order = np.lexsort((e[:, 1], e[:, 0]))
+        e, fidx = e[order], fidx[order]
+        same = np.all(e[1:] == e[:-1], axis=1)
+        first = np.ones(len(e), dtype=bool)
+        first[1:] = ~same
+        #: Unique undirected edges as an (E, 2) array of sorted index pairs.
+        self.edges = e[first]
+        #: (k, 2) array of face-index pairs sharing an edge.
+        self.edge_face_pairs = np.column_stack([fidx[:-1][same], fidx[1:][same]])
+
+    @cached_property
+    def face_components(self) -> np.ndarray:
+        """Connected-component label per face (edge connectivity)."""
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        pairs = self.edge_face_pairs
+        m = len(self.faces)
+        adj = coo_matrix(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
+        )
+        _, labels = connected_components(adj, directed=False)
+        return labels
 
 
 class TriangleMesh:
@@ -88,7 +139,7 @@ class TriangleMesh:
             if vertex_tags.shape != (len(self.vertices),):
                 raise MeshError("vertex_tags length must match vertex count")
         self.vertex_tags = vertex_tags
-        self._cache = {}
+        self._topology = None
         if validate:
             self._validate()
         self.vertices.setflags(write=False)
@@ -109,16 +160,17 @@ class TriangleMesh:
         return len(self.edges)
 
     @property
+    def topology(self) -> "Topology":
+        """Connectivity of ``faces``, shared with every mesh derived by moving
+        vertices (``with_vertices``, ``translated``, ``scaled``)."""
+        if self._topology is None:
+            self._topology = Topology(self.faces)
+        return self._topology
+
+    @property
     def edges(self) -> np.ndarray:
         """Unique undirected edges as an (E, 2) array of sorted index pairs."""
-        if "edges" not in self._cache:
-            e = np.sort(self._directed_edges(), axis=1)
-            self._cache["edges"] = np.unique(e, axis=0)
-        return self._cache["edges"]
-
-    def _directed_edges(self) -> np.ndarray:
-        f = self.faces
-        return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+        return self.topology.edges
 
     @property
     def euler_characteristic(self) -> int:
@@ -136,27 +188,11 @@ class TriangleMesh:
     @property
     def face_components(self) -> np.ndarray:
         """Connected-component label per face (edge connectivity)."""
-        if "face_components" not in self._cache:
-            from scipy.sparse import coo_matrix
-            from scipy.sparse.csgraph import connected_components
-
-            pairs = self._edge_face_pairs()
-            m = self.n_faces
-            adj = coo_matrix(
-                (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
-            )
-            _, labels = connected_components(adj, directed=False)
-            self._cache["face_components"] = labels
-        return self._cache["face_components"]
+        return self.topology.face_components
 
     def _edge_face_pairs(self) -> np.ndarray:
         """(k, 2) array of face-index pairs sharing an edge."""
-        e = np.sort(self._directed_edges(), axis=1)
-        fidx = np.tile(np.arange(self.n_faces), 3)
-        order = np.lexsort((e[:, 1], e[:, 0]))
-        e, fidx = e[order], fidx[order]
-        same = np.all(e[1:] == e[:-1], axis=1)
-        return np.column_stack([fidx[:-1][same], fidx[1:][same]])
+        return self.topology.edge_face_pairs
 
     # -- geometry helpers ----------------------------------------------------
 
@@ -199,7 +235,9 @@ class TriangleMesh:
 
     def with_vertices(self, vertices) -> "TriangleMesh":
         """Same topology with new positions; skips topological re-validation."""
-        return TriangleMesh(vertices, self.faces, self.vertex_tags, validate=False)
+        mesh = TriangleMesh(vertices, self.faces, self.vertex_tags, validate=False)
+        mesh._topology = self.topology
+        return mesh
 
     def translated(self, offset) -> "TriangleMesh":
         return self.with_vertices(self.vertices + np.asarray(offset, dtype=np.float64))
@@ -235,7 +273,7 @@ class TriangleMesh:
                 f"first at index {bad[0]}"
             )
 
-        directed = self._directed_edges()
+        directed = _directed_edges(f)
         und = np.sort(directed, axis=1)
         _, counts = np.unique(und, axis=0, return_counts=True)
         if np.any(counts > 2):

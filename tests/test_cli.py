@@ -4,10 +4,15 @@ import os
 import numpy as np
 import pytest
 
-from helflow.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SINGULAR, ConfigError,
+from dataclasses import fields
+
+import helflow.cli as cli
+from helflow.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK,
+                         EXIT_SINGULAR, EXIT_SOLVER, ConfigError,
                          build_run_config, load_run_config, main,
                          parse_config_text)
-from helflow.flow import CSV_COLUMNS
+from helflow.flow import CSV_COLUMNS, TimeSeriesRecord
+from helflow.geometry import GeometryError
 from helflow.mesh import load_mesh, make_icosphere, save_mesh
 
 BASE_CFG = """
@@ -128,6 +133,44 @@ def test_csv_is_17_digit_round_trippable(tmp_path):
     # 17 significant digits round-trip float64 exactly
     for tok in first:
         assert float(tok) == float(f"{float(tok):.17g}")
+
+
+def test_csv_header_follows_record_fields(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = str(tmp_path / "out4")
+    main(["--quiet", "flow", "--config", cfg, "--out", out,
+          "--override", "policy.max_steps=2", "--frames", "off"])
+    with open(os.path.join(out, "series.csv")) as fh:
+        header = fh.readline().strip().split(",")
+    assert header == [f.name for f in fields(TimeSeriesRecord)]
+    assert tuple(header) == CSV_COLUMNS
+
+
+def test_flow_command_overflowing_steps_end_cleanly(tmp_path, capfd):
+    text = BASE_CFG.replace("policy.max_steps = 8000", "policy.max_steps = 5") \
+        + "policy.mode = explicit\npolicy.cfl_coefficient = 1e300\n" \
+        + "policy.dt_init = 1e300\n"
+    cfg = write_cfg(tmp_path, text)
+    out = str(tmp_path / "out5")
+    code = main(["--quiet", "flow", "--config", cfg, "--out", out,
+                 "--frames", "off"])
+    assert code == EXIT_INCONCLUSIVE
+    captured = capfd.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    assert "Warning" not in captured.err
+    with open(os.path.join(out, "summary.json")) as fh:
+        assert json.load(fh)["termination"]["rejected_steps"] > 0
+
+
+def test_flow_command_maps_geometry_error_to_solver_exit(tmp_path, monkeypatch):
+    def failing_run_flow(*args, **kwargs):
+        raise GeometryError("cotangent weight overflow")
+
+    monkeypatch.setattr(cli, "run_flow", failing_run_flow)
+    cfg = write_cfg(tmp_path)
+    code = main(["--quiet", "flow", "--config", cfg,
+                 "--out", str(tmp_path / "out6")])
+    assert code == EXIT_SOLVER
 
 
 def test_ode_command(tmp_path):

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import helflow.flow as fl
-from helflow.flow import (CheckpointError, FlowError, SteppingPolicy,
-                          checkpoint, init_state, restore, run_flow, step)
-from helflow.geometry import FlowParams
-from helflow.mesh import make_icosphere
+import helflow.mesh as hm
+from helflow.flow import (TERMINATION_REASONS, CheckpointError, FlowError,
+                          SteppingPolicy, checkpoint, init_state, restore,
+                          run_flow, step)
+from helflow.geometry import FlowParams, _FaceData, build_cache
+from helflow.mesh import TriangleMesh, make_icosphere
+from helflow.validate import perturbed_sphere
 
 
 def radial_stats(mesh):
@@ -253,3 +256,75 @@ def test_willmore_bound_along_flow():
                           SteppingPolicy(max_steps=150))
     bound = 2.0 * records[0].penalized
     assert all(r.willmore <= bound + 1e-6 for r in records)
+
+
+def test_overflowing_trial_step_is_rejected():
+    # dt = 1e300 moves vertices to ~1e300: the trial geometry cannot be
+    # assembled, which must count as a rejection, not end the run
+    policy = SteppingPolicy(mode="explicit", cfl_coefficient=1e300,
+                            dt_init=1e300, max_steps=5)
+    params = FlowParams(-1.0)
+    state = init_state(make_icosphere(1), params, policy)
+    new = step(state, params, policy)
+    assert not new.last_step_accepted
+    assert new.rejected_steps == 1
+    assert new.dt < state.dt * policy.dt_shrink * 1.0000001
+    assert new.mesh is state.mesh
+
+    records, report = run_flow(make_icosphere(1), params, policy)
+    assert report.reason in TERMINATION_REASONS
+    assert report.rejected_steps > 0
+
+
+def _count_topology_builds(monkeypatch):
+    built = []
+
+    class CountingTopology(hm.Topology):
+        def __init__(self, faces):
+            built.append(len(faces))
+            super().__init__(faces)
+
+    monkeypatch.setattr(hm, "Topology", CountingTopology)
+    return built
+
+
+def test_flow_builds_topology_once_without_remesh(monkeypatch):
+    base = make_icosphere(2, 1.0)
+    built = _count_topology_builds(monkeypatch)
+    mesh = TriangleMesh(base.vertices, base.faces)
+    _, report = run_flow(mesh, FlowParams(-1.0, 0.0),
+                         SteppingPolicy(max_steps=20))
+    assert report.steps == 20
+    assert report.evidence["remesh_count"] == 0
+    assert len(built) == 1
+
+
+def test_flow_builds_one_topology_per_remesh(monkeypatch):
+    base = make_icosphere(2, 1.0)
+    built = _count_topology_builds(monkeypatch)
+    mesh = TriangleMesh(base.vertices, base.faces)
+    policy = SteppingPolicy(max_steps=3, remesh_min_angle=np.deg2rad(60.0))
+    _, report = run_flow(mesh, FlowParams(-1.0, 0.0), policy)
+    assert report.evidence["remesh_count"] == 3
+    assert len(built) == 1 + report.evidence["remesh_count"]
+
+
+def test_laplacian_is_plain_coo_to_csr_assembly():
+    # Accept decisions on the stationary sphere (energy ~1e-29) hinge on
+    # roundoff, so L must stay bit-identical to scipy's coo->csr assembly,
+    # which sums duplicate entries in its own order.
+    from scipy import sparse
+
+    mesh = perturbed_sphere(1, 3, 0.05)
+    f, n = mesh.faces, mesh.n_vertices
+    cots = _FaceData(mesh).cots
+    i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
+    j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
+    w = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])
+    expected = sparse.coo_matrix(
+        (np.concatenate([w, w, -w, -w]),
+         (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
+        shape=(n, n)).tocsr()
+    L = build_cache(mesh).laplacian
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(L, attr), getattr(expected, attr))

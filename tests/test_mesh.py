@@ -206,3 +206,46 @@ def test_immutability(ico3):
 def test_mean_edge_and_bbox(ico3):
     assert ico3.mean_edge_length() > 0
     assert ico3.bbox_diagonal() == pytest.approx(2 * np.sqrt(3), rel=1e-2)
+
+
+def test_vertex_moves_share_topology(ico3):
+    topo = ico3.topology
+    moved = ico3.with_vertices(np.asarray(ico3.vertices) * 1.1)
+    assert moved.topology is topo
+    assert moved.faces is ico3.faces
+    assert ico3.translated([1.0, 2.0, 3.0]).topology is topo
+    assert ico3.scaled(2.0).topology is topo
+    assert moved.scaled(0.5).translated([0.0, 0.0, 1.0]).topology is topo
+
+
+def test_face_changes_build_new_topology(tmp_path, ico3):
+    from helflow.remesh import remesh
+
+    assert ico3.flipped().topology is not ico3.topology
+    assert remesh(ico3, ico3.mean_edge_length()).topology is not ico3.topology
+    path = str(tmp_path / "ico3.off")
+    save_mesh(ico3, path)
+    assert load_mesh(path).topology is not ico3.topology
+
+
+def test_topology_matches_direct_computation(ico3, torus):
+    for mesh in (ico3, torus, ico3.flipped()):
+        f = mesh.faces
+        directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+        expected = np.unique(np.sort(directed, axis=1), axis=0)
+        assert np.array_equal(mesh.edges, expected)
+        pairs = mesh._edge_face_pairs()
+        assert len(pairs) == len(expected)  # closed: two faces per edge
+        shared = [len(set(f[a]) & set(f[b])) for a, b in pairs]
+        assert shared == [2] * len(pairs)
+    assert torus.n_components == 1 and torus.genus == 1
+
+
+@pytest.mark.parametrize("which", ["perturbed_ico4", "torus"])
+def test_cache_min_angle_matches_face_angles(which, torus):
+    from helflow.geometry import build_cache
+    from helflow.validate import perturbed_sphere
+
+    mesh = perturbed_sphere(3, 4, 0.05) if which == "perturbed_ico4" else torus
+    assert build_cache(mesh).min_angle == pytest.approx(
+        mesh.face_angles().min(), abs=1e-15)
