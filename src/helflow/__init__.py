@@ -14,15 +14,15 @@ from .diagnostics import (BlowUpFrame, KappaProfile, SingularityClassification,
 from .flow import (CSV_COLUMNS, FlowState, SteppingPolicy, TerminationReport,
                    TimeSeriesRecord, checkpoint, init_state, restore, run_flow,
                    step)
-from .geometry import (FlowParams, GeometryCache, VertexField, build_cache,
+from .geometry import (FlowParams, GeometryCache, build_cache,
                        first_variation_check, flow_velocity,
                        gauss_bonnet_residual, helfrich_energy,
                        mean_curvature_integral, penalized_energy,
-                       willmore_bound_residual, willmore_energy)
+                       willmore_bound_residual)
 from .mesh import (MeshQualityReport, TriangleMesh, load_mesh, make_icosphere,
                    make_tetrahedron, make_torus, orient_for_positive_volume,
                    quality_report, save_mesh, signed_volume)
-from .remesh import hausdorff_distance, remesh, transfer_vertex_field
+from .remesh import hausdorff_distance, remesh
 from .sphere_ode import (SphereOdeSolution, TheoryBounds,
                          extinction_time_closed_form, integrate_sphere_ode,
                          sphere_energy, sphere_ode_rhs, theory_bounds)

@@ -16,7 +16,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -105,24 +106,52 @@ def _parse_vec3(value: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
-_POLICY_FIELD_TYPES = {f.name: f.type for f in fields(SteppingPolicy)}
+def _parse_as(kind, value: str):
+    """Parse ``value`` as the annotated type ``kind`` of a dataclass field:
+    ``bool``, ``int``, ``float`` or ``str``, or one of them ``| None``."""
+    options = typing.get_args(kind)
+    if options:
+        if value.lower() == "none":
+            return None
+        (kind,) = [t for t in options if t is not type(None)]
+    if kind is bool:
+        return _parse_bool(value)
+    if kind is float and value.lower() in ("inf", "infinite"):
+        return np.inf
+    return kind(value)
+
+
+_POLICY_FIELD_TYPES = typing.get_type_hints(SteppingPolicy)
 
 
 def build_run_config(raw: dict, out_dir: str | None = None,
                      frames: str | None = None,
                      config_dir: str = ".") -> RunConfig:
-    raw = dict(raw)
+    """Build a :class:`RunConfig` from parsed ``key = value`` pairs.
 
-    def pop(key, default=None):
-        return raw.pop(key, default)
+    Unknown keys and values that do not parse or that the parameter and
+    policy dataclasses reject raise :class:`ConfigError`.
+    """
+    try:
+        cfg = _run_config_from(dict(raw), config_dir)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
+    if out_dir is not None:
+        cfg.out_dir = out_dir
+    if frames is not None:
+        cfg.frames_enabled = frames == "on"
+    return cfg
 
-    c0 = pop("params.c0")
+
+def _run_config_from(raw: dict, config_dir: str) -> RunConfig:
+    c0 = raw.pop("params.c0", None)
     if c0 is None:
         raise ConfigError("params.c0 is required")
     params = FlowParams(
         float(c0),
-        float(pop("params.lambda", 0.0)),
-        allow_negative_lam=_parse_bool(pop("params.allow_negative_lambda", "false")),
+        float(raw.pop("params.lambda", 0.0)),
+        allow_negative_lam=_parse_bool(
+            raw.pop("params.allow_negative_lambda", "false")),
     )
 
     policy_kwargs = {}
@@ -133,29 +162,14 @@ def build_run_config(raw: dict, out_dir: str | None = None,
         value = raw.pop(key)
         if name == "remesh_min_angle_deg":
             policy_kwargs["remesh_min_angle"] = np.deg2rad(float(value))
-            continue
-        if name not in _POLICY_FIELD_TYPES:
-            raise ConfigError(f"unknown policy key {name!r}")
-        if name == "mode":
-            policy_kwargs[name] = value
-        elif name in ("convergence_window", "max_steps", "record_every",
-                      "checkpoint_every"):
-            policy_kwargs[name] = int(value)
-        elif name == "remesh_enabled":
-            policy_kwargs[name] = _parse_bool(value)
-        elif name == "checkpoint_dir":
-            policy_kwargs[name] = value
-        elif name == "gradient_tol":
-            policy_kwargs[name] = None if value.lower() == "none" else float(value)
-        elif name == "time_horizon":
-            policy_kwargs[name] = np.inf if value.lower() in ("inf", "infinite") \
-                else float(value)
+        elif name in _POLICY_FIELD_TYPES:
+            policy_kwargs[name] = _parse_as(_POLICY_FIELD_TYPES[name], value)
         else:
-            policy_kwargs[name] = float(value)
+            raise ConfigError(f"unknown policy key {name!r}")
     policy = SteppingPolicy(**policy_kwargs)
 
-    mesh_path = pop("mesh.path")
-    subdiv = pop("mesh.icosphere.subdivisions")
+    mesh_path = raw.pop("mesh.path", None)
+    subdiv = raw.pop("mesh.icosphere.subdivisions", None)
     if (mesh_path is None) == (subdiv is None):
         raise ConfigError(
             "exactly one of mesh.path or mesh.icosphere.subdivisions is required"
@@ -166,7 +180,7 @@ def build_run_config(raw: dict, out_dir: str | None = None,
         if not os.path.exists(mesh_path):
             raise ConfigError(f"mesh path not found: {mesh_path}")
 
-    radii_raw = pop("diagnostics.kappa_radii", "auto")
+    radii_raw = raw.pop("diagnostics.kappa_radii", "auto")
     radii = None if radii_raw == "auto" else tuple(
         float(p) for p in radii_raw.replace(",", " ").split()
     )
@@ -176,20 +190,17 @@ def build_run_config(raw: dict, out_dir: str | None = None,
         policy=policy,
         mesh_path=mesh_path,
         icosphere_subdivisions=None if subdiv is None else int(subdiv),
-        icosphere_radius=float(pop("mesh.icosphere.radius", 1.0)),
-        icosphere_center=_parse_vec3(pop("mesh.icosphere.center", "0,0,0")),
-        kappa_target_fraction=float(pop("diagnostics.kappa_target_fraction", 0.25)),
+        icosphere_radius=float(raw.pop("mesh.icosphere.radius", 1.0)),
+        icosphere_center=_parse_vec3(raw.pop("mesh.icosphere.center", "0,0,0")),
+        kappa_target_fraction=float(
+            raw.pop("diagnostics.kappa_target_fraction", 0.25)),
         kappa_radii=radii,
-        frames_enabled=_parse_bool(pop("diagnostics.frames", "on")),
-        out_dir=pop("output.dir", "out"),
-        seed=int(pop("seed", 0)),
+        frames_enabled=_parse_bool(raw.pop("diagnostics.frames", "on")),
+        out_dir=raw.pop("output.dir", "out"),
+        seed=int(raw.pop("seed", 0)),
     )
     if raw:
         raise ConfigError(f"unrecognized config keys: {sorted(raw)}")
-    if out_dir is not None:
-        cfg.out_dir = out_dir
-    if frames is not None:
-        cfg.frames_enabled = frames == "on"
     return cfg
 
 
@@ -346,13 +357,7 @@ def cmd_flow(args) -> int:
             "final_energies": report.final_energies,
             "evidence": report.evidence,
         },
-        "theory_bounds": {
-            "r_star": bounds.r_star,
-            "t_bound": bounds.t_bound,
-            "en_threshold": bounds.en_threshold,
-            "beta_upper": bounds.beta_upper,
-            "willmore_ctrl_factor": bounds.willmore_ctrl_factor,
-        },
+        "theory_bounds": asdict(bounds),
         "threshold_comparisons": {
             "initial_energy": e0,
             "en_threshold": bounds.en_threshold,
@@ -387,14 +392,21 @@ def cmd_flow(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def cmd_ode(args) -> int:
+def _params_from_args(args) -> FlowParams | None:
+    """The ``--c0``/``--lambda`` flags as FlowParams; None (logged) if invalid."""
     try:
-        params = FlowParams(args.c0, getattr(args, "lambda"))
+        return FlowParams(args.c0, getattr(args, "lambda"))
     except ValueError as exc:
         logger.error("bad parameters: %s", exc)
+        return None
+
+
+def cmd_ode(args) -> int:
+    params = _params_from_args(args)
+    if params is None:
         return EXIT_CONFIG
-    if args.r0 <= 0 or args.horizon <= 0:
-        logger.error("r0 and horizon must be positive")
+    if not (0 < args.r0 < np.inf and 0 < args.horizon < np.inf):
+        logger.error("r0 and horizon must be positive and finite")
         return EXIT_CONFIG
     sol = integrate_sphere_ode(args.r0, params, horizon=args.horizon,
                                rtol=args.rtol)
@@ -428,7 +440,9 @@ def cmd_energy(args) -> int:
     except MeshError as exc:
         logger.error("cannot load mesh: %s", exc)
         return EXIT_CONFIG
-    params = FlowParams(args.c0, getattr(args, "lambda"))
+    params = _params_from_args(args)
+    if params is None:
+        return EXIT_CONFIG
     cache = build_cache(mesh, params)
     payload = {
         "mesh": {"path": args.mesh, "n_vertices": mesh.n_vertices,
@@ -450,11 +464,7 @@ def cmd_energy(args) -> int:
             willmore_bound_residual(cache, params) if params.lam > 0 else None),
     }
     bounds = theory_bounds(params, e0=cache.penalized)
-    payload["theory_bounds"] = {
-        "r_star": bounds.r_star, "t_bound": bounds.t_bound,
-        "en_threshold": bounds.en_threshold, "beta_upper": bounds.beta_upper,
-        "willmore_ctrl_factor": bounds.willmore_ctrl_factor,
-    }
+    payload["theory_bounds"] = asdict(bounds)
     text = json.dumps(payload, indent=2, default=_json_default)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -465,15 +475,17 @@ def cmd_energy(args) -> int:
 
 
 def cmd_rescale(args) -> int:
-    if args.r <= 0:
-        logger.error("rescaling factor must be positive, got %g", args.r)
+    if not (0 < args.r < np.inf and np.all(np.isfinite(args.x))):
+        logger.error("need finite r > 0 and finite x, got r=%g x=%s", args.r, args.x)
         return EXIT_CONFIG
     try:
         mesh = load_mesh(args.mesh)
     except MeshError as exc:
         logger.error("cannot load mesh: %s", exc)
         return EXIT_CONFIG
-    params = FlowParams(args.c0, getattr(args, "lambda"))
+    params = _params_from_args(args)
+    if params is None:
+        return EXIT_CONFIG
     x = np.asarray(args.x, dtype=np.float64)
     rescaled = mesh.translated(-x).scaled(1.0 / args.r)
     new_params = params.rescaled(args.r)

@@ -45,6 +45,11 @@ TERMINATION_REASONS = (
 
 CHECKPOINT_FORMAT_VERSION = 1
 
+# Conjugate-gradient stopping rule of the semi-implicit solve; past the
+# iteration cap the solve falls back to a sparse LU.
+CG_RTOL = 1e-9
+CG_MAXITER = 1500
+
 
 class FlowError(Exception):
     """Flow setup or stepping failed."""
@@ -169,10 +174,6 @@ class ImplicitSolver:
     rescaling stay in lockstep.
     """
 
-    def __init__(self, cg_rtol: float = 1e-9, cg_maxiter: int = 1500):
-        self.cg_rtol = cg_rtol
-        self.cg_maxiter = cg_maxiter
-
     def solve(self, vertices: np.ndarray, areas: np.ndarray,
               laplacian: sparse.csr_matrix, dt: float,
               velocity: np.ndarray) -> np.ndarray:
@@ -194,11 +195,11 @@ class ImplicitSolver:
         inv_diag = 1.0 / A.diagonal()
         x = x0.copy()
         r = rhs - A @ x
-        tol_sq = (self.cg_rtol ** 2) * np.einsum("ij,ij->j", rhs, rhs)
+        tol_sq = (CG_RTOL ** 2) * np.einsum("ij,ij->j", rhs, rhs)
         z = inv_diag[:, None] * r
         p = z.copy()
         rz = np.einsum("ij,ij->j", r, z)
-        for _ in range(self.cg_maxiter):
+        for _ in range(CG_MAXITER):
             r_sq = np.einsum("ij,ij->j", r, r)
             active = r_sq > tol_sq
             if not np.any(active):
@@ -270,7 +271,7 @@ def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
         state = replace(state, cache=cache)
     dt = min(state.dt, _dt_cap(state, policy))
 
-    xi = flow_velocity(cache, params).values
+    xi = flow_velocity(cache, params)
     velocity = xi[:, None] * cache.normals
     v_old = state.mesh.vertices
     if policy.mode == "explicit":
@@ -334,7 +335,7 @@ def _make_record(state: FlowState, grad_l2: float) -> TimeSeriesRecord:
 
 
 def _initial_rate_norm(state: FlowState, params: FlowParams) -> float:
-    xi = flow_velocity(state.cache, params).values
+    xi = flow_velocity(state.cache, params)
     return float(np.sqrt(np.sum(xi * xi * state.cache.vertex_areas)))
 
 

@@ -23,12 +23,11 @@ from scipy import sparse
 from .mesh import TriangleMesh, signed_volume
 
 __all__ = [
-    "FlowParams", "VertexField", "GeometryCache", "GeometryError",
-    "build_cache", "area", "signed_volume", "willmore_energy",
-    "helfrich_energy", "penalized_energy", "mean_curvature_integral",
-    "gauss_bonnet_residual", "willmore_bound_residual", "flow_velocity",
-    "first_variation_check", "discrete_gradient_fd", "cotan_laplacian",
-    "mixed_voronoi_areas", "vertex_normals",
+    "FlowParams", "GeometryCache", "GeometryError", "build_cache",
+    "signed_volume", "helfrich_energy", "penalized_energy",
+    "mean_curvature_integral", "gauss_bonnet_residual",
+    "willmore_bound_residual", "flow_velocity", "first_variation_check",
+    "discrete_gradient_fd",
 ]
 
 COT_OVERFLOW = 1e12
@@ -65,26 +64,6 @@ class FlowParams:
         if r <= 0:
             raise ValueError("rescaling factor must be positive")
         return FlowParams(r * self.c0, r * r * self.lam, self.allow_negative_lam)
-
-
-@dataclass(frozen=True)
-class VertexField:
-    """A per-vertex scalar or 3-vector field with its unit recorded."""
-
-    values: np.ndarray
-    unit: str = ""
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("vertex field contains non-finite entries")
-        object.__setattr__(self, "values", values)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass
@@ -215,29 +194,6 @@ def _defects_from(fd: _FaceData, faces: np.ndarray, n: int) -> np.ndarray:
     return 2.0 * np.pi - total
 
 
-def cotan_laplacian(mesh: TriangleMesh) -> sparse.csr_matrix:
-    """Integrated cotangent operator: ``(L u)_i = sum_j w_ij (u_j - u_i)``.
-
-    ``w_ij = (cot alpha_ij + cot beta_ij) / 2`` over the two angles opposite
-    edge ``(i, j)``.  Symmetric with zero row sums.
-    """
-    return _laplacian_from(_FaceData(mesh), mesh.faces, mesh.n_vertices)
-
-
-def mixed_voronoi_areas(mesh: TriangleMesh) -> np.ndarray:
-    """Mixed Voronoi vertex areas; they tile each face exactly."""
-    return _mixed_areas_from(_FaceData(mesh), mesh.faces, mesh.n_vertices)
-
-
-def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
-    """Area-weighted vertex normals of the winding orientation (unit length)."""
-    return _normals_from(_FaceData(mesh), mesh.faces, mesh.n_vertices)
-
-
-def angle_defects(mesh: TriangleMesh) -> np.ndarray:
-    return _defects_from(_FaceData(mesh), mesh.faces, mesh.n_vertices)
-
-
 def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> GeometryCache:
     """Assemble all per-vertex curvature data and global energies for a mesh."""
     n, faces = mesh.n_vertices, mesh.faces
@@ -278,15 +234,6 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
 # ---------------------------------------------------------------------------
 # energies and monitors
 # ---------------------------------------------------------------------------
-
-
-def area(cache: GeometryCache) -> float:
-    return cache.area
-
-
-def willmore_energy(cache: GeometryCache) -> float:
-    """W = (1/4) integral H^2 dmu."""
-    return cache.willmore
 
 
 def helfrich_energy(cache: GeometryCache, params: FlowParams) -> float:
@@ -334,8 +281,8 @@ def willmore_bound_residual(cache: GeometryCache, params: FlowParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def flow_velocity(cache: GeometryCache, params: FlowParams) -> VertexField:
-    """Normal speed of the gradient flow, per vertex.
+def flow_velocity(cache: GeometryCache, params: FlowParams) -> np.ndarray:
+    """Normal speed of the gradient flow per vertex, unit 1/length^3.
 
     xi = -(Delta H + |A0|^2 H - c0 (|A0|^2 - H^2/2) - (lam + c0^2/2) H);
     the velocity vector is ``xi_i nu_i``.  ``Delta H`` reuses the cotangent
@@ -344,13 +291,12 @@ def flow_velocity(cache: GeometryCache, params: FlowParams) -> VertexField:
     c0, lam = params.c0, params.lam
     H, A0sq = cache.H, cache.A0sq
     lap_H = (cache.laplacian @ H) / cache.vertex_areas
-    xi = -(
+    return -(
         lap_H
         + A0sq * H
         - c0 * (A0sq - 0.5 * H * H)
         - (lam + 0.5 * c0 * c0) * H
     )
-    return VertexField(xi, unit="1/length^3")
 
 
 _FUNCTIONALS = ("area", "volume", "helfrich", "penalized")

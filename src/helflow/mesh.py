@@ -85,13 +85,15 @@ class Topology:
 
     def __init__(self, faces: np.ndarray):
         self.faces = faces
-        # One lexicographic sort of the undirected edge incidences gives both
-        # the unique edges (first of each run) and the face pairs (neighbours
-        # within a run).
-        e = np.sort(_directed_edges(faces).astype(np.int32), axis=1)
+        # One lexicographic sort of the undirected edge incidences gives the
+        # unique edges (first of each run), the face pairs (neighbours within
+        # a run) and each edge's multiplicity (run length).
+        directed = _directed_edges(faces).astype(np.int32)
+        forward = directed[:, 0] < directed[:, 1]
+        e = np.sort(directed, axis=1)
         fidx = np.tile(np.arange(len(faces), dtype=np.int32), 3)
         order = np.lexsort((e[:, 1], e[:, 0]))
-        e, fidx = e[order], fidx[order]
+        e, fidx, forward = e[order], fidx[order], forward[order]
         same = np.all(e[1:] == e[:-1], axis=1)
         first = np.ones(len(e), dtype=bool)
         first[1:] = ~same
@@ -99,6 +101,14 @@ class Topology:
         self.edges = e[first]
         #: (k, 2) array of face-index pairs sharing an edge.
         self.edge_face_pairs = np.column_stack([fidx[:-1][same], fidx[1:][same]])
+        multiplicity = np.diff(np.append(np.flatnonzero(first), len(e)))
+        #: Number of edges shared by more than two faces.
+        self.n_nonmanifold_edges = int(np.count_nonzero(multiplicity > 2))
+        #: Number of edges that belong to a single face.
+        self.n_boundary_edges = int(np.count_nonzero(multiplicity < 2))
+        #: False if two faces traverse a shared edge in the same direction.
+        self.consistent_winding = bool(
+            np.all(forward[:-1][same] != forward[1:][same]))
 
     @cached_property
     def face_components(self) -> np.ndarray:
@@ -190,10 +200,6 @@ class TriangleMesh:
         """Connected-component label per face (edge connectivity)."""
         return self.topology.face_components
 
-    def _edge_face_pairs(self) -> np.ndarray:
-        """(k, 2) array of face-index pairs sharing an edge."""
-        return self.topology.edge_face_pairs
-
     # -- geometry helpers ----------------------------------------------------
 
     def face_corners(self):
@@ -273,20 +279,16 @@ class TriangleMesh:
                 f"first at index {bad[0]}"
             )
 
-        directed = _directed_edges(f)
-        und = np.sort(directed, axis=1)
-        _, counts = np.unique(und, axis=0, return_counts=True)
-        if np.any(counts > 2):
+        topo = self.topology
+        if topo.n_nonmanifold_edges:
             raise NonManifoldMeshError(
-                f"{int((counts > 2).sum())} edge(s) shared by more than two faces"
+                f"{topo.n_nonmanifold_edges} edge(s) shared by more than two faces"
             )
-        if np.any(counts < 2):
+        if topo.n_boundary_edges:
             raise OpenBoundaryError(
-                f"{int((counts < 2).sum())} boundary edge(s); mesh is not closed"
+                f"{topo.n_boundary_edges} boundary edge(s); mesh is not closed"
             )
-        # Consistent winding: each undirected edge must appear once per direction.
-        _, dcounts = np.unique(directed, axis=0, return_counts=True)
-        if np.any(dcounts > 1):
+        if not topo.consistent_winding:
             raise OrientationError(
                 "inconsistent face windings (a directed edge occurs twice)"
             )

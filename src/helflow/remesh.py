@@ -147,38 +147,6 @@ def hausdorff_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
     return float(max(d_ab, d_ba))
 
 
-def transfer_vertex_field(src_mesh: TriangleMesh, values: np.ndarray,
-                          dst_mesh: TriangleMesh) -> np.ndarray:
-    """Carry a per-vertex field to another mesh by barycentric interpolation
-    at the closest point on the source surface."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[0] != src_mesh.n_vertices:
-        raise ValueError("field length must match source vertex count")
-    cp, _, fidx = MeshProjector(src_mesh).project(dst_mesh.vertices)
-    tri = src_mesh.faces[fidx]
-    v = src_mesh.vertices
-    bary = _barycentric(cp, v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]])
-    vals = values[tri]  # (n, 3) or (n, 3, d)
-    if values.ndim == 1:
-        return np.einsum("nk,nk->n", bary, vals)
-    return np.einsum("nk,nkd->nd", bary, vals)
-
-
-def _barycentric(p, a, b, c):
-    ab, ac, ap = b - a, c - a, p - a
-    d00 = np.einsum("ij,ij->i", ab, ab)
-    d01 = np.einsum("ij,ij->i", ab, ac)
-    d11 = np.einsum("ij,ij->i", ac, ac)
-    d20 = np.einsum("ij,ij->i", ap, ab)
-    d21 = np.einsum("ij,ij->i", ap, ac)
-    denom = d00 * d11 - d01 * d01
-    denom = np.where(denom == 0, 1.0, denom)
-    v = (d11 * d20 - d01 * d21) / denom
-    w = (d00 * d21 - d01 * d20) / denom
-    bary = np.stack([1.0 - v - w, v, w], axis=1)
-    return np.clip(bary, 0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # editable mesh scratchpad
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from helflow.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK,
                          EXIT_SINGULAR, EXIT_SOLVER, ConfigError,
                          build_run_config, load_run_config, main,
                          parse_config_text)
-from helflow.flow import CSV_COLUMNS, TimeSeriesRecord
+from helflow.flow import CSV_COLUMNS, SteppingPolicy, TimeSeriesRecord
 from helflow.geometry import GeometryError
 from helflow.mesh import load_mesh, make_icosphere, save_mesh
 
@@ -56,6 +56,17 @@ def test_build_run_config_rejects_unknown_keys():
         build_run_config({"params.c0": "1.0",
                           "mesh.icosphere.subdivisions": "2",
                           "mystery": "1"})
+
+
+def test_policy_keys_parse_by_field_type():
+    base = {"params.c0": "1.0", "mesh.icosphere.subdivisions": "2"}
+    for f in fields(SteppingPolicy):
+        raw = dict(base, **{f"policy.{f.name}": str(f.default)})
+        assert build_run_config(raw).policy == SteppingPolicy(), f.name
+    for key, value in (("remesh_min_angle_deg", "10"),
+                       ("time_horizon", "infinite")):
+        raw = dict(base, **{f"policy.{key}": value})
+        assert build_run_config(raw).policy == SteppingPolicy(), key
 
 
 def test_config_missing_mesh_path(tmp_path):
@@ -120,6 +131,29 @@ def test_flow_command_clean_run(tmp_path):
 def test_flow_command_bad_config(tmp_path):
     cfg = write_cfg(tmp_path, "mesh.path = nowhere.off\nparams.c0 = 1\n")
     assert main(["--quiet", "flow", "--config", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", [
+    "flow --config {cfg} --out {out} --override policy.dt_init=-1",
+    "flow --config {cfg} --out {out} --override policy.mode=foo",
+    "flow --config {cfg} --out {out} --override policy.max_steps=abc",
+    "flow --config {cfg} --out {out} --override params.c0=x",
+    "flow --config {cfg} --out {out} --override params.lambda=-1",
+    "energy {mesh} --c0 1 --lambda -1",
+    "rescale {mesh} --r 2 --c0 nan",
+    "rescale {mesh} --r nan --c0 1",
+    "rescale {mesh} --r inf --c0 1",
+    "rescale {mesh} --r 2 --x nan 0 0 --c0 1",
+    "ode --c0 -1 --r0 nan --horizon 1 --out {out}",
+    "ode --c0 -1 --r0 1 --horizon inf --out {out}",
+])
+def test_invalid_values_exit_with_config_error(tmp_path, capfd, command):
+    mesh_path = str(tmp_path / "s.off")
+    save_mesh(make_icosphere(1, 1.0), mesh_path)
+    argv = command.format(cfg=write_cfg(tmp_path), out=str(tmp_path / "out"),
+                          mesh=mesh_path).split()
+    assert main(["--quiet", *argv]) == EXIT_CONFIG
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_csv_is_17_digit_round_trippable(tmp_path):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helflow.flow as fl
 import helflow.mesh as hm
 from helflow.flow import (TERMINATION_REASONS, CheckpointError, FlowError,
                           SteppingPolicy, checkpoint, init_state, restore,
                           run_flow, step)
-from helflow.geometry import FlowParams, _FaceData, build_cache
+from helflow.geometry import FlowParams, GeometryError, _FaceData, build_cache
 from helflow.mesh import TriangleMesh, make_icosphere
+from helflow.remesh import RemeshError
 from helflow.validate import perturbed_sphere
 
 
@@ -286,6 +289,35 @@ def _count_topology_builds(monkeypatch):
 
     monkeypatch.setattr(hm, "Topology", CountingTopology)
     return built
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(("explicit", "semi_implicit")),
+       dt_init=_log_uniform(-12, 300),
+       dt_growth=_log_uniform(-6, 6).map(lambda x: 1.0 + x),
+       # factors close to 1 are left out for run time only: max_steps bounds
+       # accepted steps, not rejections, and from dt = 1e300 a factor of 0.97
+       # takes ~2e4 rejections to reach dt_floor
+       dt_shrink=_log_uniform(-12, -0.3),
+       cfl_coefficient=_log_uniform(-12, 300),
+       curvature_dt_coeff=_log_uniform(-12, 300))
+def test_any_policy_ends_with_a_reason_or_typed_error(
+        mode, dt_init, dt_growth, dt_shrink, cfl_coefficient,
+        curvature_dt_coeff):
+    policy = SteppingPolicy(mode=mode, dt_init=dt_init, dt_growth=dt_growth,
+                            dt_shrink=dt_shrink,
+                            cfl_coefficient=cfl_coefficient,
+                            curvature_dt_coeff=curvature_dt_coeff,
+                            max_steps=10)
+    try:
+        _, report = run_flow(make_icosphere(1), FlowParams(-1.0), policy)
+    except (FlowError, RemeshError, GeometryError):
+        return
+    assert report.reason in TERMINATION_REASONS
 
 
 def test_flow_builds_topology_once_without_remesh(monkeypatch):

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helflow.geometry import (FlowParams, GeometryError, VertexField,
-                              build_cache, first_variation_check,
-                              flow_velocity, gauss_bonnet_residual,
-                              helfrich_energy, mean_curvature_integral,
-                              penalized_energy, willmore_bound_residual,
-                              willmore_energy)
+from helflow.geometry import (FlowParams, GeometryError, build_cache,
+                              first_variation_check, flow_velocity,
+                              gauss_bonnet_residual, helfrich_energy,
+                              mean_curvature_integral, penalized_energy,
+                              willmore_bound_residual)
 from helflow.mesh import TriangleMesh, make_icosphere, orient_for_positive_volume
 from helflow.validate import perturbed_sphere
 
@@ -26,11 +25,6 @@ def test_params_validation():
     p = FlowParams(1.0, -0.5, allow_negative_lam=True)
     assert p.lam == -0.5
     assert FlowParams(1.0, 0.5).rescaled(2.0) == FlowParams(2.0, 2.0)
-
-
-def test_vertex_field_rejects_non_finite():
-    with pytest.raises(ValueError):
-        VertexField(np.array([1.0, np.nan]))
 
 
 # -- curvature --------------------------------------------------------------
@@ -108,8 +102,8 @@ def test_sphere_energies_closed_form():
     # pi (2 - c0 r)^2 + 2 pi lam r^2 at r = 1 equals 2 pi, which is also the
     # round-sphere bound 2 lam / (c0^2 + 2 lam) * 4 pi at this radius
     assert penalized_energy(cache, params) == pytest.approx(2 * np.pi, rel=2e-3)
-    assert willmore_energy(cache) == pytest.approx(FOUR_PI, rel=1e-3)
-    assert helfrich_energy(cache, FlowParams(0.0, 0.0)) == willmore_energy(cache)
+    assert cache.willmore == pytest.approx(FOUR_PI, rel=1e-3)
+    assert helfrich_energy(cache, FlowParams(0.0, 0.0)) == cache.willmore
 
 
 def test_willmore_bound_residual_closed_forms(ico4_cache):
@@ -197,19 +191,15 @@ def test_parabolic_rescaling_energy_identity():
 
 def test_flow_velocity_round_sphere_cases(ico4_cache):
     # xi = -2 c0 / r^2 + (2 lam + c0^2) / r on a round sphere of radius r
-    xi_hopf = flow_velocity(ico4_cache, FlowParams(2.0, 0.0)).values
+    xi_hopf = flow_velocity(ico4_cache, FlowParams(2.0, 0.0))
     assert np.abs(xi_hopf).max() < 0.05
 
-    xi_shrink = flow_velocity(ico4_cache, FlowParams(-1.0, 0.0)).values
+    xi_shrink = flow_velocity(ico4_cache, FlowParams(-1.0, 0.0))
     assert xi_shrink.mean() == pytest.approx(3.0, abs=1e-3)
     assert np.abs(xi_shrink - 3.0).max() < 0.05
 
-    xi_eq = flow_velocity(ico4_cache, FlowParams(1.0, 0.5)).values
+    xi_eq = flow_velocity(ico4_cache, FlowParams(1.0, 0.5))
     assert np.abs(xi_eq).max() < 0.05
-
-
-def test_flow_velocity_units(ico4_cache):
-    assert flow_velocity(ico4_cache, FlowParams(1.0, 0.0)).unit == "1/length^3"
 
 
 # -- first variations ---------------------------------------------------------

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from helflow.geometry import build_cache
 from helflow.mesh import (DegenerateFaceError, MeshFormatError,
                           NonManifoldMeshError, OpenBoundaryError,
-                          TriangleMesh, component_signed_volumes, load_mesh,
-                          make_icosphere, orient_for_positive_volume,
-                          quality_report, repair_winding, save_mesh,
-                          signed_volume)
+                          OrientationError, TriangleMesh,
+                          component_signed_volumes, load_mesh, make_icosphere,
+                          orient_for_positive_volume, quality_report,
+                          repair_winding, save_mesh, signed_volume)
 
 TETRA_OFF = """OFF
 4 4 6
@@ -153,7 +154,14 @@ def test_open_boundary_rejected(tetra):
 
 def test_non_manifold_rejected(tetra):
     faces = np.vstack([tetra.faces, [[0, 1, 2]]])
-    with pytest.raises((NonManifoldMeshError, Exception)):
+    with pytest.raises(NonManifoldMeshError):
+        TriangleMesh(tetra.vertices, faces)
+
+
+def test_inconsistent_winding_rejected(tetra):
+    faces = np.array(tetra.faces)
+    faces[0] = faces[0, [0, 2, 1]]
+    with pytest.raises(OrientationError):
         TriangleMesh(tetra.vertices, faces)
 
 
@@ -188,10 +196,9 @@ def test_quality_report_extremes(ico3):
 
 def test_euler_characteristic_from_angle_defects(tetra, ico3, torus):
     # chi from counts equals chi from total angle defect / 2 pi
-    from helflow.geometry import angle_defects
-
     for mesh in (tetra, ico3, torus):
-        chi_defect = np.sum(angle_defects(mesh)) / (2 * np.pi)
+        cache = build_cache(mesh)
+        chi_defect = np.sum(cache.K * cache.vertex_areas) / (2 * np.pi)
         assert chi_defect == pytest.approx(mesh.euler_characteristic, abs=1e-10)
 
 
@@ -234,7 +241,7 @@ def test_topology_matches_direct_computation(ico3, torus):
         directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         expected = np.unique(np.sort(directed, axis=1), axis=0)
         assert np.array_equal(mesh.edges, expected)
-        pairs = mesh._edge_face_pairs()
+        pairs = mesh.topology.edge_face_pairs
         assert len(pairs) == len(expected)  # closed: two faces per edge
         shared = [len(set(f[a]) & set(f[b])) for a, b in pairs]
         assert shared == [2] * len(pairs)
@@ -243,7 +250,6 @@ def test_topology_matches_direct_computation(ico3, torus):
 
 @pytest.mark.parametrize("which", ["perturbed_ico4", "torus"])
 def test_cache_min_angle_matches_face_angles(which, torus):
-    from helflow.geometry import build_cache
     from helflow.validate import perturbed_sphere
 
     mesh = perturbed_sphere(3, 4, 0.05) if which == "perturbed_ico4" else torus

@@ -6,7 +6,7 @@ from helflow.mesh import TriangleMesh, make_icosphere, make_torus, \
     orient_for_positive_volume, quality_report
 from helflow.remesh import (MeshProjector, RemeshError,
                             closest_point_on_triangles, hausdorff_distance,
-                            remesh, transfer_vertex_field)
+                            remesh)
 
 
 @pytest.fixture(scope="module")
@@ -105,22 +105,6 @@ def test_hausdorff_detects_offset(ico3):
     shifted = ico3.translated((0.05, 0.0, 0.0))
     d = hausdorff_distance(ico3, shifted)
     assert 0.03 <= d <= 0.06
-
-
-def test_transfer_vertex_field_linear(ico4):
-    # a linear field transfers exactly (barycentric interpolation is linear)
-    coarse = make_icosphere(2, 1.0)
-    field = np.asarray(ico4.vertices)[:, 2]
-    got = transfer_vertex_field(ico4, field, coarse)
-    assert np.abs(got - np.asarray(coarse.vertices)[:, 2]).max() < 1e-6
-
-
-def test_transfer_vertex_field_vector(ico3):
-    coarse = make_icosphere(1, 1.0)
-    field = np.asarray(ico3.vertices)
-    got = transfer_vertex_field(ico3, field, coarse)
-    assert got.shape == (coarse.n_vertices, 3)
-    assert np.abs(got - np.asarray(coarse.vertices)).max() < 5e-3
 
 
 def test_remesh_keeps_tags_unique():
