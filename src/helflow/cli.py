@@ -8,7 +8,8 @@ captures a reproducible run.
 Exit codes: 0 clean termination (converged / horizon), 2 singular termination
 (a scientific outcome, not a failure), 3 inconclusive termination
 (dt collapse / step budget), 10 configuration errors, 11 IO errors,
-12 solver failures (including geometry that cannot be assembled).
+12 solver failures (a remesh that fails, or a starting geometry that cannot
+be assembled).
 """
 
 import argparse

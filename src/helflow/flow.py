@@ -12,7 +12,10 @@ dt and leave the state unchanged).  Two stepping modes:
       (M + dt L M^-1 L) v+ = M v + dt (M xi nu + L M^-1 L v),
 
   with M the diagonal mixed-area mass matrix and L the cotangent operator;
-  all curvature (lower-order) terms stay explicit.  dt is additionally capped
+  all curvature (lower-order) terms stay explicit.  The system is solved by
+  Jacobi-preconditioned CG with the operator applied matrix-free (two
+  products with L per iteration); there is no direct fallback, and a solve
+  that does not converge rejects the step.  dt is additionally capped
   by ``curvature_dt_coeff / (sup |A|^2)^2``, which tracks the physical r^4
   stiffness scale, so shrinking surfaces remain time-accurate.
 
@@ -26,7 +29,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .geometry import (FlowParams, GeometryCache, GeometryError, build_cache,
                        flow_velocity, mean_curvature_integral)
@@ -45,8 +47,8 @@ TERMINATION_REASONS = (
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# Conjugate-gradient stopping rule of the semi-implicit solve; past the
-# iteration cap the solve falls back to a sparse LU.
+# Conjugate-gradient stopping rule of the semi-implicit solve; a solve that
+# reaches the iteration cap fails, and the step is rejected.
 CG_RTOL = 1e-9
 CG_MAXITER = 1500
 
@@ -103,6 +105,11 @@ class SteppingPolicy:
                      "area_floor_fraction", "blowup_threshold", "record_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0 (0 disables)")
+        # At or below 1 the accepted band of mean edge lengths is empty.
+        if not self.remesh_edge_drift > 1:
+            raise ValueError("remesh_edge_drift must be > 1")
 
 
 @dataclass
@@ -167,11 +174,13 @@ class ImplicitSolver:
     """Solves the stabilized implicit system in update form.
 
     Jacobi-preconditioned conjugate gradients on the three coordinate columns
-    of ``(M + dt L M^-1 L) delta = dt M xi nu``; falls back to a direct
-    sparse LU if CG stalls.  The solve is a pure function of the current
-    state (no cross-step memory), so replayed or restored trajectories
-    reproduce the original bit for bit, and twin runs related by parabolic
-    rescaling stay in lockstep.
+    of ``(M + dt L M^-1 L) delta = dt M xi nu``.  The operator is applied
+    matrix-free, as ``M p + dt L (M^-1 (L p))``; no bi-Laplacian is assembled.
+    A solve that reaches ``CG_MAXITER`` or gives non-finite positions raises
+    :class:`SolverError`, which :func:`step` turns into a rejection.  The
+    solve is a pure function of the current state (no cross-step memory), so
+    replayed or restored trajectories reproduce the original bit for bit, and
+    twin runs related by parabolic rescaling stay in lockstep.
     """
 
     def solve(self, vertices: np.ndarray, areas: np.ndarray,
@@ -179,22 +188,24 @@ class ImplicitSolver:
               velocity: np.ndarray) -> np.ndarray:
         # In update form the add-subtract terms cancel exactly:
         # (M + dt L M^-1 L) (v+ - v) = dt M xi nu.
-        B = (laplacian @ sparse.diags(1.0 / areas)) @ laplacian
-        A = (sparse.diags(areas) + dt * B).tocsr()
         rhs = dt * (areas[:, None] * velocity)
-        delta = self._pcg_block(A, rhs, x0=np.zeros_like(rhs))
+        # CG's stopping test squares the right-hand side; past the float
+        # range it would stop at once and return a zero update.
+        if not np.isfinite(np.einsum("ij,ij->", rhs, rhs)):
+            raise SolverError("right-hand side out of floating-point range")
+        delta = self._pcg_block(*implicit_operator(areas, laplacian, dt), rhs)
         if delta is None:
-            delta = self._direct(A, rhs)
+            raise SolverError(f"CG did not converge in {CG_MAXITER} iterations")
         out = vertices + delta
         if not np.all(np.isfinite(out)):
             raise SolverError("linear solve produced non-finite positions")
         return out
 
-    def _pcg_block(self, A, rhs, x0):
+    def _pcg_block(self, apply, diagonal, rhs):
         """Jacobi-preconditioned CG on the three coordinate columns in lockstep."""
-        inv_diag = 1.0 / A.diagonal()
-        x = x0.copy()
-        r = rhs - A @ x
+        inv_diag = 1.0 / diagonal
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
         tol_sq = (CG_RTOL ** 2) * np.einsum("ij,ij->j", rhs, rhs)
         z = inv_diag[:, None] * r
         p = z.copy()
@@ -204,7 +215,7 @@ class ImplicitSolver:
             active = r_sq > tol_sq
             if not np.any(active):
                 return x
-            Ap = A @ p
+            Ap = apply(p)
             pAp = np.einsum("ij,ij->j", p, Ap)
             alpha = np.where(active & (pAp > 0), rz / np.where(pAp > 0, pAp, 1.0), 0.0)
             x += alpha * p
@@ -216,15 +227,28 @@ class ImplicitSolver:
             rz = rz_new
         return None
 
-    def _direct(self, A, rhs):
-        try:
-            lu = splu(A.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-        out = lu.solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise SolverError("linear solve produced non-finite positions")
+
+def implicit_operator(areas: np.ndarray, laplacian: sparse.csr_matrix,
+                      dt: float):
+    """``A = M + dt L M^-1 L`` as the product ``p -> A p`` and its diagonal.
+
+    ``diag(A)_i = a_i + dt sum_k L_ik^2 / a_k``, read from the stored values
+    of the symmetric ``L``.
+    """
+    mass = areas[:, None]
+    dt_inv_mass = (dt / areas)[:, None]
+
+    def apply(p):
+        q = laplacian @ p
+        q *= dt_inv_mass
+        out = laplacian @ q
+        out += mass * p
         return out
+
+    squared = sparse.csr_matrix(
+        (laplacian.data * laplacian.data, laplacian.indices, laplacian.indptr),
+        shape=laplacian.shape)
+    return apply, areas + squared @ (dt / areas)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +285,8 @@ def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
 
     On acceptance: positions advance, t increases by the (possibly capped) dt,
     and dt grows for the next attempt.  On rejection (energy increased beyond
-    tolerance, or the trial positions do not form a valid mesh or geometry):
+    tolerance, the semi-implicit solve failed, or the trial positions do not
+    form a valid mesh or geometry):
     the geometry is unchanged, dt shrinks, and the rejection counter
     increments.  The caller decides what a too-small dt means.
     """
@@ -274,20 +299,18 @@ def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
     xi = flow_velocity(cache, params)
     velocity = xi[:, None] * cache.normals
     v_old = state.mesh.vertices
-    if policy.mode == "explicit":
-        v_new = v_old + dt * velocity
-    else:
-        if solver is None:
-            solver = ImplicitSolver()
-        v_new = solver.solve(v_old, cache.vertex_areas, cache.laplacian, dt,
-                             velocity)
 
     # A trial that overflows is judged by the checks below, not by warnings.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            if policy.mode == "explicit":
+                v_new = v_old + dt * velocity
+            else:
+                v_new = (solver or ImplicitSolver()).solve(
+                    v_old, cache.vertex_areas, cache.laplacian, dt, velocity)
             new_mesh = state.mesh.with_vertices(v_new)
             new_cache = build_cache(new_mesh, params)
-    except (GeometryError, MeshError) as exc:
+    except (SolverError, GeometryError, MeshError) as exc:
         logger.debug("trial step at dt=%.3e rejected: %s", dt, exc)
         new_cache = None
     tolerance = policy.energy_increase_tol_rel * abs(state.energy0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .mesh import TriangleMesh, signed_volume
+from .mesh import TriangleMesh, corner_signed_volume, signed_volume
 
 __all__ = [
     "FlowParams", "GeometryCache", "GeometryError", "build_cache",
@@ -101,7 +101,8 @@ class GeometryCache:
 class _FaceData:
     """Shared per-face quantities computed in one pass over the mesh."""
 
-    __slots__ = ("cross", "cross_norm", "dots", "cots", "angles", "edge_sq")
+    __slots__ = ("cross", "cross_norm", "dots", "cots", "angles", "edge_sq",
+                 "signed_volume")
 
     def __init__(self, mesh: TriangleMesh):
         v, f = mesh.vertices, mesh.faces
@@ -137,17 +138,13 @@ class _FaceData:
             ],
             axis=1,
         )
+        self.signed_volume = corner_signed_volume(v0, v1, v2)
 
 
-def _laplacian_from(fd: _FaceData, faces: np.ndarray, n: int) -> sparse.csr_matrix:
-    # corners 0,1,2 are opposite edges (1,2), (2,0), (0,1) respectively
-    i = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
-    j = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
-    w = 0.5 * np.concatenate([fd.cots[:, 0], fd.cots[:, 1], fd.cots[:, 2]])
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([j, i, i, j])
-    vals = np.concatenate([w, w, -w, -w])
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+def _laplacian_from(fd: _FaceData, mesh: TriangleMesh) -> sparse.csr_matrix:
+    # corner k's weight sits on the opposite edge; corner-major order
+    pattern = mesh.topology.laplacian_pattern(mesh.n_vertices)
+    return pattern.fill(0.5 * fd.cots.T.ravel())
 
 
 def _mixed_areas_from(fd: _FaceData, faces: np.ndarray, n: int) -> np.ndarray:
@@ -198,7 +195,7 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
     """Assemble all per-vertex curvature data and global energies for a mesh."""
     n, faces = mesh.n_vertices, mesh.faces
     fd = _FaceData(mesh)
-    L = _laplacian_from(fd, faces, n)
+    L = _laplacian_from(fd, mesh)
     a = _mixed_areas_from(fd, faces, n)
     nu = _normals_from(fd, faces, n)
     H = np.einsum("ij,ij->i", L @ mesh.vertices, nu) / a
@@ -217,7 +214,7 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
         Asq=Asq,
         laplacian=L,
         area=total_area,
-        signed_volume=signed_volume(mesh),
+        signed_volume=fd.signed_volume,
         willmore=0.25 * float(np.sum(H * H * a)),
         w0=float(np.sum(A0sq * a)),
         clamp_mass=clamp_mass,

@@ -109,6 +109,15 @@ class Topology:
         #: False if two faces traverse a shared edge in the same direction.
         self.consistent_winding = bool(
             np.all(forward[:-1][same] != forward[1:][same]))
+        self._laplacian_pattern = None
+
+    def laplacian_pattern(self, n_vertices: int) -> "LaplacianPattern":
+        """CSR layout of the cotangent Laplacian, built on first use."""
+        pattern = self._laplacian_pattern
+        if pattern is None or pattern.n != n_vertices:
+            pattern = self._laplacian_pattern = LaplacianPattern(self.faces,
+                                                                 n_vertices)
+        return pattern
 
     @cached_property
     def face_components(self) -> np.ndarray:
@@ -123,6 +132,91 @@ class Topology:
         )
         _, labels = connected_components(adj, directed=False)
         return labels
+
+
+class LaplacianPattern:
+    """CSR layout of the cotangent Laplacian of one faces array.
+
+    The Laplacian is assembled from one weight per face corner, in
+    corner-major order: ``w[k * m + f]`` belongs to corner ``k`` of face ``f``
+    and adds ``+w`` to both off-diagonal entries of the opposite edge
+    ``(faces[f, k+1], faces[f, k+2])`` and ``-w`` to both of its diagonal
+    entries.  :meth:`fill` sums the terms of each entry in the order that
+    scipy's coo->csr conversion does, so the result is bit-identical to that
+    assembly.  Index arrays are int32.
+    """
+
+    def __init__(self, faces: np.ndarray, n_vertices: int):
+        from scipy.sparse import coo_matrix, csr_matrix
+
+        n = self.n = n_vertices
+        f = faces.astype(np.int32)
+        m3 = 3 * len(f)
+        i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
+        j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
+        # COO entries in the order (i, j), (j, i), (i, i), (j, j); each names
+        # its term in the signed weights [w, -w, 0] that fill() gathers from.
+        corner = np.arange(m3, dtype=np.int32)
+        source = np.concatenate([corner, corner, corner + m3, corner + m3])
+        entries = np.arange(len(source), dtype=np.int32)
+
+        # coo->csr is a stable counting sort by row, then csr_sort_indices:
+        # std::sort on the column keys alone, which moves the data with its
+        # key.  Replaying both on the term indices yields the summation
+        # order; the row pass is coo->csr itself, with one column per entry.
+        by_row = coo_matrix((source, (np.concatenate([i, j, i, j]), entries)),
+                            shape=(n, len(source))).tocsr()
+        row_ptr = by_row.indptr
+        tagged = csr_matrix(
+            (by_row.data, np.concatenate([j, i, i, j])[by_row.indices], row_ptr),
+            shape=(n, n))
+        del by_row, source   # this build's transient sets a flow's peak RSS
+        tagged.sort_indices()
+        src, c = tagged.data, tagged.indices
+
+        # Each run of one (row, col) is summed left to right into one slot.
+        start = np.ones(len(c), dtype=bool)
+        np.not_equal(c[1:], c[:-1], out=start[1:])
+        start[row_ptr[:-1][np.diff(row_ptr) > 0]] = True
+        before = np.zeros(len(c) + 1, dtype=np.int32)
+        np.cumsum(start, out=before[1:])
+        slot = before[1:] - 1
+        first = np.flatnonzero(start).astype(np.int32)
+        terms = np.diff(first, append=np.int32(len(c)))
+        self.indices = c[first]
+        self.indptr = before[row_ptr]
+        # An interior edge's two entries each sum two terms; their sum does
+        # not depend on the order.  Every other slot (the diagonal, with
+        # 2 * valence terms) gathers its terms in order, padded with the 0.
+        pairs = terms == 2
+        pad = 2 * m3
+        self.pair_src = np.full((2, len(first)), pad, dtype=np.int32)
+        self.pair_src[0, pairs] = src[first[pairs]]
+        self.pair_src[1, pairs] = src[first[pairs] + 1]
+        self.sum_slots = np.flatnonzero(~pairs).astype(np.int32)
+        column = np.zeros(len(first), dtype=np.int32)
+        column[self.sum_slots] = np.arange(len(self.sum_slots), dtype=np.int32)
+        self.sum_src = np.full((terms[~pairs].max(), len(self.sum_slots)),
+                               pad, dtype=np.int32)
+        rest = ~pairs[slot]
+        rank = entries - first[slot]
+        self.sum_src[rank[rest], column[slot[rest]]] = src[rest]
+        for a in (self.indices, self.indptr):
+            a.setflags(write=False)
+
+    def fill(self, w: np.ndarray):
+        """The Laplacian for corner weights ``w`` as a ``csr_matrix``."""
+        from scipy.sparse import csr_matrix
+
+        terms = np.concatenate([w, -w, [0.0]])
+        a, b = self.pair_src
+        data = terms[a] + terms[b]
+        gathered = terms[self.sum_src]
+        total = gathered[0].copy()
+        for row in gathered[1:]:
+            total += row
+        data[self.sum_slots] = total
+        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 class TriangleMesh:
@@ -310,17 +404,21 @@ def signed_volume(mesh: TriangleMesh) -> float:
     points inward (the preferred orientation).  Translation invariant for
     closed meshes.
     """
-    return float(np.sum(_face_det_sixths(mesh)) * -1.0)
+    return corner_signed_volume(*mesh.face_corners())
 
 
-def _face_det_sixths(mesh: TriangleMesh) -> np.ndarray:
-    v0, v1, v2 = mesh.face_corners()
+def corner_signed_volume(v0, v1, v2) -> float:
+    """:func:`signed_volume` from the per-face corner positions."""
+    return float(np.sum(_det_sixths(v0, v1, v2)) * -1.0)
+
+
+def _det_sixths(v0, v1, v2) -> np.ndarray:
     return np.einsum("ij,ij->i", v0, np.cross(v1, v2)) / 6.0
 
 
 def component_signed_volumes(mesh: TriangleMesh) -> np.ndarray:
     """Signed volume per connected component (same convention as above)."""
-    det = -_face_det_sixths(mesh)
+    det = -_det_sixths(*mesh.face_corners())
     labels = mesh.face_components
     return np.bincount(labels, weights=det, minlength=mesh.n_components)
 

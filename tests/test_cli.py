@@ -7,6 +7,7 @@ import pytest
 from dataclasses import fields
 
 import helflow.cli as cli
+import helflow.flow
 from helflow.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK,
                          EXIT_SINGULAR, EXIT_SOLVER, ConfigError,
                          build_run_config, load_run_config, main,
@@ -146,6 +147,8 @@ def test_flow_command_bad_config(tmp_path):
     "rescale {mesh} --r 2 --x nan 0 0 --c0 1",
     "ode --c0 -1 --r0 nan --horizon 1 --out {out}",
     "ode --c0 -1 --r0 1 --horizon inf --out {out}",
+    "flow --config {cfg} --out {out} --override policy.checkpoint_every=-1",
+    "flow --config {cfg} --out {out} --override policy.remesh_edge_drift=1",
 ])
 def test_invalid_values_exit_with_config_error(tmp_path, capfd, command):
     mesh_path = str(tmp_path / "s.off")
@@ -194,6 +197,23 @@ def test_flow_command_overflowing_steps_end_cleanly(tmp_path, capfd):
     assert "Warning" not in captured.err
     with open(os.path.join(out, "summary.json")) as fh:
         assert json.load(fh)["termination"]["rejected_steps"] > 0
+
+
+def test_flow_command_failed_solves_end_cleanly(tmp_path, capfd, monkeypatch):
+    # every semi-implicit solve fails: each step is rejected until dt collapses
+    monkeypatch.setattr(helflow.flow, "CG_MAXITER", 1)
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("subdivisions = 1",
+                                               "subdivisions = 2"))
+    out = str(tmp_path / "out7")
+    code = main(["--quiet", "flow", "--config", cfg, "--out", out,
+                 "--frames", "off"])
+    assert code == EXIT_INCONCLUSIVE
+    captured = capfd.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    with open(os.path.join(out, "summary.json")) as fh:
+        termination = json.load(fh)["termination"]
+    assert termination["reason"] == "dt_collapse"
+    assert termination["rejected_steps"] > 0
 
 
 def test_flow_command_maps_geometry_error_to_solver_exit(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import helflow.flow as fl
 import helflow.mesh as hm
@@ -9,8 +10,8 @@ from helflow.flow import (TERMINATION_REASONS, CheckpointError, FlowError,
                           SteppingPolicy, checkpoint, init_state, restore,
                           run_flow, step)
 from helflow.geometry import FlowParams, GeometryError, _FaceData, build_cache
-from helflow.mesh import TriangleMesh, make_icosphere
-from helflow.remesh import RemeshError
+from helflow.mesh import TriangleMesh, make_icosphere, make_torus
+from helflow.remesh import RemeshError, remesh
 from helflow.validate import perturbed_sphere
 
 
@@ -280,15 +281,22 @@ def test_overflowing_trial_step_is_rejected():
 
 
 def _count_topology_builds(monkeypatch):
-    built = []
+    """Lists that grow by one per Topology and per LaplacianPattern built."""
+    topologies, patterns = [], []
 
     class CountingTopology(hm.Topology):
         def __init__(self, faces):
-            built.append(len(faces))
+            topologies.append(len(faces))
             super().__init__(faces)
 
+    class CountingPattern(hm.LaplacianPattern):
+        def __init__(self, faces, n_vertices):
+            patterns.append(len(faces))
+            super().__init__(faces, n_vertices)
+
     monkeypatch.setattr(hm, "Topology", CountingTopology)
-    return built
+    monkeypatch.setattr(hm, "LaplacianPattern", CountingPattern)
+    return topologies, patterns
 
 
 def _log_uniform(lo_exp, hi_exp):
@@ -322,32 +330,45 @@ def test_any_policy_ends_with_a_reason_or_typed_error(
 
 def test_flow_builds_topology_once_without_remesh(monkeypatch):
     base = make_icosphere(2, 1.0)
-    built = _count_topology_builds(monkeypatch)
+    built, patterns = _count_topology_builds(monkeypatch)
     mesh = TriangleMesh(base.vertices, base.faces)
     _, report = run_flow(mesh, FlowParams(-1.0, 0.0),
                          SteppingPolicy(max_steps=20))
     assert report.steps == 20
     assert report.evidence["remesh_count"] == 0
     assert len(built) == 1
+    assert len(patterns) == 1
 
 
 def test_flow_builds_one_topology_per_remesh(monkeypatch):
     base = make_icosphere(2, 1.0)
-    built = _count_topology_builds(monkeypatch)
+    built, patterns = _count_topology_builds(monkeypatch)
     mesh = TriangleMesh(base.vertices, base.faces)
     policy = SteppingPolicy(max_steps=3, remesh_min_angle=np.deg2rad(60.0))
     _, report = run_flow(mesh, FlowParams(-1.0, 0.0), policy)
     assert report.evidence["remesh_count"] == 3
     assert len(built) == 1 + report.evidence["remesh_count"]
+    assert len(patterns) == 1 + report.evidence["remesh_count"]
 
 
-def test_laplacian_is_plain_coo_to_csr_assembly():
+def _remeshed_sphere():
+    mesh = perturbed_sphere(1, 3, 0.05)
+    out = remesh(mesh, 1.3 * mesh.mean_edge_length())
+    assert np.bincount(out.faces.ravel()).max() > 6   # valence != 6 occurs
+    return out
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: perturbed_sphere(1, 3, 0.05),
+    lambda: perturbed_sphere(4, 2, 0.2),
+    lambda: make_torus(1.0, 0.4, 48, 24),
+    _remeshed_sphere,
+], ids=["perturbed-ico3", "perturbed-ico2", "torus", "remeshed"])
+def test_laplacian_is_plain_coo_to_csr_assembly(make_mesh):
     # Accept decisions on the stationary sphere (energy ~1e-29) hinge on
     # roundoff, so L must stay bit-identical to scipy's coo->csr assembly,
     # which sums duplicate entries in its own order.
-    from scipy import sparse
-
-    mesh = perturbed_sphere(1, 3, 0.05)
+    mesh = make_mesh()
     f, n = mesh.faces, mesh.n_vertices
     cots = _FaceData(mesh).cots
     i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
@@ -360,3 +381,46 @@ def test_laplacian_is_plain_coo_to_csr_assembly():
     L = build_cache(mesh).laplacian
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(L, attr), getattr(expected, attr))
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: perturbed_sphere(3, 3, 0.05),
+    lambda: make_torus(1.0, 0.4, 48, 24),
+], ids=["perturbed-ico3", "torus"])
+@pytest.mark.parametrize("dt", [1e-6, 1e-3])
+def test_matrix_free_operator_matches_assembled_system(make_mesh, dt):
+    cache = build_cache(make_mesh())
+    a, L = cache.vertex_areas, cache.laplacian
+    assembled = (sparse.diags(a) + dt * ((L @ sparse.diags(1.0 / a)) @ L)).tocsr()
+    apply, diagonal = fl.implicit_operator(a, L, dt)
+    p = np.random.default_rng(0).standard_normal((len(a), 3))
+    expected = assembled @ p
+    assert np.linalg.norm(apply(p) - expected) <= 1e-12 * np.linalg.norm(expected)
+    np.testing.assert_allclose(diagonal, assembled.diagonal(), rtol=1e-14, atol=0)
+
+
+def test_failed_solve_is_a_rejection(monkeypatch):
+    # one CG iteration never meets CG_RTOL: every semi-implicit trial fails
+    monkeypatch.setattr(fl, "CG_MAXITER", 1)
+    params, policy = FlowParams(-1.0), SteppingPolicy(max_steps=5)
+    state = init_state(make_icosphere(2), params, policy)
+    new = step(state, params, policy)
+    assert not new.last_step_accepted
+    assert new.rejected_steps == 1
+    assert new.mesh is state.mesh
+    assert new.dt == state.dt * policy.dt_shrink
+
+    _, report = run_flow(make_icosphere(2), params, policy)
+    assert report.reason in TERMINATION_REASONS
+    assert report.rejected_steps > 0
+
+
+def test_out_of_range_solve_is_a_rejection():
+    # at dt = 1e200 the squared right-hand side overflows; CG must not
+    # report convergence with a zero update
+    params = FlowParams(-1.0)
+    policy = SteppingPolicy(dt_init=1e200, curvature_dt_coeff=1e300)
+    state = init_state(make_icosphere(1), params, policy)
+    new = step(state, params, policy)
+    assert not new.last_step_accepted
+    assert new.t == state.t

@@ -223,6 +223,9 @@ def test_vertex_moves_share_topology(ico3):
     assert ico3.translated([1.0, 2.0, 3.0]).topology is topo
     assert ico3.scaled(2.0).topology is topo
     assert moved.scaled(0.5).translated([0.0, 0.0, 1.0]).topology is topo
+    pattern = topo.laplacian_pattern(ico3.n_vertices)
+    assert moved.topology.laplacian_pattern(moved.n_vertices) is pattern
+    assert pattern.indices.dtype == pattern.indptr.dtype == np.int32
 
 
 def test_face_changes_build_new_topology(tmp_path, ico3):
