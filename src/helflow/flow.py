@@ -71,7 +71,9 @@ class SteppingPolicy:
 
     ``energy_increase_tol_rel`` is relative to the initial energy; an accepted
     step may raise the penalized energy by at most that amount.  A ``None``
-    gradient tolerance disables convergence detection.
+    gradient tolerance disables convergence detection.  ``max_steps`` bounds
+    stepping attempts: a run ends with ``step_budget`` once accepted plus
+    rejected steps reach it.
     """
 
     mode: str = "semi_implicit"  # or "explicit"
@@ -368,14 +370,16 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
 
     ``sinks`` are callables ``sink(state, record)`` invoked on every emitted
     record (immutable snapshots; safe to process concurrently).  Returns the
-    list of records and a :class:`TerminationReport`.
+    list of records and a :class:`TerminationReport`; its
+    ``evidence["remeshes"]`` lists every remesh with its step, time, vertex
+    counts and penalized energy before and after.
     """
     state = init_state(initial, params, policy)
     solver = ImplicitSolver() if policy.mode == "semi_implicit" else None
     area0 = state.cache.area
     target_edge0 = initial.mean_edge_length()
     records: list[TimeSeriesRecord] = []
-    remesh_count = 0
+    remeshes: list[dict] = []
     below_tol_streak = 0
     reason = None
 
@@ -394,7 +398,7 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
         if state.t >= policy.time_horizon:
             reason = "horizon_reached"
             break
-        if state.step_index >= policy.max_steps:
+        if state.step_index + state.rejected_steps >= policy.max_steps:
             reason = "step_budget"
             break
         if np.isfinite(policy.time_horizon):
@@ -417,8 +421,16 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
 
         if policy.remesh_enabled and _needs_remesh(state, policy, target_edge0,
                                                    area0):
+            before = state
             state = _apply_remesh(state, params, target_edge0, area0, policy)
-            remesh_count += 1
+            remeshes.append({
+                "step": state.step_index,
+                "t": state.t,
+                "vertices_before": before.mesh.n_vertices,
+                "vertices_after": state.mesh.n_vertices,
+                "penalized_before": before.cache.penalized,
+                "penalized_after": state.cache.penalized,
+            })
 
         if state.step_index % policy.record_every == 0:
             emit(state, state.rate_norm)
@@ -439,7 +451,7 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
     if records and records[-1].t != state.t:
         emit(state, state.rate_norm)
 
-    report = _build_report(state, records, reason, area0, remesh_count)
+    report = _build_report(state, records, reason, area0, remeshes)
     logger.info("flow terminated: %s at t=%.6g after %d steps (%d rejected)",
                 report.reason, report.final_time, report.steps,
                 report.rejected_steps)
@@ -470,7 +482,7 @@ def _apply_remesh(state: FlowState, params: FlowParams, target_edge0: float,
     return replace(state, mesh=new_mesh, cache=new_cache)
 
 
-def _build_report(state: FlowState, records, reason, area0, remesh_count):
+def _build_report(state: FlowState, records, reason, area0, remeshes):
     c = state.cache
     tail = records[-10:]
     area_trend = tail[-1].area - tail[0].area if len(tail) >= 2 else 0.0
@@ -496,7 +508,8 @@ def _build_report(state: FlowState, records, reason, area0, remesh_count):
             "sup_Asq_trend": asq_trend,
             "sup_Asq_times_area": c.sup_Asq * c.area,
             "final_dt": state.dt,
-            "remesh_count": remesh_count,
+            "remesh_count": len(remeshes),
+            "remeshes": remeshes,
         },
     )
 

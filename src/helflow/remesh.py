@@ -3,10 +3,19 @@
 Classic split / collapse / flip / tangential-smooth passes toward a target
 edge length, with optional curvature-adaptive refinement (edges shrink where
 ``edge * |A|`` would exceed a resolution constant).  Topology (component count
-and Euler characteristic) is preserved or the operation aborts.
+and Euler characteristic) is preserved or the operation aborts, and the result
+is checked against the input by a sampled Hausdorff distance, which is logged.
+
+The passes edit a dict-based scratch mesh one edge at a time, so their cost is
+Python overhead per edge: valences are counted once per flip pass and updated
+per flip, and the per-edge 3-vector arithmetic avoids numpy's small-array
+dispatch while computing the same bits.  Closest-point projection (smoothing
+and the Hausdorff check) is vectorized over all query points.  The output
+depends only on the input mesh and the arguments.
 """
 
 import logging
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -34,7 +43,10 @@ class RemeshError(MeshError):
 
 def closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
                                c: np.ndarray) -> np.ndarray:
-    """Closest point to p on each triangle (a, b, c); all inputs (n, 3)."""
+    """Closest point to p on each triangle (a, b, c); all inputs (n, 3).
+
+    Each Voronoi region's point is formed only on the rows that region fills.
+    """
     ab = b - a
     ac = c - a
     ap = p - a
@@ -48,88 +60,102 @@ def closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     d6 = np.einsum("ij,ij->i", ac, cp)
 
     out = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
+    todo = np.ones(len(p), dtype=bool)
 
     def set_where(mask, value):
-        mask = mask & ~done
-        out[mask] = value[mask] if value.ndim == 2 else value
-        done[mask] = True
+        # value(rows) is evaluated only on the rows it fills
+        rows = np.flatnonzero(mask & todo)
+        out[rows] = value(rows)
+        todo[rows] = False
 
-    set_where((d1 <= 0) & (d2 <= 0), a)                      # vertex a
-    set_where((d3 >= 0) & (d4 <= d3), b)                     # vertex b
-    set_where((d6 >= 0) & (d5 <= d6), c)                     # vertex c
+    set_where((d1 <= 0) & (d2 <= 0), lambda r: a[r])          # vertex a
+    set_where((d3 >= 0) & (d4 <= d3), lambda r: b[r])         # vertex b
+    set_where((d6 >= 0) & (d5 <= d6), lambda r: c[r])         # vertex c
 
     vc = d1 * d4 - d3 * d2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = d1 / (d1 - d3)
-    set_where((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v_ab[:, None] * ab)
-
     vb = d5 * d2 - d1 * d6
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_ac = d2 / (d2 - d6)
-    set_where((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + w_ac[:, None] * ac)
-
     va = d3 * d6 - d5 * d4
+    d43, d56 = d4 - d3, d5 - d6
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-    set_where((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
-              b + w_bc[:, None] * (c - b))
+        set_where((vc <= 0) & (d1 >= 0) & (d3 <= 0),             # edge ab
+                  lambda r: a[r] + (d1[r] / (d1[r] - d3[r]))[:, None] * ab[r])
+        set_where((vb <= 0) & (d2 >= 0) & (d6 <= 0),             # edge ac
+                  lambda r: a[r] + (d2[r] / (d2[r] - d6[r]))[:, None] * ac[r])
+        set_where((va <= 0) & (d43 >= 0) & (d56 >= 0),           # edge bc
+                  lambda r: b[r] + (d43[r] / (d43[r] + d56[r]))[:, None]
+                  * (c[r] - b[r]))
 
-    denom = va + vb + vc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = vb / denom
-        w = vc / denom
-    interior = a + v[:, None] * ab + w[:, None] * ac
-    out[~done] = interior[~done]
+        def interior(r):
+            denom = va[r] + vb[r] + vc[r]
+            return (a[r] + (vb[r] / denom)[:, None] * ab[r]
+                    + (vc[r] / denom)[:, None] * ac[r])
+
+        set_where(todo, interior)
     return out
 
 
 class MeshProjector:
-    """Closest-point queries against a fixed reference mesh."""
+    """Closest-point queries against a fixed reference mesh.
+
+    A query's candidate faces are the faces around its ``k_nearest`` nearest
+    reference vertices.  The vertex -> face incidence is held as one padded
+    table (one row per vertex, faces in face order, padded with ``n_faces``),
+    so gathering the candidates of every query is one fancy index, one sort
+    per row and one mask, and the closest candidate is read from the same
+    padded rows: no Python loop over the queries.
+    """
 
     def __init__(self, mesh: TriangleMesh, k_nearest: int = 10):
         self.mesh = mesh
         self.k_nearest = min(k_nearest, mesh.n_vertices)
         self._tree = cKDTree(mesh.vertices)
-        # vertex -> incident faces, in CSR-like layout
-        f = mesh.faces
-        owner = np.repeat(np.arange(mesh.n_faces), 3)
-        verts = f.ravel()
+        verts = mesh.faces.ravel()
         order = np.argsort(verts, kind="stable")
-        self._vf_faces = owner[order]
         counts = np.bincount(verts, minlength=mesh.n_vertices)
-        self._vf_start = np.concatenate([[0], np.cumsum(counts)])
+        slot = np.arange(len(verts)) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+        self._vertex_faces = np.full((mesh.n_vertices, counts.max()),
+                                     mesh.n_faces, dtype=np.intp)
+        self._vertex_faces[verts[order], slot] = order // 3
 
     def _candidate_faces(self, nearest_vertices: np.ndarray):
-        faces, owners = [], []
-        for qi, vs in enumerate(nearest_vertices):
-            fs = np.concatenate(
-                [self._vf_faces[self._vf_start[v]: self._vf_start[v + 1]]
-                 for v in vs]
-            )
-            fs = np.unique(fs)
-            faces.append(fs)
-            owners.append(np.full(len(fs), qi))
-        return np.concatenate(faces), np.concatenate(owners)
+        """Candidate faces of each query, one row per query.
+
+        Returns the gathered faces sorted along each row and the mask of the
+        entries that are neither padding nor repeats; read row by row, the
+        kept faces are ascending and unique.
+        """
+        cand = np.sort(self._vertex_faces[nearest_vertices].reshape(
+            len(nearest_vertices), -1), axis=1)
+        keep = cand < self.mesh.n_faces
+        keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+        return cand, keep
 
     def project(self, points: np.ndarray):
-        """Return (closest points, distances, face indices) for each query."""
+        """Return (closest points, distances, face indices) for each query.
+
+        Of equally close candidates the lowest face index wins; a NaN
+        distance ranks after every number.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         _, near = self._tree.query(points, k=self.k_nearest)
-        near = np.atleast_2d(near)
-        cand_faces, owners = self._candidate_faces(near)
-        tri = self.mesh.faces[cand_faces]
+        cand, keep = self._candidate_faces(np.atleast_2d(near))
+        faces = cand[keep]
+        queries = points[np.nonzero(keep)[0]]
+        tri = self.mesh.faces[faces]
         v = self.mesh.vertices
         cp = closest_point_on_triangles(
-            points[owners], v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
+            queries, v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
         )
-        d = np.linalg.norm(cp - points[owners], axis=1)
-        # first minimum per query point
-        order = np.lexsort((d, owners))
-        owners_sorted = owners[order]
-        first = np.searchsorted(owners_sorted, np.arange(len(points)))
-        best = order[first]
-        return cp[best], d[best], cand_faces[best]
+        # first minimum per row; padding and repeats hold NaN, and a row's
+        # first entry is kept (it is padding only if none of the query's
+        # nearest vertices has a face)
+        dist = np.full(keep.shape, np.nan)
+        dist[keep] = np.linalg.norm(cp - queries, axis=1)
+        col = np.argmax(dist == np.fmin.reduce(dist, axis=1)[:, None], axis=1)
+        rows = np.arange(len(points))
+        best = np.cumsum(keep).reshape(keep.shape)[rows, col] - 1
+        return cp[best], dist[rows, col], faces[best]
 
 
 def hausdorff_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
@@ -250,7 +276,7 @@ def _split_pass(em: _EditMesh, targets) -> int:
         if not fs or len(fs) != 2:
             continue
         u, w = key
-        length = np.linalg.norm(em.v[u] - em.v[w])
+        length = _norm(em.v[u] - em.v[w])
         if length <= SPLIT_RATIO * min(targets.get(u, np.inf),
                                        targets.get(w, np.inf)):
             continue
@@ -280,15 +306,16 @@ def _collapse_pass(em: _EditMesh, targets) -> int:
         if u not in em.vertex_faces or w not in em.vertex_faces:
             continue
         local = min(targets.get(u, np.inf), targets.get(w, np.inf))
-        length = np.linalg.norm(em.v[u] - em.v[w])
+        length = _norm(em.v[u] - em.v[w])
         if length >= COLLAPSE_RATIO * local:
             continue
         opposite = {next(iter(set(em.faces[fi]) - {u, w})) for fi in fs}
-        if em.vertex_ring(u) & em.vertex_ring(w) != opposite:
+        ring_u, ring_w = em.vertex_ring(u), em.vertex_ring(w)
+        if ring_u & ring_w != opposite:
             continue  # link condition: collapse would pinch the surface
         mid = 0.5 * (em.v[u] + em.v[w])
-        ring = (em.vertex_ring(u) | em.vertex_ring(w)) - {u, w}
-        if any(np.linalg.norm(mid - em.v[r]) > SPLIT_RATIO * local for r in ring):
+        ring = (ring_u | ring_w) - {u, w}
+        if any(_norm(mid - em.v[r]) > SPLIT_RATIO * local for r in ring):
             continue  # would immediately re-trigger splitting
         # rewire: move u to the midpoint, delete w and the two shared faces
         em.v[u] = mid
@@ -305,10 +332,15 @@ def _collapse_pass(em: _EditMesh, targets) -> int:
     return count
 
 
-def _flip_pass(em: _EditMesh) -> int:
-    def valence(i):
-        return len(em.vertex_ring(i))
+def _flip_pass(em: _EditMesh) -> tuple[int, dict[int, int]]:
+    """Flip edges that bring the four vertices' valences closer to 6.
 
+    Valences are counted once; a flip removes the edge (u, w), whose two
+    faces are the ones replaced, and adds (c, d), checked to be new, so it
+    moves them by exactly -1, -1, +1, +1.  Returns the flip count and the
+    running valence of every vertex.
+    """
+    valence = {i: len(em.vertex_ring(i)) for i in em.vertex_faces}
     count = 0
     for key in list(em.edge_faces.keys()):
         fs = em.edge_faces.get(key)
@@ -320,9 +352,9 @@ def _flip_pass(em: _EditMesh) -> int:
         d = next(iter(set(em.faces[f1]) - {u, w}))
         if c == d or _ekey(c, d) in em.edge_faces:
             continue
-        before = sum((valence(x) - 6) ** 2 for x in (u, w, c, d))
-        after = ((valence(u) - 1 - 6) ** 2 + (valence(w) - 1 - 6) ** 2
-                 + (valence(c) + 1 - 6) ** 2 + (valence(d) + 1 - 6) ** 2)
+        before = sum((valence[x] - 6) ** 2 for x in (u, w, c, d))
+        after = ((valence[u] - 1 - 6) ** 2 + (valence[w] - 1 - 6) ** 2
+                 + (valence[c] + 1 - 6) ** 2 + (valence[d] + 1 - 6) ** 2)
         if after >= before:
             continue
         if not _flip_is_safe(em, u, w, c, d):
@@ -335,22 +367,47 @@ def _flip_pass(em: _EditMesh) -> int:
         em.remove_face(f1)
         em.add_face(uw[0], d, c)
         em.add_face(d, uw[1], c)
+        valence[u] -= 1
+        valence[w] -= 1
+        valence[c] += 1
+        valence[d] += 1
         count += 1
-    return count
+    return count, valence
 
 
 def _flip_is_safe(em: _EditMesh, u, w, c, d) -> bool:
-    """Reject flips creating degenerate or folded triangles."""
-    pu, pw, pc, pd = em.v[u], em.v[w], em.v[c], em.v[d]
-    n_old = np.cross(pw - pu, pc - pu) + np.cross(pu - pw, pd - pw)
-    n1 = np.cross(pd - pu, pc - pu)
-    n2 = np.cross(pw - pd, pc - pd)
-    nrm = np.linalg.norm
-    if nrm(n1) < 1e-14 or nrm(n2) < 1e-14 or nrm(n_old) < 1e-14:
+    """Reject flips creating degenerate or folded triangles.
+
+    The normals are formed in Python floats with ``np.cross``'s operations
+    (same bits, without its dispatch); lengths and dot products then go
+    through ``ndarray.dot``, the call ``np.linalg.norm`` makes.
+    """
+    pu, pw, pc, pd = (em.v[i].tolist() for i in (u, w, c, d))
+    a = _cross(_sub(pw, pu), _sub(pc, pu))
+    b = _cross(_sub(pu, pw), _sub(pd, pw))
+    n_old, n1, n2 = np.array([[x + y for x, y in zip(a, b)],
+                              _cross(_sub(pd, pu), _sub(pc, pu)),
+                              _cross(_sub(pw, pd), _sub(pc, pd))])
+    if _norm(n1) < 1e-14 or _norm(n2) < 1e-14 or _norm(n_old) < 1e-14:
         return False
-    if np.dot(n1, n_old) <= 0 or np.dot(n2, n_old) <= 0:
+    if n1.dot(n_old) <= 0 or n2.dot(n_old) <= 0:
         return False
-    return np.dot(n1, n2) > 0
+    return n1.dot(n2) > 0
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+def _cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1],
+            p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0])
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D array: the same ``sqrt(x.dot(x))``."""
+    return math.sqrt(x.dot(x))
 
 
 def _smooth_and_project(em: _EditMesh, projector: MeshProjector,
@@ -398,7 +455,7 @@ def remesh(mesh: TriangleMesh, target_edge: float,
                                  adapt_constant, adapt_min_factor)
         splits = _split_pass(em, targets)
         collapses = _collapse_pass(em, targets)
-        flips = _flip_pass(em)
+        flips, _ = _flip_pass(em)
         logger.debug("remesh pass %d: %d splits, %d collapses, %d flips",
                      it, splits, collapses, flips)
         if splits == 0 and collapses == 0 and flips == 0:
@@ -426,6 +483,9 @@ def remesh(mesh: TriangleMesh, target_edge: float,
             f"components {mesh.n_components} -> {out.n_components}); aborted"
         )
     dist = hausdorff_distance(mesh, out)
+    logger.info("remesh: %d -> %d vertices, Hausdorff distance %.3e "
+                "(allowed %.3e)", mesh.n_vertices, out.n_vertices, dist,
+                hausdorff_fraction * target_edge)
     if dist > hausdorff_fraction * target_edge:
         raise RemeshError(
             f"remeshed surface drifted {dist:.3e} from the input "

@@ -307,10 +307,7 @@ def _log_uniform(lo_exp, hi_exp):
 @given(mode=st.sampled_from(("explicit", "semi_implicit")),
        dt_init=_log_uniform(-12, 300),
        dt_growth=_log_uniform(-6, 6).map(lambda x: 1.0 + x),
-       # factors close to 1 are left out for run time only: max_steps bounds
-       # accepted steps, not rejections, and from dt = 1e300 a factor of 0.97
-       # takes ~2e4 rejections to reach dt_floor
-       dt_shrink=_log_uniform(-12, -0.3),
+       dt_shrink=_log_uniform(-12, -0.01),
        cfl_coefficient=_log_uniform(-12, 300),
        curvature_dt_coeff=_log_uniform(-12, 300))
 def test_any_policy_ends_with_a_reason_or_typed_error(
@@ -326,6 +323,33 @@ def test_any_policy_ends_with_a_reason_or_typed_error(
     except (FlowError, RemeshError, GeometryError):
         return
     assert report.reason in TERMINATION_REASONS
+
+
+def test_step_budget_counts_rejected_steps():
+    # from dt = 1e300 a shrink factor of 0.97 takes ~2e4 rejections to reach
+    # dt_floor; the budget must end the run first
+    policy = SteppingPolicy(mode="explicit", dt_init=1e300,
+                            cfl_coefficient=1e300, curvature_dt_coeff=1e300,
+                            dt_growth=1.000001, dt_shrink=0.97, max_steps=10)
+    _, report = run_flow(make_icosphere(1), FlowParams(-1.0), policy)
+    assert report.reason == "step_budget"
+    assert report.rejected_steps > 0
+    assert report.steps + report.rejected_steps <= 10
+
+
+def test_remeshes_are_listed_with_their_energy_change():
+    policy = SteppingPolicy(max_steps=3, remesh_min_angle=np.deg2rad(60.0))
+    _, report = run_flow(make_icosphere(2, 1.0), FlowParams(-1.0, 0.0), policy)
+    remeshes = report.evidence["remeshes"]
+    assert report.evidence["remesh_count"] == 3
+    assert len(remeshes) == report.evidence["remesh_count"]
+    assert [r["step"] for r in remeshes] == [1, 2, 3]
+    assert all(b["t"] < a["t"] for b, a in zip(remeshes, remeshes[1:]))
+    for before, after in zip(remeshes, remeshes[1:]):
+        assert after["vertices_before"] == before["vertices_after"]
+    for r in remeshes:
+        assert np.isfinite(r["penalized_after"] - r["penalized_before"])
+        assert r["vertices_before"] > 0 and r["vertices_after"] > 0
 
 
 def test_flow_builds_topology_once_without_remesh(monkeypatch):

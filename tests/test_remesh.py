@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from helflow.geometry import build_cache
 from helflow.mesh import TriangleMesh, make_icosphere, make_torus, \
     orient_for_positive_volume, quality_report
-from helflow.remesh import (MeshProjector, RemeshError,
-                            closest_point_on_triangles, hausdorff_distance,
-                            remesh)
+from helflow.remesh import (MeshProjector, RemeshError, _collapse_pass,
+                            _EditMesh, _flip_pass, _local_targets,
+                            _split_pass, closest_point_on_triangles,
+                            hausdorff_distance, remesh)
+from helflow.validate import perturbed_sphere
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +46,150 @@ def test_projector_points_on_surface(ico3):
     # projecting surface points is the identity
     _, d0, _ = proj.project(np.asarray(ico3.vertices)[:20])
     assert d0.max() < 1e-12
+
+
+def _full_array_closest_points(p, a, b, c):
+    """Reference closest points: every region's candidate formed on all rows,
+    then the first region that applies is copied in."""
+    ab, ac, ap, bp, cp = b - a, c - a, p - a, p - b, p - c
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_ab = d1 / (d1 - d3)
+        w_ac = d2 / (d2 - d6)
+        w_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        denom = va + vb + vc
+        v, w = vb / denom, vc / denom
+        interior = a + v[:, None] * ab + w[:, None] * ac
+    regions = [
+        ((d1 <= 0) & (d2 <= 0), a),
+        ((d3 >= 0) & (d4 <= d3), b),
+        ((d6 >= 0) & (d5 <= d6), c),
+        ((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v_ab[:, None] * ab),
+        ((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + w_ac[:, None] * ac),
+        ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+         b + w_bc[:, None] * (c - b)),
+    ]
+    out = interior.copy()
+    done = np.zeros(len(p), dtype=bool)
+    for mask, value in regions:
+        mask = mask & ~done
+        out[mask] = value[mask]
+        done |= mask
+    return out
+
+
+def test_closest_point_matches_full_array_evaluation():
+    rng = np.random.default_rng(3)
+    a, b, c = (rng.standard_normal((4000, 3)) for _ in range(3))
+    b[:500] = a[:500]                                   # degenerate
+    c[500:1000] = 0.5 * (a[500:1000] + b[500:1000])     # collinear
+    c[1000:1500] = a[1000:1500] + 1e-9 * rng.standard_normal((500, 3))
+    p = 3.0 * rng.standard_normal((4000, 3))
+    p[1500:2000] = a[1500:2000]                         # on a corner
+    got = closest_point_on_triangles(p, a, b, c)
+    assert got.tobytes() == _full_array_closest_points(p, a, b, c).tobytes()
+
+
+def _loop_projection(mesh, points, k_nearest=10):
+    """Reference projector: candidate faces gathered query by query with
+    ``np.unique``, closest points formed on all rows, the first minimum per
+    query picked by ``lexsort``."""
+    _, near = cKDTree(mesh.vertices).query(
+        points, k=min(k_nearest, mesh.n_vertices))
+    verts = mesh.faces.ravel()
+    order = np.argsort(verts, kind="stable")
+    vf_faces = np.repeat(np.arange(mesh.n_faces), 3)[order]
+    vf_start = np.concatenate(
+        [[0], np.cumsum(np.bincount(verts, minlength=mesh.n_vertices))])
+    faces, owners = [], []
+    for qi, vs in enumerate(np.atleast_2d(near)):
+        fs = np.unique(np.concatenate(
+            [vf_faces[vf_start[v]: vf_start[v + 1]] for v in vs]))
+        faces.append(fs)
+        owners.append(np.full(len(fs), qi))
+    cand, owners = np.concatenate(faces), np.concatenate(owners)
+    tri = mesh.faces[cand]
+    v = mesh.vertices
+    cp = _full_array_closest_points(points[owners], v[tri[:, 0]],
+                                    v[tri[:, 1]], v[tri[:, 2]])
+    d = np.linalg.norm(cp - points[owners], axis=1)
+    order = np.lexsort((d, owners))
+    best = order[np.searchsorted(owners[order], np.arange(len(points)))]
+    return cp[best], d[best], cand[best]
+
+
+def _pinched_ico2():
+    # vertices moved onto a neighbour: degenerate faces give NaN distances
+    base = make_icosphere(2, 1.0)
+    v = np.array(base.vertices)
+    for j, k in base.edges[::7][:20]:
+        v[k] = v[j]
+    return TriangleMesh(v, base.faces, validate=False)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: make_icosphere(3, 1.0),
+    lambda: make_torus(1.0, 0.4, 48, 24),
+    lambda: TriangleMesh(np.asarray(make_icosphere(3, 1.0).vertices)
+                         * np.array([1.0, 1.0, 6.0]), make_icosphere(3).faces),
+    _pinched_ico2,
+], ids=["ico3", "torus", "ellipsoid6", "pinched-ico2"])
+def test_projector_matches_per_query_loop(make_mesh):
+    mesh = make_mesh()
+    rng = np.random.default_rng(7)
+    v = np.asarray(mesh.vertices)
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    points = np.vstack([
+        v * rng.uniform(0.7, 1.3, (len(v), 1)),          # off the surface
+        v + 0.05 * rng.standard_normal(v.shape),
+        rng.uniform(lo - 0.5, hi + 0.5, (500, 3)),       # anywhere nearby
+        v,                                               # ties: distance 0
+    ])
+    expected = _loop_projection(mesh, points)
+    got = MeshProjector(mesh).project(points)
+    for e, g in zip(expected, got):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        assert g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("make_mesh,factor", [
+    (lambda: make_icosphere(3, 1.0), 0.5),
+    (lambda: perturbed_sphere(2, 3, 0.2), 1.3),
+    (lambda: make_torus(1.0, 0.4, 36, 18), 0.7),
+], ids=["ico3-refine", "perturbed-coarsen", "torus"])
+def test_flip_pass_valence_stays_exact(make_mesh, factor):
+    mesh = make_mesh()
+    em = _EditMesh(mesh)
+    targets = _local_targets(em, factor * mesh.mean_edge_length(), None,
+                             0.5, 0.25)
+    _split_pass(em, targets)
+    _collapse_pass(em, targets)
+    flips, valence = _flip_pass(em)
+    assert flips > 0
+    assert valence == {i: len(em.vertex_ring(i)) for i in em.vertex_faces}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 0.9),
+       factor=st.floats(0.5, 2.0))
+def test_remesh_keeps_topology_and_surface_or_raises(seed, amplitude, factor):
+    mesh = perturbed_sphere(seed, 2, amplitude)
+    target = factor * mesh.mean_edge_length()
+    try:
+        out = remesh(mesh, target)
+    except RemeshError:
+        return
+    assert out.euler_characteristic == mesh.euler_characteristic
+    assert out.n_components == mesh.n_components
+    assert hausdorff_distance(mesh, out) <= 0.5 * target
 
 
 def test_identity_remesh_near_noop(ico4):
