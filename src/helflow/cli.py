@@ -9,7 +9,7 @@ Exit codes: 0 clean termination (converged / horizon), 2 singular termination
 (a scientific outcome, not a failure), 3 inconclusive termination
 (dt collapse / step budget), 10 configuration errors, 11 IO errors,
 12 solver failures (a remesh that fails, or a starting geometry that cannot
-be assembled).
+be assembled).  ``validate`` exits 1 when a check fails.
 """
 
 import argparse
@@ -62,7 +62,6 @@ class RunConfig:
     icosphere_radius: float = 1.0
     icosphere_center: tuple = (0.0, 0.0, 0.0)
     kappa_target_fraction: float = 0.25
-    kappa_radii: tuple | None = None     # None = automatic grid
     frames_enabled: bool = True
     out_dir: str = "out"
     seed: int = 0
@@ -181,11 +180,6 @@ def _run_config_from(raw: dict, config_dir: str) -> RunConfig:
         if not os.path.exists(mesh_path):
             raise ConfigError(f"mesh path not found: {mesh_path}")
 
-    radii_raw = raw.pop("diagnostics.kappa_radii", "auto")
-    radii = None if radii_raw == "auto" else tuple(
-        float(p) for p in radii_raw.replace(",", " ").split()
-    )
-
     cfg = RunConfig(
         params=params,
         policy=policy,
@@ -195,7 +189,6 @@ def _run_config_from(raw: dict, config_dir: str) -> RunConfig:
         icosphere_center=_parse_vec3(raw.pop("mesh.icosphere.center", "0,0,0")),
         kappa_target_fraction=float(
             raw.pop("diagnostics.kappa_target_fraction", 0.25)),
-        kappa_radii=radii,
         frames_enabled=_parse_bool(raw.pop("diagnostics.frames", "on")),
         out_dir=raw.pop("output.dir", "out"),
         seed=int(raw.pop("seed", 0)),
@@ -326,9 +319,6 @@ def cmd_flow(args) -> int:
     except (FlowError, RemeshError, GeometryError) as exc:
         logger.error("solver failure: %s", exc)
         return EXIT_SOLVER
-    except OSError as exc:
-        logger.error("IO failure: %s", exc)
-        return EXIT_IO
     finally:
         csv_sink.close()
 
@@ -350,14 +340,7 @@ def cmd_flow(args) -> int:
                  "icosphere_radius": cfg.icosphere_radius,
                  "n_vertices": mesh.n_vertices, "genus": mesh.genus},
         "seed": cfg.seed,
-        "termination": {
-            "reason": report.reason,
-            "final_time": report.final_time,
-            "steps": report.steps,
-            "rejected_steps": report.rejected_steps,
-            "final_energies": report.final_energies,
-            "evidence": report.evidence,
-        },
+        "termination": asdict(report),
         "theory_bounds": asdict(bounds),
         "threshold_comparisons": {
             "initial_energy": e0,
@@ -373,12 +356,8 @@ def cmd_flow(args) -> int:
         },
         "monitors": (hypothesis_monitors(last_state["state"], cfg.params)
                      if last_state else None),
-        "classification": (None if classification is None else {
-            "verdict": classification.verdict,
-            "fit_residual": classification.fit_residual,
-            "limit_willmore": classification.limit_willmore,
-            "limit_penalized": classification.limit_penalized,
-        }),
+        "classification": (None if classification is None
+                           else asdict(classification)),
         "n_frames": 0 if frame_sink is None else len(frame_sink.frames),
     }
     _write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
@@ -493,11 +472,7 @@ def cmd_rescale(args) -> int:
     e_orig = penalized_energy(build_cache(mesh), params)
     e_new = penalized_energy(build_cache(rescaled), new_params)
     out_path = args.out or (os.path.splitext(args.mesh)[0] + "_rescaled.off")
-    try:
-        save_mesh(rescaled, out_path)
-    except OSError as exc:
-        logger.error("cannot write %s: %s", out_path, exc)
-        return EXIT_IO
+    save_mesh(rescaled, out_path)
     identity_dev = abs(e_new - e_orig) / max(abs(e_orig), 1e-300)
     if not args.quiet:
         print(f"rescaled mesh -> {out_path}")
@@ -583,7 +558,11 @@ def main(argv=None) -> int:
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        logger.error("IO failure: %s", exc)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -27,6 +27,9 @@ ROUND_FIT_RESIDUAL_MAX = 0.02
 ROUND_WILLMORE_REL_TOL = 0.05
 WILLMORE_TREND_SLACK = 1e-3 * FOUR_PI
 
+KAPPA_SCAN_CHUNK = 512     # centers per pass of the scan; bounds its memory
+RADII_GRID_POINTS = 24     # of default_radii_grid
+
 
 class DiagnosticsError(Exception):
     """A diagnostic invariant failed or inputs were unusable."""
@@ -40,7 +43,6 @@ class KappaProfile:
     kappa: np.ndarray
     centers: np.ndarray         # argmax center per radius, (k, 3)
     t: float = 0.0
-    centers_subsampled: bool = False
 
     @property
     def total(self) -> float:
@@ -74,9 +76,8 @@ class SingularityClassification:
 # ---------------------------------------------------------------------------
 
 
-def _kappa_scan(centers: np.ndarray, vertices: np.ndarray, weights: np.ndarray,
-                radii: np.ndarray, chunk: int = 512):
-    """Max over centers of the ball-restricted weight sums, per radius.
+def _kappa_scan(vertices: np.ndarray, weights: np.ndarray, radii: np.ndarray):
+    """Max over vertex-centered balls of the weight sums inside, per radius.
 
     Each chunk of centers is handled in one pass: squared distances are
     digitized into the radius grid and a weighted histogram cumsum yields the
@@ -90,8 +91,8 @@ def _kappa_scan(centers: np.ndarray, vertices: np.ndarray, weights: np.ndarray,
     best = np.full(n_r, -np.inf)
     best_center = np.zeros(n_r, dtype=np.int64)
     v_sq = np.einsum("ij,ij->i", vertices, vertices)
-    for start in range(0, len(centers), chunk):
-        c = centers[start: start + chunk]
+    for start in range(0, len(vertices), KAPPA_SCAN_CHUNK):
+        c = vertices[start: start + KAPPA_SCAN_CHUNK]
         m = len(c)
         d_sq = (np.einsum("ij,ij->i", c, c)[:, None] + v_sq[None, :]
                 - 2.0 * (c @ vertices.T))
@@ -110,19 +111,17 @@ def _kappa_scan(centers: np.ndarray, vertices: np.ndarray, weights: np.ndarray,
     return best, best_center
 
 
-def kappa(mesh: TriangleMesh, cache: GeometryCache, r: float,
-          center_stride: int = 1):
+def kappa(mesh: TriangleMesh, cache: GeometryCache, r: float):
     """Concentration of curvature at radius r: value and argmax center."""
     if r <= 0:
         raise DiagnosticsError("radius must be positive")
-    centers = mesh.vertices[::center_stride]
     weights = cache.Asq * cache.vertex_areas
-    vals, idx = _kappa_scan(centers, mesh.vertices, weights, np.array([r]))
-    return float(vals[0]), np.array(centers[idx[0]])
+    vals, idx = _kappa_scan(mesh.vertices, weights, np.array([r]))
+    return float(vals[0]), np.array(mesh.vertices[idx[0]])
 
 
 def kappa_profile(mesh: TriangleMesh, cache: GeometryCache, radii,
-                  t: float = 0.0, center_stride: int = 1) -> KappaProfile:
+                  t: float = 0.0) -> KappaProfile:
     """Sample kappa over an increasing radius grid.
 
     Monotonicity in r is exact for nested balls at one center and must
@@ -133,18 +132,16 @@ def kappa_profile(mesh: TriangleMesh, cache: GeometryCache, radii,
         raise DiagnosticsError("radii must be a strictly increasing grid")
     if radii[0] <= 0:
         raise DiagnosticsError("radii must be positive")
-    centers = mesh.vertices[::center_stride]
     weights = cache.Asq * cache.vertex_areas
-    vals, idx = _kappa_scan(centers, mesh.vertices, weights, radii)
+    vals, idx = _kappa_scan(mesh.vertices, weights, radii)
     slack = 1e-12 * max(float(vals[-1]), 1.0)
     if np.any(np.diff(vals) < -slack):
         raise DiagnosticsError("kappa profile is not monotone; scan bug")
     return KappaProfile(
         radii=radii,
         kappa=vals,
-        centers=np.asarray(centers)[idx],
+        centers=mesh.vertices[idx],
         t=t,
-        centers_subsampled=center_stride > 1,
     )
 
 
@@ -168,10 +165,10 @@ def select_blowup_radius(profile: KappaProfile, kappa_target: float) -> float:
     return float(r0 + (kappa_target - k0) / (k1 - k0) * (r1 - r0))
 
 
-def default_radii_grid(mesh: TriangleMesh, n: int = 24) -> np.ndarray:
+def default_radii_grid(mesh: TriangleMesh) -> np.ndarray:
     """Geometric radius grid spanning cap scales up to past the diameter."""
     diam = mesh.bbox_diagonal()
-    return np.geomspace(0.02 * diam, 1.25 * diam, n)
+    return np.geomspace(0.02 * diam, 1.25 * diam, RADII_GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,7 @@ def default_radii_grid(mesh: TriangleMesh, n: int = 24) -> np.ndarray:
 
 def extract_blowup_frame(state: FlowState, params: FlowParams,
                          kappa_target: float | None = None,
-                         radii=None, profile: KappaProfile | None = None) -> BlowUpFrame:
+                         profile: KappaProfile | None = None) -> BlowUpFrame:
     """Select (r_j, x_j) from the concentration profile and rescale.
 
     ``kappa_target`` defaults to 25% of the current total curvature energy;
@@ -192,9 +189,7 @@ def extract_blowup_frame(state: FlowState, params: FlowParams,
     """
     mesh, cache = state.mesh, state.cache
     if profile is None:
-        if radii is None:
-            radii = default_radii_grid(mesh)
-        profile = kappa_profile(mesh, cache, radii, t=state.t)
+        profile = kappa_profile(mesh, cache, default_radii_grid(mesh), t=state.t)
     if kappa_target is None:
         kappa_target = 0.25 * profile.total
     r = select_blowup_radius(profile, kappa_target)

@@ -529,7 +529,7 @@ def checkpoint(state: FlowState, params: FlowParams, prefix: str) -> list[str]:
     mesh_path = prefix + ".off"
     meta_path = prefix + ".meta"
     os.makedirs(os.path.dirname(os.path.abspath(mesh_path)), exist_ok=True)
-    save_mesh(state.mesh, mesh_path, fmt="OFF")
+    save_mesh(state.mesh, mesh_path)
     lines = [
         f"format_version = {CHECKPOINT_FORMAT_VERSION}",
         f"t = {state.t:.17g}",
@@ -574,7 +574,7 @@ def restore(prefix: str, params: FlowParams) -> FlowState:
         raise CheckpointError(
             "checkpoint was written with different flow parameters"
         )
-    mesh = load_mesh(mesh_path, fmt="OFF")
+    mesh = load_mesh(mesh_path)
     cache = build_cache(mesh, params)
     return FlowState(t=t, mesh=mesh, cache=cache, dt=dt, step_index=step_index,
                      rejected_steps=rejected, energy0=energy0)

@@ -356,15 +356,16 @@ def first_variation_check(mesh: TriangleMesh, params: FlowParams, phi,
     return analytic, (f_plus - f_minus) / (2.0 * h)
 
 
-def discrete_gradient_fd(mesh: TriangleMesh, params: FlowParams, functional: str,
-                         fd_step: float | None = None) -> np.ndarray:
+def discrete_gradient_fd(mesh: TriangleMesh, params: FlowParams,
+                         functional: str) -> np.ndarray:
     """Exact (to FD accuracy) Euclidean gradient of a discrete functional.
 
-    Central differences coordinate by coordinate; O(n) functional evaluations,
-    intended for validation on coarse meshes.  Divide by the vertex areas for
-    the L2(dmu) gradient comparable with the strong-form velocity.
+    Central differences of step ``1e-6 * bbox diagonal``, coordinate by
+    coordinate; O(n) functional evaluations, intended for validation on
+    coarse meshes.  Divide by the vertex areas for the L2(dmu) gradient
+    comparable with the strong-form velocity.
     """
-    h = 1e-6 * mesh.bbox_diagonal() if fd_step is None else float(fd_step)
+    h = 1e-6 * mesh.bbox_diagonal()
     base = np.array(mesh.vertices)
     grad = np.empty_like(base)
     for i in range(mesh.n_vertices):

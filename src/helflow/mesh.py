@@ -24,6 +24,9 @@ DEGENERATE_AREA_FRACTION = 1e-14
 
 MAX_ICOSPHERE_SUBDIVISIONS = 7
 
+# Upper edges of the aspect-ratio histogram in a quality report.
+ASPECT_RATIO_BINS = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, np.inf)
+
 
 class MeshError(Exception):
     """Base class for mesh construction and IO failures."""
@@ -106,10 +109,14 @@ class Topology:
         self.n_nonmanifold_edges = int(np.count_nonzero(multiplicity > 2))
         #: Number of edges that belong to a single face.
         self.n_boundary_edges = int(np.count_nonzero(multiplicity < 2))
-        #: False if two faces traverse a shared edge in the same direction.
-        self.consistent_winding = bool(
-            np.all(forward[:-1][same] != forward[1:][same]))
+        #: Per edge-face pair: both faces traverse the edge in one direction.
+        self.same_direction = forward[:-1][same] == forward[1:][same]
         self._laplacian_pattern = None
+
+    @property
+    def consistent_winding(self) -> bool:
+        """False if two faces traverse a shared edge in the same direction."""
+        return not self.same_direction.any()
 
     def laplacian_pattern(self, n_vertices: int) -> "LaplacianPattern":
         """CSR layout of the cotangent Laplacian, built on first use."""
@@ -228,21 +235,14 @@ class TriangleMesh:
         Vertex positions.
     faces : (m, 3) array_like
         Oriented vertex-index triples with globally consistent winding.
-    vertex_tags : (n,) array_like of int, optional
-        Stable labels used to track vertices across remeshing.
     validate : bool
         Check the closed-manifold invariants (default).  Geometry-preserving
         constructors (``with_vertices`` etc.) skip re-validating topology.
     """
 
-    def __init__(self, vertices, faces, vertex_tags=None, validate=True):
+    def __init__(self, vertices, faces, validate=True):
         self.vertices = _as_vertex_array(vertices)
         self.faces = _as_face_array(faces)
-        if vertex_tags is not None:
-            vertex_tags = np.asarray(vertex_tags, dtype=np.int64)
-            if vertex_tags.shape != (len(self.vertices),):
-                raise MeshError("vertex_tags length must match vertex count")
-        self.vertex_tags = vertex_tags
         self._topology = None
         if validate:
             self._validate()
@@ -335,7 +335,7 @@ class TriangleMesh:
 
     def with_vertices(self, vertices) -> "TriangleMesh":
         """Same topology with new positions; skips topological re-validation."""
-        mesh = TriangleMesh(vertices, self.faces, self.vertex_tags, validate=False)
+        mesh = TriangleMesh(vertices, self.faces, validate=False)
         mesh._topology = self.topology
         return mesh
 
@@ -346,12 +346,6 @@ class TriangleMesh:
         if factor <= 0:
             raise MeshError("scale factor must be positive")
         return self.with_vertices(self.vertices * float(factor))
-
-    def flipped(self) -> "TriangleMesh":
-        """Reverse the winding of every face."""
-        return TriangleMesh(
-            self.vertices, self.faces[:, [0, 2, 1]], self.vertex_tags, validate=False
-        )
 
     # -- validation ----------------------------------------------------------
 
@@ -444,63 +438,46 @@ def orient_for_positive_volume(mesh: TriangleMesh) -> TriangleMesh:
     faces = mesh.faces.copy()
     mask = to_flip[mesh.face_components]
     faces[mask] = faces[mask][:, [0, 2, 1]]
-    return TriangleMesh(mesh.vertices, faces, mesh.vertex_tags, validate=False)
+    return TriangleMesh(mesh.vertices, faces, validate=False)
 
 
 def repair_winding(faces: np.ndarray) -> np.ndarray:
-    """Make face windings globally consistent by propagating flips.
+    """Make face windings globally consistent by flipping faces.
 
-    Walks the face adjacency graph from one seed per component and flips faces
-    so adjacent faces traverse their shared edge in opposite directions.
-    Raises :class:`OrientationError` for non-orientable input.
+    Each face has two states, as given and reversed; a shared edge ties the
+    states of its two faces, so the classes of the doubled face graph are the
+    consistent orientations.  The lowest-index face of each component keeps
+    its winding.  Raises :class:`OrientationError` for non-orientable input.
     """
-    faces = np.array(faces, dtype=np.int64)
-    m = len(faces)
-    # undirected edge -> list of (face, directed pair) incidences
-    edge_map: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
-    for fi in range(m):
-        a, b, c = faces[fi]
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge_map.setdefault((min(u, v), max(u, v)), []).append((fi, (u, v)))
-    for key, inc in edge_map.items():
-        if len(inc) == 1:
-            raise OpenBoundaryError(
-                f"edge {key} belongs to a single face; mesh is not closed"
-            )
-        if len(inc) > 2:
-            raise NonManifoldMeshError(
-                f"edge {key} belongs to {len(inc)} faces; cannot orient"
-            )
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    oriented = np.zeros(m, dtype=bool)
-    flip = np.zeros(m, dtype=bool)
-    for seed in range(m):
-        if oriented[seed]:
-            continue
-        oriented[seed] = True
-        stack = [seed]
-        while stack:
-            fi = stack.pop()
-            a, b, c = faces[fi]
-            corners = (a, c, b) if flip[fi] else (a, b, c)
-            for k in range(3):
-                u, v = corners[k], corners[(k + 1) % 3]
-                inc = edge_map[(min(u, v), max(u, v))]
-                (f0, d0), (f1, d1) = inc
-                gi, gdir = (f1, d1) if f0 == fi else (f0, d0)
-                if gi == fi:
-                    continue
-                # neighbor must traverse the edge as (v, u)
-                needs_flip = gdir == (u, v)
-                if not oriented[gi]:
-                    oriented[gi] = True
-                    flip[gi] = needs_flip
-                    stack.append(gi)
-                elif flip[gi] != needs_flip:
-                    raise OrientationError("mesh is not orientable")
-    out = faces.copy()
-    out[flip] = out[flip][:, [0, 2, 1]]
-    return out
+    faces = np.array(faces, dtype=np.int64)
+    topo = Topology(faces)
+    if topo.n_nonmanifold_edges:
+        raise NonManifoldMeshError(
+            f"{topo.n_nonmanifold_edges} edge(s) shared by more than two "
+            "faces; cannot orient")
+    if topo.n_boundary_edges:
+        raise OpenBoundaryError(
+            f"{topo.n_boundary_edges} boundary edge(s); mesh is not closed")
+    # node 2f is face f as given, 2f + 1 reversed; faces that traverse their
+    # shared edge in one direction need opposite states
+    f, g = 2 * topo.edge_face_pairs.T
+    same = topo.same_direction
+    rows = np.concatenate([f, f + 1])
+    cols = np.concatenate([g + same, g + ~same])
+    m2 = 2 * len(faces)
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(m2, m2))
+    _, labels = connected_components(graph, directed=False)
+    if np.any(labels[0::2] == labels[1::2]):
+        raise OrientationError("mesh is not orientable")
+    # a class holds its component's lowest face as given iff its lowest
+    # node is even
+    _, lowest = np.unique(labels, return_index=True)
+    flip = lowest[labels[0::2]] % 2 == 1
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    return faces
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +514,16 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return verts, faces
 
 
-def make_icosphere(subdivisions: int, radius: float = 1.0, center=(0.0, 0.0, 0.0),
-                   max_subdivisions: int = MAX_ICOSPHERE_SUBDIVISIONS) -> TriangleMesh:
+def make_icosphere(subdivisions: int, radius: float = 1.0,
+                   center=(0.0, 0.0, 0.0)) -> TriangleMesh:
     """Icosahedron-based sphere mesh with ``20 * 4**subdivisions`` faces.
 
     All vertices lie at exactly ``radius`` from ``center`` (up to floating
     point); the returned orientation has non-negative signed volume.
     """
-    if subdivisions < 0 or subdivisions > max_subdivisions:
-        raise MeshError(
-            f"subdivisions must be in [0, {max_subdivisions}], got {subdivisions}"
-        )
+    if subdivisions < 0 or subdivisions > MAX_ICOSPHERE_SUBDIVISIONS:
+        raise MeshError(f"subdivisions must be in [0, {MAX_ICOSPHERE_SUBDIVISIONS}]"
+                        f", got {subdivisions}")
     if radius <= 0:
         raise MeshError("radius must be positive")
     verts, faces = _icosahedron()
@@ -632,7 +608,7 @@ class MeshQualityReport:
     aspect_ratio_bin_edges: np.ndarray
 
 
-def quality_report(mesh: TriangleMesh, aspect_bins=(1.0, 1.5, 2.0, 3.0, 5.0, 10.0, np.inf)) -> MeshQualityReport:
+def quality_report(mesh: TriangleMesh) -> MeshQualityReport:
     lengths = mesh.edge_lengths()
     angles = mesh.face_angles()
     areas = mesh.face_areas()
@@ -643,7 +619,7 @@ def quality_report(mesh: TriangleMesh, aspect_bins=(1.0, 1.5, 2.0, 3.0, 5.0, 10.
     s = 0.5 * (e0 + e1 + e2)
     inradius = areas / s
     aspect = np.max(np.stack([e0, e1, e2]), axis=0) / (2.0 * inradius)
-    counts, edges = np.histogram(aspect, bins=np.asarray(aspect_bins))
+    counts, edges = np.histogram(aspect, bins=np.asarray(ASPECT_RATIO_BINS))
     return MeshQualityReport(
         min_edge_length=float(lengths.min()),
         max_edge_length=float(lengths.max()),
@@ -659,54 +635,44 @@ def quality_report(mesh: TriangleMesh, aspect_bins=(1.0, 1.5, 2.0, 3.0, 5.0, 10.
 # ---------------------------------------------------------------------------
 
 
-def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
+def load_mesh(path) -> TriangleMesh:
     """Load a closed triangle mesh from an OFF or OBJ file.
 
-    Non-triangle polygons are fan-triangulated; windings are made globally
-    consistent and the result is oriented for non-negative signed volume.
+    A ``.obj`` extension means OBJ, any other OFF.  Non-triangle polygons are
+    fan-triangulated; windings are made globally consistent and the result is
+    oriented for non-negative signed volume.
     """
     path = str(path)
-    if fmt is None:
-        fmt = "OBJ" if path.lower().endswith(".obj") else "OFF"
-    fmt = fmt.upper()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
-    if fmt == "OFF":
-        verts, polys = _parse_off(text, path)
-    elif fmt == "OBJ":
+    if path.lower().endswith(".obj"):
         verts, polys = _parse_obj(text, path)
     else:
-        raise MeshFormatError(f"unsupported format {fmt!r} (expected OFF or OBJ)")
+        verts, polys = _parse_off(text, path)
     faces = _fan_triangulate(polys)
     faces = repair_winding(faces)
     mesh = TriangleMesh(verts, faces)
     return orient_for_positive_volume(mesh)
 
 
-def save_mesh(mesh: TriangleMesh, path, fmt: str | None = None) -> None:
-    """Write an ASCII OFF or OBJ file; positions use 17 significant digits."""
-    path = str(path)
-    if fmt is None:
-        fmt = "OBJ" if path.lower().endswith(".obj") else "OFF"
-    fmt = fmt.upper()
+def save_mesh(mesh: TriangleMesh, path) -> None:
+    """Write ASCII OFF, or OBJ to a ``.obj`` path; 17 significant digits."""
     lines = []
-    if fmt == "OFF":
+    if str(path).lower().endswith(".obj"):
+        for x, y, z in mesh.vertices:
+            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+        for a, b, c in mesh.faces:
+            lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    else:
         lines.append("OFF")
         lines.append(f"{mesh.n_vertices} {mesh.n_faces} {mesh.n_edges}")
         for x, y, z in mesh.vertices:
             lines.append(f"{x:.17g} {y:.17g} {z:.17g}")
         for a, b, c in mesh.faces:
             lines.append(f"3 {a} {b} {c}")
-    elif fmt == "OBJ":
-        for x, y, z in mesh.vertices:
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-        for a, b, c in mesh.faces:
-            lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    else:
-        raise MeshFormatError(f"unsupported format {fmt!r} (expected OFF or OBJ)")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -791,4 +757,4 @@ def _fan_triangulate(polys) -> np.ndarray:
     for poly in polys:
         for k in range(1, len(poly) - 1):
             tris.append((poly[0], poly[k], poly[k + 1]))
-    return np.array(tris, dtype=np.int64)
+    return np.array(tris, dtype=np.int64).reshape(-1, 3)

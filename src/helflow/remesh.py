@@ -1,10 +1,11 @@
 """Quality-driven isotropic remeshing with back-projection to the input surface.
 
 Classic split / collapse / flip / tangential-smooth passes toward a target
-edge length, with optional curvature-adaptive refinement (edges shrink where
-``edge * |A|`` would exceed a resolution constant).  Topology (component count
-and Euler characteristic) is preserved or the operation aborts, and the result
-is checked against the input by a sampled Hausdorff distance, which is logged.
+edge length.  Refinement is always curvature-adaptive: a vertex's target t
+shrinks to ``ADAPT_CONSTANT / |A|`` where ``t * |A|`` exceeds that constant,
+but not below ``ADAPT_MIN_FACTOR * t``.  Topology (component count and Euler
+characteristic) is preserved or the operation aborts, and the result is
+checked against the input by a sampled Hausdorff distance, which is logged.
 
 The passes edit a dict-based scratch mesh one edge at a time, so their cost is
 Python overhead per edge: valences are counted once per flip pass and updated
@@ -20,6 +21,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import build_cache
 from .mesh import DegenerateFaceError, MeshError, TriangleMesh
 
 logger = logging.getLogger(__name__)
@@ -30,6 +32,12 @@ logger = logging.getLogger(__name__)
 # must pass through untouched.
 SPLIT_RATIO = 4.0 / 3.0
 COLLAPSE_RATIO = 0.6
+
+# Curvature-adaptive targets, as in the module docstring.
+ADAPT_CONSTANT = 0.5
+ADAPT_MIN_FACTOR = 0.25
+HAUSDORFF_FRACTION = 0.5    # see remesh()
+K_NEAREST = 10              # see MeshProjector
 
 
 class RemeshError(MeshError):
@@ -97,7 +105,7 @@ def closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
 class MeshProjector:
     """Closest-point queries against a fixed reference mesh.
 
-    A query's candidate faces are the faces around its ``k_nearest`` nearest
+    A query's candidate faces are the faces around its ``K_NEAREST`` nearest
     reference vertices.  The vertex -> face incidence is held as one padded
     table (one row per vertex, faces in face order, padded with ``n_faces``),
     so gathering the candidates of every query is one fancy index, one sort
@@ -105,9 +113,9 @@ class MeshProjector:
     padded rows: no Python loop over the queries.
     """
 
-    def __init__(self, mesh: TriangleMesh, k_nearest: int = 10):
+    def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
-        self.k_nearest = min(k_nearest, mesh.n_vertices)
+        self.k_nearest = min(K_NEAREST, mesh.n_vertices)
         self._tree = cKDTree(mesh.vertices)
         verts = mesh.faces.ravel()
         order = np.argsort(verts, kind="stable")
@@ -184,9 +192,6 @@ class _EditMesh:
     def __init__(self, mesh: TriangleMesh):
         self.v = [p for p in np.asarray(mesh.vertices)]
         self.faces = {i: tuple(f) for i, f in enumerate(np.asarray(mesh.faces))}
-        self.tags = (list(mesh.vertex_tags) if mesh.vertex_tags is not None
-                     else None)
-        self._next_tag = (max(self.tags) + 1 if self.tags else 0)
         self._next_face = len(self.faces)
         self._rebuild_maps()
 
@@ -201,9 +206,6 @@ class _EditMesh:
 
     def add_vertex(self, pos) -> int:
         self.v.append(np.asarray(pos, dtype=np.float64))
-        if self.tags is not None:
-            self.tags.append(self._next_tag)
-            self._next_tag += 1
         self.vertex_faces[len(self.v) - 1] = set()
         return len(self.v) - 1
 
@@ -240,9 +242,7 @@ class _EditMesh:
         verts = np.array([self.v[i] for i in used])
         faces = np.array([[remap[i] for i in f] for f in self.faces.values()],
                          dtype=np.int64)
-        tags = (np.array([self.tags[i] for i in used], dtype=np.int64)
-                if self.tags is not None else None)
-        return TriangleMesh(verts, faces, vertex_tags=tags, validate=True)
+        return TriangleMesh(verts, faces, validate=True)
 
 
 def _ekey(u: int, w: int) -> tuple[int, int]:
@@ -254,16 +254,14 @@ def _ekey(u: int, w: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _local_targets(em: _EditMesh, target: float, asq, adapt_constant: float,
-                   min_factor: float):
-    """Per-vertex edge-length targets, shrunk where curvature demands."""
-    if asq is None:
-        return {i: target for i in em.vertex_faces}
+def _local_targets(em: _EditMesh, target: float, asq: dict):
+    """Per-vertex edge-length targets, shrunk where ``asq`` (|A|^2 by vertex)
+    demands; vertices not in ``asq`` keep the full target."""
     out = {}
     for i in em.vertex_faces:
         curv = np.sqrt(max(asq.get(i, 0.0), 0.0))
-        factor = 1.0 if curv * target <= adapt_constant else max(
-            adapt_constant / (curv * target), min_factor
+        factor = 1.0 if curv * target <= ADAPT_CONSTANT else max(
+            ADAPT_CONSTANT / (curv * target), ADAPT_MIN_FACTOR
         )
         out[i] = target * factor
     return out
@@ -429,30 +427,22 @@ def _smooth_and_project(em: _EditMesh, projector: MeshProjector,
 
 
 def remesh(mesh: TriangleMesh, target_edge: float,
-           min_angle: float = np.deg2rad(15.0), iterations: int = 5,
-           hausdorff_fraction: float = 0.5, adaptive: bool = True,
-           adapt_constant: float = 0.5, adapt_min_factor: float = 0.25) -> TriangleMesh:
+           min_angle: float = np.deg2rad(15.0), iterations: int = 5) -> TriangleMesh:
     """Isotropically remesh toward ``target_edge``.
 
     The output keeps the input's genus and component count and stays within
-    ``hausdorff_fraction * target_edge`` of the input surface (enforced).
+    ``HAUSDORFF_FRACTION * target_edge`` of the input surface (enforced).
     Edge lengths land in ``[0.5, 1.5] * target_edge`` except where the
     curvature-adaptive local target is smaller.
     """
     if target_edge <= 0:
         raise RemeshError("target_edge must be positive")
     projector = MeshProjector(mesh)
-    asq_by_vertex = None
-    if adaptive:
-        from .geometry import build_cache
-
-        cache = build_cache(mesh)
-        asq_by_vertex = dict(enumerate(cache.Asq))
+    asq_by_vertex = dict(enumerate(build_cache(mesh).Asq))
 
     em = _EditMesh(mesh)
     for it in range(iterations):
-        targets = _local_targets(em, target_edge, asq_by_vertex,
-                                 adapt_constant, adapt_min_factor)
+        targets = _local_targets(em, target_edge, asq_by_vertex)
         splits = _split_pass(em, targets)
         collapses = _collapse_pass(em, targets)
         flips, _ = _flip_pass(em)
@@ -465,8 +455,7 @@ def remesh(mesh: TriangleMesh, target_edge: float,
         _smooth_and_project(em, projector)
     else:
         # cap any edges the last smoothing stretched past the band
-        targets = _local_targets(em, target_edge, asq_by_vertex,
-                                 adapt_constant, adapt_min_factor)
+        targets = _local_targets(em, target_edge, asq_by_vertex)
         if _split_pass(em, targets):
             _smooth_and_project(em, projector, relaxation=0.0)
 
@@ -483,14 +472,12 @@ def remesh(mesh: TriangleMesh, target_edge: float,
             f"components {mesh.n_components} -> {out.n_components}); aborted"
         )
     dist = hausdorff_distance(mesh, out)
+    allowed = HAUSDORFF_FRACTION * target_edge
     logger.info("remesh: %d -> %d vertices, Hausdorff distance %.3e "
-                "(allowed %.3e)", mesh.n_vertices, out.n_vertices, dist,
-                hausdorff_fraction * target_edge)
-    if dist > hausdorff_fraction * target_edge:
-        raise RemeshError(
-            f"remeshed surface drifted {dist:.3e} from the input "
-            f"(allowed {hausdorff_fraction * target_edge:.3e})"
-        )
+                "(allowed %.3e)", mesh.n_vertices, out.n_vertices, dist, allowed)
+    if dist > allowed:
+        raise RemeshError(f"remeshed surface drifted {dist:.3e} from the input "
+                          f"(allowed {allowed:.3e})")
     angle = out.face_angles().min()
     if angle < min_angle:
         logger.warning("remesh: min angle %.2f deg below floor %.2f deg",

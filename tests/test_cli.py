@@ -8,11 +8,13 @@ from dataclasses import fields
 
 import helflow.cli as cli
 import helflow.flow
-from helflow.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK,
+from helflow.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_OK,
                          EXIT_SINGULAR, EXIT_SOLVER, ConfigError,
                          build_run_config, load_run_config, main,
                          parse_config_text)
-from helflow.flow import CSV_COLUMNS, SteppingPolicy, TimeSeriesRecord
+from helflow.diagnostics import SingularityClassification
+from helflow.flow import (CSV_COLUMNS, SteppingPolicy, TerminationReport,
+                          TimeSeriesRecord)
 from helflow.geometry import GeometryError
 from helflow.mesh import load_mesh, make_icosphere, save_mesh
 
@@ -57,6 +59,10 @@ def test_build_run_config_rejects_unknown_keys():
         build_run_config({"params.c0": "1.0",
                           "mesh.icosphere.subdivisions": "2",
                           "mystery": "1"})
+    with pytest.raises(ConfigError):
+        build_run_config({"params.c0": "1.0",
+                          "mesh.icosphere.subdivisions": "2",
+                          "diagnostics.kappa_radii": "auto"})
 
 
 def test_policy_keys_parse_by_field_type():
@@ -106,6 +112,10 @@ def test_flow_command_singular_run(tmp_path):
     assert summary["threshold_comparisons"]["final_time_within_t_bound"]
     assert summary["classification"]["verdict"] in (
         "round_shrinker", "non_round_concentration")
+    assert list(summary["termination"]) == [
+        f.name for f in fields(TerminationReport)]
+    assert list(summary["classification"]) == [
+        f.name for f in fields(SingularityClassification)]
     assert summary["n_frames"] >= 3
     frames = os.listdir(os.path.join(out, "frames"))
     assert any(f.endswith(".off") for f in frames)
@@ -157,6 +167,23 @@ def test_invalid_values_exit_with_config_error(tmp_path, capfd, command):
                           mesh=mesh_path).split()
     assert main(["--quiet", *argv]) == EXIT_CONFIG
     assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "energy {mesh} --c0 1 --out {tmp}/missing_dir/x.json",
+    "ode --c0 -1 --r0 1 --horizon 0.1 --out {file}",
+    "flow --config {cfg} --out {file}",
+])
+def test_output_io_errors_exit_with_io_error(tmp_path, capfd, caplog, command):
+    mesh_path = str(tmp_path / "s.off")
+    save_mesh(make_icosphere(1, 1.0), mesh_path)
+    existing = tmp_path / "taken"
+    existing.write_text("a file where a directory is expected\n")
+    argv = command.format(mesh=mesh_path, tmp=str(tmp_path), file=str(existing),
+                          cfg=write_cfg(tmp_path)).split()
+    assert main(["--quiet", *argv]) == EXIT_IO
+    assert "Traceback" not in capfd.readouterr().err
+    assert "IO failure" in caplog.text
 
 
 def test_csv_is_17_digit_round_trippable(tmp_path):

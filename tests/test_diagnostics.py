@@ -212,14 +212,3 @@ def test_default_radii_grid_spans_diameter(ico4):
     assert grid[0] < 0.1
     assert grid[-1] > ico4.bbox_diagonal()
 
-
-def test_center_subsample_flagged(sphere5):
-    mesh, cache = sphere5
-    grid = np.array([0.5, 1.0, 2.5])
-    full = kappa_profile(mesh, cache, grid)
-    sub = kappa_profile(mesh, cache, grid, center_stride=4)
-    assert not full.centers_subsampled
-    assert sub.centers_subsampled
-    # the subsampled sup is a max over fewer centers, never larger
-    assert np.all(sub.kappa <= full.kappa + 1e-12)
-    assert np.all(sub.kappa >= 0.9 * full.kappa)

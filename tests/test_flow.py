@@ -32,7 +32,8 @@ def test_policy_validation():
 
 def test_init_state_requires_positive_volume(ico3):
     with pytest.raises(FlowError):
-        init_state(ico3.flipped(), FlowParams(1.0, 0.0), SteppingPolicy())
+        init_state(TriangleMesh(ico3.vertices, ico3.faces[:, [0, 2, 1]]),
+                   FlowParams(1.0, 0.0), SteppingPolicy())
 
 
 def test_explicit_single_step_shrink_rate():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from helflow.geometry import build_cache
-from helflow.mesh import (DegenerateFaceError, MeshFormatError,
+from helflow.mesh import (DegenerateFaceError, MeshError, MeshFormatError,
                           NonManifoldMeshError, OpenBoundaryError,
                           OrientationError, TriangleMesh,
                           component_signed_volumes, load_mesh, make_icosphere,
-                          orient_for_positive_volume, quality_report,
-                          repair_winding, save_mesh, signed_volume)
+                          make_torus, orient_for_positive_volume,
+                          quality_report, repair_winding, save_mesh,
+                          signed_volume)
 
 TETRA_OFF = """OFF
 4 4 6
@@ -20,6 +21,11 @@ TETRA_OFF = """OFF
 3 0 3 2
 3 1 2 3
 """
+
+
+def _reversed(mesh):
+    """The mesh with the winding of every face reversed."""
+    return TriangleMesh(mesh.vertices, mesh.faces[:, [0, 2, 1]], validate=False)
 
 
 def test_tetrahedron_counts(tetra):
@@ -78,7 +84,7 @@ def test_icosphere_subdivision_cap():
 
 
 def test_orientation_flip_and_idempotence(ico3):
-    flipped = ico3.flipped()
+    flipped = _reversed(ico3)
     assert signed_volume(flipped) == pytest.approx(-signed_volume(ico3))
     fixed = orient_for_positive_volume(flipped)
     assert signed_volume(fixed) == pytest.approx(signed_volume(ico3))
@@ -92,7 +98,7 @@ def test_orientation_positive_volume_matches_enclosed(ico4):
 
 
 def test_per_component_orientation(ico3):
-    far = ico3.translated((10.0, 0.0, 0.0)).flipped()
+    far = _reversed(ico3.translated((10.0, 0.0, 0.0)))
     both = TriangleMesh(
         np.vstack([ico3.vertices, far.vertices]),
         np.vstack([ico3.faces, far.faces + ico3.n_vertices]),
@@ -145,6 +151,104 @@ def test_winding_repair():
     repaired = repair_winding(faces)
     mesh = TriangleMesh(base.vertices, repaired)  # validates consistency
     assert abs(signed_volume(mesh)) == pytest.approx(abs(signed_volume(base)))
+
+
+def _dict_walk_repair(faces):
+    """Reference winding repair: a depth-first walk over an edge -> faces
+    dict from each component's lowest-index face."""
+    faces = np.array(faces, dtype=np.int64)
+    edge_map = {}
+    for fi, (a, b, c) in enumerate(faces):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edge_map.setdefault((min(u, v), max(u, v)), []).append((fi, (u, v)))
+    for inc in edge_map.values():
+        if len(inc) == 1:
+            raise OpenBoundaryError("boundary edge")
+        if len(inc) > 2:
+            raise NonManifoldMeshError("non-manifold edge")
+    oriented = np.zeros(len(faces), dtype=bool)
+    flip = np.zeros(len(faces), dtype=bool)
+    for seed in range(len(faces)):
+        if oriented[seed]:
+            continue
+        oriented[seed] = True
+        stack = [seed]
+        while stack:
+            fi = stack.pop()
+            a, b, c = faces[fi]
+            corners = (a, c, b) if flip[fi] else (a, b, c)
+            for k in range(3):
+                u, v = corners[k], corners[(k + 1) % 3]
+                (f0, d0), (f1, d1) = edge_map[(min(u, v), max(u, v))]
+                gi, gdir = (f1, d1) if f0 == fi else (f0, d0)
+                if gi == fi:
+                    continue
+                needs_flip = gdir == (u, v)
+                if not oriented[gi]:
+                    oriented[gi] = True
+                    flip[gi] = needs_flip
+                    stack.append(gi)
+                elif flip[gi] != needs_flip:
+                    raise OrientationError("mesh is not orientable")
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    return faces
+
+
+def _two_spheres():
+    ico = make_icosphere(1, 1.0)
+    return np.vstack([ico.faces, ico.faces + ico.n_vertices])
+
+
+@pytest.mark.parametrize("faces", [
+    lambda: make_icosphere(2, 1.0).faces,
+    lambda: make_torus(1.0, 0.4, 12, 8).faces,
+    _two_spheres,
+], ids=["ico2", "torus", "two-components"])
+@pytest.mark.parametrize("seed", range(4))
+def test_repair_winding_matches_dict_walk(faces, seed):
+    faces = np.array(faces())
+    rng = np.random.default_rng(seed)
+    bad = rng.random(len(faces)) < 0.5
+    faces[bad] = faces[bad][:, [0, 2, 1]]
+    repaired = repair_winding(faces)
+    assert repaired.dtype == np.int64
+    assert np.array_equal(repaired, _dict_walk_repair(faces))
+    assert TriangleMesh(np.zeros((faces.max() + 1, 3)), repaired,
+                        validate=False).topology.consistent_winding
+
+
+def test_repair_winding_rejects_projective_plane():
+    # a closed non-orientable surface: every edge has two faces
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+             (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    for repair in (repair_winding, _dict_walk_repair):
+        with pytest.raises(OrientationError):
+            repair(faces)
+
+
+@pytest.mark.parametrize("faces,error", [
+    (lambda f: f[:3], OpenBoundaryError),
+    (lambda f: np.vstack([f, [[0, 1, 2]]]), NonManifoldMeshError),
+], ids=["open", "three-faces-on-an-edge"])
+def test_repair_winding_rejects_non_manifold_input(tetra, faces, error):
+    with pytest.raises(error):
+        repair_winding(faces(tetra.faces))
+
+
+def test_load_obj_repairs_flipped_faces(tmp_path, ico3):
+    faces = np.array(ico3.faces)
+    bad = np.random.default_rng(3).random(len(faces)) < 0.5
+    faces[bad] = faces[bad][:, [0, 2, 1]]
+    path = tmp_path / "flipped.obj"
+    save_mesh(TriangleMesh(ico3.vertices, faces, validate=False), path)
+    assert np.array_equal(load_mesh(path).faces, ico3.faces)
+
+
+def test_off_without_faces_is_a_mesh_error(tmp_path):
+    path = tmp_path / "empty.off"
+    path.write_text("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n")
+    with pytest.raises(MeshError):
+        load_mesh(path)
 
 
 def test_open_boundary_rejected(tetra):
@@ -231,7 +335,6 @@ def test_vertex_moves_share_topology(ico3):
 def test_face_changes_build_new_topology(tmp_path, ico3):
     from helflow.remesh import remesh
 
-    assert ico3.flipped().topology is not ico3.topology
     assert remesh(ico3, ico3.mean_edge_length()).topology is not ico3.topology
     path = str(tmp_path / "ico3.off")
     save_mesh(ico3, path)
@@ -239,7 +342,7 @@ def test_face_changes_build_new_topology(tmp_path, ico3):
 
 
 def test_topology_matches_direct_computation(ico3, torus):
-    for mesh in (ico3, torus, ico3.flipped()):
+    for mesh in (ico3, torus, _reversed(ico3)):
         f = mesh.faces
         directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         expected = np.unique(np.sort(directed, axis=1), axis=0)

@@ -8,8 +8,7 @@ from helflow.geometry import build_cache
 from helflow.mesh import TriangleMesh, make_icosphere, make_torus, \
     orient_for_positive_volume, quality_report
 from helflow.remesh import (MeshProjector, RemeshError, _collapse_pass,
-                            _EditMesh, _flip_pass, _local_targets,
-                            _split_pass, closest_point_on_triangles,
+                            _EditMesh, _flip_pass, _split_pass, closest_point_on_triangles,
                             hausdorff_distance, remesh)
 from helflow.validate import perturbed_sphere
 
@@ -168,8 +167,7 @@ def test_projector_matches_per_query_loop(make_mesh):
 def test_flip_pass_valence_stays_exact(make_mesh, factor):
     mesh = make_mesh()
     em = _EditMesh(mesh)
-    targets = _local_targets(em, factor * mesh.mean_edge_length(), None,
-                             0.5, 0.25)
+    targets = dict.fromkeys(em.vertex_faces, factor * mesh.mean_edge_length())
     _split_pass(em, targets)
     _collapse_pass(em, targets)
     flips, valence = _flip_pass(em)
@@ -255,11 +253,3 @@ def test_hausdorff_detects_offset(ico3):
     d = hausdorff_distance(ico3, shifted)
     assert 0.03 <= d <= 0.06
 
-
-def test_remesh_keeps_tags_unique():
-    base = make_icosphere(2, 1.0)
-    tagged = TriangleMesh(base.vertices, base.faces,
-                          vertex_tags=np.arange(base.n_vertices))
-    out = remesh(tagged, 0.7 * tagged.mean_edge_length())
-    assert out.vertex_tags is not None
-    assert len(np.unique(out.vertex_tags)) == out.n_vertices
