@@ -8,8 +8,9 @@ captures a reproducible run.
 Exit codes: 0 clean termination (converged / horizon), 2 singular termination
 (a scientific outcome, not a failure), 3 inconclusive termination
 (dt collapse / step budget), 10 configuration errors, 11 IO errors,
-12 solver failures (a remesh that fails, or a starting geometry that cannot
-be assembled).  ``validate`` exits 1 when a check fails.
+12 solver failures (a remesh that fails, a starting geometry that cannot be
+assembled, or blow-up diagnostics that fail during a run).  ``validate``
+exits 1 when a check fails.
 """
 
 import argparse
@@ -22,7 +23,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .diagnostics import FrameSink, classify_singularity, hypothesis_monitors
+from .diagnostics import (DiagnosticsError, FrameSink, classify_singularity,
+                          hypothesis_monitors)
 from .flow import (CSV_COLUMNS, FlowError, SteppingPolicy, TimeSeriesRecord,
                    run_flow)
 from .geometry import (FlowParams, GeometryError, build_cache,
@@ -65,6 +67,11 @@ class RunConfig:
     frames_enabled: bool = True
     out_dir: str = "out"
     seed: int = 0
+
+    def __post_init__(self):
+        # 1 or more freezes a target above the first frame's total energy
+        if not 0 < self.kappa_target_fraction < 1:
+            raise ValueError("diagnostics.kappa_target_fraction must be in (0, 1)")
 
     def build_mesh(self) -> TriangleMesh:
         if self.mesh_path is not None:
@@ -202,7 +209,7 @@ def load_run_config(path: str, overrides=(), out_dir=None, frames=None) -> RunCo
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides:
         if "=" not in item:
@@ -316,7 +323,7 @@ def cmd_flow(args) -> int:
 
     try:
         records, report = run_flow(mesh, cfg.params, policy, sinks=sinks)
-    except (FlowError, RemeshError, GeometryError) as exc:
+    except (FlowError, RemeshError, GeometryError, DiagnosticsError) as exc:
         logger.error("solver failure: %s", exc)
         return EXIT_SOLVER
     finally:

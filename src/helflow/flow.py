@@ -1,8 +1,9 @@
 """Time integration of the surface flow with energy-monotone step control.
 
 The evolving object is a :class:`FlowState`; accepted steps never increase the
-penalized energy by more than the policy tolerance (rejected attempts shrink
-dt and leave the state unchanged).  Two stepping modes:
+penalized energy by more than the larger of the policy tolerance and the
+energy's rounding bound (rejected attempts shrink dt and leave the state
+unchanged).  Two stepping modes:
 
 * ``explicit``: forward Euler on the velocity, dt capped by a fourth-order
   CFL bound ``c_dt * h_min^4``;
@@ -70,10 +71,14 @@ class SteppingPolicy:
     """Step-size control, termination thresholds, and run bookkeeping.
 
     ``energy_increase_tol_rel`` is relative to the initial energy; an accepted
-    step may raise the penalized energy by at most that amount.  A ``None``
-    gradient tolerance disables convergence detection.  ``max_steps`` bounds
-    stepping attempts: a run ends with ``step_budget`` once accepted plus
-    rejected steps reach it.
+    step may raise the penalized energy by at most that amount or, if larger,
+    by the rounding bound of the energies before and after the step
+    (``GeometryCache.penalized_roundoff``), so that on a surface whose energy
+    is roundoff (a stationary sphere) decisions do not hinge on one ulp.  A
+    ``None`` gradient tolerance disables convergence detection.
+    ``max_steps`` bounds stepping attempts: a run ends with ``step_budget``
+    once accepted plus rejected steps reach it.  NaN, negative and (where
+    zero is meaningless) zero values raise ``ValueError``.
     """
 
     mode: str = "semi_implicit"  # or "explicit"
@@ -102,11 +107,18 @@ class SteppingPolicy:
             raise ValueError(f"unknown stepping mode {self.mode!r}")
         if not (0 < self.dt_shrink < 1 < self.dt_growth):
             raise ValueError("need 0 < dt_shrink < 1 < dt_growth")
+        # written as "not > 0" so that NaN fails too
         for name in ("dt_init", "cfl_coefficient", "curvature_dt_coeff",
-                     "convergence_window", "max_steps", "dt_floor",
-                     "area_floor_fraction", "blowup_threshold", "record_every"):
-            if getattr(self, name) <= 0:
+                     "convergence_window", "max_steps", "time_horizon",
+                     "dt_floor", "area_floor_fraction", "blowup_threshold",
+                     "record_every"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("energy_increase_tol_rel", "remesh_min_angle"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        if self.gradient_tol is not None and not self.gradient_tol > 0:
+            raise ValueError("gradient_tol must be positive (or None)")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables)")
         # At or below 1 the accepted band of mean edge lengths is empty.
@@ -315,8 +327,9 @@ def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
     except (SolverError, GeometryError, MeshError) as exc:
         logger.debug("trial step at dt=%.3e rejected: %s", dt, exc)
         new_cache = None
-    tolerance = policy.energy_increase_tol_rel * abs(state.energy0)
-    if new_cache is not None and new_cache.penalized - cache.penalized <= tolerance:
+    if new_cache is not None and new_cache.penalized - cache.penalized <= max(
+            policy.energy_increase_tol_rel * abs(state.energy0),
+            cache.penalized_roundoff + new_cache.penalized_roundoff):
         rate = (v_new - v_old) / dt
         rate_norm = float(
             np.sqrt(np.sum(np.einsum("ij,ij->i", rate, rate)

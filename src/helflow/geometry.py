@@ -76,7 +76,8 @@ class GeometryCache:
     ``vertex_areas`` for the pointwise Laplacian).  ``min_angle`` is the
     smallest interior face angle in radians.  Energies that need flow
     parameters (``helfrich``, ``penalized``) are populated when ``build_cache``
-    receives them.
+    receives them, with ``penalized_roundoff``, a first-order bound on the
+    rounding error of ``penalized`` (see :func:`_energy_roundoff`).
     """
 
     vertex_areas: np.ndarray
@@ -95,6 +96,7 @@ class GeometryCache:
     min_angle: float
     helfrich: float | None = None
     penalized: float | None = None
+    penalized_roundoff: float | None = None
     params: FlowParams | None = field(default=None, repr=False)
 
 
@@ -225,7 +227,28 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
         cache.params = params
         cache.helfrich = helfrich_energy(cache, params)
         cache.penalized = penalized_energy(cache, params)
+        cache.penalized_roundoff = _energy_roundoff(L, mesh.vertices, a,
+                                                    H - params.c0)
     return cache
+
+
+def _energy_roundoff(L: sparse.csr_matrix, vertices: np.ndarray,
+                     a: np.ndarray, d: np.ndarray) -> float:
+    """First-order rounding bound of ``(1/4) sum d^2 a`` for ``d = H - c0``.
+
+    ``H_i a_i`` is read from ``(L f)_i``, whose rounding error is of order
+    ``eps * s_i`` with ``s = |L| |f|`` (the absolute Laplacian applied to the
+    vertex norms), so ``|dH| a <= eps s`` and the energy moves by at most
+    ``eps/2 sum |d| s + eps^2/4 sum s^2 / a``.  The area term's own rounding
+    (about ``eps lam A / 2``) is left out: ``E >= lam A / 2``, so the relative
+    tolerance of step acceptance already covers it.
+    """
+    abs_L = sparse.csr_matrix((np.abs(L.data), L.indices, L.indptr),
+                              shape=L.shape)
+    s = abs_L @ np.linalg.norm(vertices, axis=1)
+    eps = np.finfo(np.float64).eps
+    return float(0.5 * eps * np.sum(np.abs(d) * s)
+                 + 0.25 * eps * eps * np.sum(s * s / a))
 
 
 # ---------------------------------------------------------------------------

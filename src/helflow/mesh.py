@@ -148,81 +148,37 @@ class LaplacianPattern:
     corner-major order: ``w[k * m + f]`` belongs to corner ``k`` of face ``f``
     and adds ``+w`` to both off-diagonal entries of the opposite edge
     ``(faces[f, k+1], faces[f, k+2])`` and ``-w`` to both of its diagonal
-    entries.  :meth:`fill` sums the terms of each entry in the order that
-    scipy's coo->csr conversion does, so the result is bit-identical to that
-    assembly.  Index arrays are int32.
+    entries.  ``slot`` names the CSR entry of each of these terms, so
+    :meth:`fill` is one ``bincount``.  Columns are sorted within each row,
+    and index arrays are int32.
     """
 
     def __init__(self, faces: np.ndarray, n_vertices: int):
-        from scipy.sparse import coo_matrix, csr_matrix
-
         n = self.n = n_vertices
         f = faces.astype(np.int32)
-        m3 = 3 * len(f)
         i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
         j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
-        # COO entries in the order (i, j), (j, i), (i, i), (j, j); each names
-        # its term in the signed weights [w, -w, 0] that fill() gathers from.
-        corner = np.arange(m3, dtype=np.int32)
-        source = np.concatenate([corner, corner, corner + m3, corner + m3])
-        entries = np.arange(len(source), dtype=np.int32)
-
-        # coo->csr is a stable counting sort by row, then csr_sort_indices:
-        # std::sort on the column keys alone, which moves the data with its
-        # key.  Replaying both on the term indices yields the summation
-        # order; the row pass is coo->csr itself, with one column per entry.
-        by_row = coo_matrix((source, (np.concatenate([i, j, i, j]), entries)),
-                            shape=(n, len(source))).tocsr()
-        row_ptr = by_row.indptr
-        tagged = csr_matrix(
-            (by_row.data, np.concatenate([j, i, i, j])[by_row.indices], row_ptr),
-            shape=(n, n))
-        del by_row, source   # this build's transient sets a flow's peak RSS
-        tagged.sort_indices()
-        src, c = tagged.data, tagged.indices
-
-        # Each run of one (row, col) is summed left to right into one slot.
-        start = np.ones(len(c), dtype=bool)
-        np.not_equal(c[1:], c[:-1], out=start[1:])
-        start[row_ptr[:-1][np.diff(row_ptr) > 0]] = True
-        before = np.zeros(len(c) + 1, dtype=np.int32)
-        np.cumsum(start, out=before[1:])
-        slot = before[1:] - 1
-        first = np.flatnonzero(start).astype(np.int32)
-        terms = np.diff(first, append=np.int32(len(c)))
-        self.indices = c[first]
-        self.indptr = before[row_ptr]
-        # An interior edge's two entries each sum two terms; their sum does
-        # not depend on the order.  Every other slot (the diagonal, with
-        # 2 * valence terms) gathers its terms in order, padded with the 0.
-        pairs = terms == 2
-        pad = 2 * m3
-        self.pair_src = np.full((2, len(first)), pad, dtype=np.int32)
-        self.pair_src[0, pairs] = src[first[pairs]]
-        self.pair_src[1, pairs] = src[first[pairs] + 1]
-        self.sum_slots = np.flatnonzero(~pairs).astype(np.int32)
-        column = np.zeros(len(first), dtype=np.int32)
-        column[self.sum_slots] = np.arange(len(self.sum_slots), dtype=np.int32)
-        self.sum_src = np.full((terms[~pairs].max(), len(self.sum_slots)),
-                               pad, dtype=np.int32)
-        rest = ~pairs[slot]
-        rank = entries - first[slot]
-        self.sum_src[rank[rest], column[slot[rest]]] = src[rest]
-        for a in (self.indices, self.indptr):
+        # the terms (i, j), (j, i), (i, i), (j, j) in the order fill() weights
+        rows = np.concatenate([i, j, i, j])
+        cols = np.concatenate([j, i, i, j])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        start = np.ones(len(order), dtype=bool)
+        start[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        self.slot = np.empty(len(order), dtype=np.int32)
+        self.slot[order] = np.cumsum(start, dtype=np.int32) - 1
+        self.indices = cols[start]
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows[start], minlength=n), out=self.indptr[1:])
+        for a in (self.slot, self.indices, self.indptr):
             a.setflags(write=False)
 
     def fill(self, w: np.ndarray):
         """The Laplacian for corner weights ``w`` as a ``csr_matrix``."""
         from scipy.sparse import csr_matrix
 
-        terms = np.concatenate([w, -w, [0.0]])
-        a, b = self.pair_src
-        data = terms[a] + terms[b]
-        gathered = terms[self.sum_src]
-        total = gathered[0].copy()
-        for row in gathered[1:]:
-            total += row
-        data[self.sum_slots] = total
+        data = np.bincount(self.slot, weights=np.concatenate([w, w, -w, -w]),
+                           minlength=len(self.indices))
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
@@ -536,27 +492,23 @@ def make_icosphere(subdivisions: int, radius: float = 1.0,
 
 
 def _subdivide_midpoint(verts: np.ndarray, faces: np.ndarray):
-    """Split each triangle into four; midpoints are projected by the caller."""
-    edge_mid: dict[tuple[int, int], int] = {}
-    new_verts = [verts]
-    next_idx = len(verts)
+    """Split each triangle into four; midpoints are projected by the caller.
 
-    def midpoint(a: int, b: int) -> int:
-        nonlocal next_idx
-        key = (min(a, b), max(a, b))
-        if key not in edge_mid:
-            edge_mid[key] = next_idx
-            new_verts.append(0.5 * (verts[a] + verts[b])[None, :])
-            next_idx += 1
-        return edge_mid[key]
-
-    new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-    for i, (a, b, c) in enumerate(faces):
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_faces[4 * i: 4 * i + 4] = [
-            (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)
-        ]
-    return np.concatenate(new_verts, axis=0), new_faces
+    Midpoints are numbered after the old vertices in the order their edges
+    first occur in the face-major list ``ab, bc, ca`` of every face.
+    """
+    keys = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.empty(len(edges), dtype=np.int64)
+    number[by_first] = np.arange(len(verts), len(verts) + len(edges))
+    ab, bc, ca = number[inverse.reshape(-1, 3)].T
+    a, b, c = faces.T
+    new_faces = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca])
+    ends = edges[by_first]
+    mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
+    return np.concatenate([verts, mids], axis=0), new_faces.reshape(-1, 3)
 
 
 def make_torus(major_radius: float = 1.0, minor_radius: float = 0.4,
@@ -646,7 +598,7 @@ def load_mesh(path) -> TriangleMesh:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
     if path.lower().endswith(".obj"):
         verts, polys = _parse_obj(text, path)

@@ -12,7 +12,7 @@ from helflow.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_OK,
                          EXIT_SINGULAR, EXIT_SOLVER, ConfigError,
                          build_run_config, load_run_config, main,
                          parse_config_text)
-from helflow.diagnostics import SingularityClassification
+from helflow.diagnostics import DiagnosticsError, SingularityClassification
 from helflow.flow import (CSV_COLUMNS, SteppingPolicy, TerminationReport,
                           TimeSeriesRecord)
 from helflow.geometry import GeometryError
@@ -159,6 +159,14 @@ def test_flow_command_bad_config(tmp_path):
     "ode --c0 -1 --r0 1 --horizon inf --out {out}",
     "flow --config {cfg} --out {out} --override policy.checkpoint_every=-1",
     "flow --config {cfg} --out {out} --override policy.remesh_edge_drift=1",
+    *(f"flow --config {{cfg}} --out {{out}} --override policy.{name}=nan"
+      for name in ("dt_init", "dt_floor", "area_floor_fraction",
+                   "blowup_threshold", "cfl_coefficient", "curvature_dt_coeff",
+                   "time_horizon", "gradient_tol", "remesh_min_angle",
+                   "energy_increase_tol_rel")),
+    *("flow --config {cfg} --out {out} "
+      f"--override diagnostics.kappa_target_fraction={value}"
+      for value in ("0", "-1", "nan", "1", "2")),
 ])
 def test_invalid_values_exit_with_config_error(tmp_path, capfd, command):
     mesh_path = str(tmp_path / "s.off")
@@ -252,6 +260,31 @@ def test_flow_command_maps_geometry_error_to_solver_exit(tmp_path, monkeypatch):
     code = main(["--quiet", "flow", "--config", cfg,
                  "--out", str(tmp_path / "out6")])
     assert code == EXIT_SOLVER
+
+
+def test_flow_command_maps_diagnostics_error_to_solver_exit(tmp_path,
+                                                          monkeypatch):
+    def failing_run_flow(*args, **kwargs):
+        raise DiagnosticsError("kappa_target exceeds total curvature energy")
+
+    monkeypatch.setattr(cli, "run_flow", failing_run_flow)
+    cfg = write_cfg(tmp_path)
+    code = main(["--quiet", "flow", "--config", cfg,
+                 "--out", str(tmp_path / "out8")])
+    assert code == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("command", [
+    "energy {bad} --c0 1",
+    "rescale {bad} --r 2 --c0 1",
+    "flow --config {bad} --out {out}",
+])
+def test_non_utf8_input_exits_with_config_error(tmp_path, capfd, command):
+    bad = tmp_path / "bad.off"
+    bad.write_bytes(b"\xff")
+    argv = command.format(bad=str(bad), out=str(tmp_path / "out")).split()
+    assert main(["--quiet", *argv]) == EXIT_CONFIG
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_ode_command(tmp_path):

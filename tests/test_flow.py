@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import helflow.flow as fl
+import helflow.geometry as geo
 import helflow.mesh as hm
 from helflow.flow import (TERMINATION_REASONS, CheckpointError, FlowError,
                           SteppingPolicy, checkpoint, init_state, restore,
@@ -28,6 +29,16 @@ def test_policy_validation():
         SteppingPolicy(dt_growth=0.9)
     with pytest.raises(ValueError):
         SteppingPolicy(dt_init=-1.0)
+
+
+@pytest.mark.parametrize("name", [
+    "dt_init", "dt_floor", "area_floor_fraction", "blowup_threshold",
+    "cfl_coefficient", "curvature_dt_coeff", "time_horizon", "gradient_tol",
+    "remesh_min_angle", "energy_increase_tol_rel"])
+@pytest.mark.parametrize("value", [np.nan, -1.0])
+def test_policy_rejects_nan_and_negative_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        SteppingPolicy(**{name: value})
 
 
 def test_init_state_requires_positive_volume(ico3):
@@ -390,9 +401,9 @@ def _remeshed_sphere():
     _remeshed_sphere,
 ], ids=["perturbed-ico3", "perturbed-ico2", "torus", "remeshed"])
 def test_laplacian_is_plain_coo_to_csr_assembly(make_mesh):
-    # Accept decisions on the stationary sphere (energy ~1e-29) hinge on
-    # roundoff, so L must stay bit-identical to scipy's coo->csr assembly,
-    # which sums duplicate entries in its own order.
+    # The pattern is coo->csr's; the values may differ from it only in the
+    # summation order of duplicate entries, since step acceptance allows the
+    # energy's rounding bound.
     mesh = make_mesh()
     f, n = mesh.faces, mesh.n_vertices
     cots = _FaceData(mesh).cots
@@ -404,8 +415,43 @@ def test_laplacian_is_plain_coo_to_csr_assembly(make_mesh):
          (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
         shape=(n, n)).tocsr()
     L = build_cache(mesh).laplacian
-    for attr in ("data", "indices", "indptr"):
+    for attr in ("indices", "indptr"):
         assert np.array_equal(getattr(L, attr), getattr(expected, attr))
+    row_abs = abs(expected).sum(axis=1).A1
+    rows = np.repeat(np.arange(n), np.diff(expected.indptr))
+    assert np.all(np.abs(L.data - expected.data) <= 1e-15 * row_abs[rows])
+
+
+def _nudged_laplacians(monkeypatch, seed):
+    """Every Laplacian built from here on has a random half of its values
+    raised by one ulp, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    assemble = geo._laplacian_from
+
+    def nudged(fd, mesh):
+        L = assemble(fd, mesh)
+        up = rng.random(L.nnz) < 0.5
+        L.data[up] = np.nextafter(L.data[up], np.inf)
+        return L
+
+    monkeypatch.setattr(geo, "_laplacian_from", nudged)
+
+
+def _stationary_ico1_run(shift=0.0):
+    # the flow of test_flow_command_clean_run: a c0 = 2 unit sphere is
+    # stationary, so its energy is roundoff
+    mesh = make_icosphere(1).translated(np.array([shift, 0.0, 0.0]))
+    _, report = run_flow(mesh, FlowParams(2.0),
+                         SteppingPolicy(time_horizon=0.02))
+    return report.reason, report.steps, report.rejected_steps
+
+
+@pytest.mark.parametrize("seed, shift", [(0, 0.0), (1, 0.0), (2, 0.0),
+                                         (3, 0.0), (4, 5.0)])
+def test_one_ulp_laplacian_nudge_keeps_stationary_run(monkeypatch, seed, shift):
+    expected = _stationary_ico1_run()
+    _nudged_laplacians(monkeypatch, seed)
+    assert _stationary_ico1_run(shift) == expected
 
 
 @pytest.mark.parametrize("make_mesh", [

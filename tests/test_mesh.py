@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helflow.mesh as hm
 from helflow.geometry import build_cache
 from helflow.mesh import (DegenerateFaceError, MeshError, MeshFormatError,
                           NonManifoldMeshError, OpenBoundaryError,
@@ -361,3 +362,39 @@ def test_cache_min_angle_matches_face_angles(which, torus):
     mesh = perturbed_sphere(3, 4, 0.05) if which == "perturbed_ico4" else torus
     assert build_cache(mesh).min_angle == pytest.approx(
         mesh.face_angles().min(), abs=1e-15)
+
+
+def _subdivide_midpoint_dict(verts, faces):
+    """Midpoint subdivision by a per-face loop over an edge dict, numbering
+    each midpoint when its edge is first met: the reference the vectorized
+    ``_subdivide_midpoint`` must reproduce exactly."""
+    edge_mid = {}
+    new_verts = [verts]
+    next_idx = len(verts)
+
+    def midpoint(a, b):
+        nonlocal next_idx
+        key = (min(a, b), max(a, b))
+        if key not in edge_mid:
+            edge_mid[key] = next_idx
+            new_verts.append(0.5 * (verts[a] + verts[b])[None, :])
+            next_idx += 1
+        return edge_mid[key]
+
+    new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
+    for i, (a, b, c) in enumerate(faces):
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_faces[4 * i: 4 * i + 4] = [
+            (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)
+        ]
+    return np.concatenate(new_verts, axis=0), new_faces
+
+
+def test_subdivide_midpoint_matches_dict_loop():
+    verts, faces = hm._icosahedron()
+    for _ in range(6):
+        expected = _subdivide_midpoint_dict(verts, faces)
+        verts, faces = hm._subdivide_midpoint(verts, faces)
+        for got, want in zip((verts, faces), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
