@@ -395,6 +395,9 @@ def cmd_ode(args) -> int:
     if not (0 < args.r0 < np.inf and 0 < args.horizon < np.inf):
         logger.error("r0 and horizon must be positive and finite")
         return EXIT_CONFIG
+    if not 0 < args.rtol < 1:
+        logger.error("rtol must lie in (0, 1)")
+        return EXIT_CONFIG
     sol = integrate_sphere_ode(args.r0, params, horizon=args.horizon,
                                rtol=args.rtol)
     bounds = theory_bounds(params,

@@ -97,10 +97,11 @@ def _kappa_scan(vertices: np.ndarray, weights: np.ndarray, radii: np.ndarray):
         d_sq = (np.einsum("ij,ij->i", c, c)[:, None] + v_sq[None, :]
                 - 2.0 * (c @ vertices.T))
         # bin b: strictly inside radius k for all k >= b (strict d < r)
-        bins = np.searchsorted(r_sq, d_sq.ravel(), side="right")
-        rows = np.repeat(np.arange(m), len(vertices))
-        acc = np.bincount(rows * (n_r + 1) + bins,
-                          weights=np.broadcast_to(weights, d_sq.shape).ravel(),
+        bins = np.searchsorted(r_sq, d_sq, side="right")
+        del d_sq
+        # center i's bins are i * (n_r + 1) + b in one histogram
+        bins += np.arange(0, m * (n_r + 1), n_r + 1)[:, None]
+        acc = np.bincount(bins.ravel(), weights=np.tile(weights, m),
                           minlength=m * (n_r + 1)).reshape(m, n_r + 1)
         vals = np.cumsum(acc[:, :n_r], axis=1)
         for k in range(n_r):

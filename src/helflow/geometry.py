@@ -115,14 +115,8 @@ class _FaceData:
         self.cross = np.cross(e2, -e1)  # (v1-v0) x (v2-v0); |.| = 2 * area
         self.cross_norm = np.linalg.norm(self.cross, axis=1)
         # interior-angle dot products; all three corners share |a x b|
-        self.dots = np.stack(
-            [
-                -np.einsum("ij,ij->i", e2, e1),
-                -np.einsum("ij,ij->i", e0, e2),
-                -np.einsum("ij,ij->i", e1, e0),
-            ],
-            axis=1,
-        )
+        self.dots = np.stack([-np.einsum("ij,ij->i", p, q)
+                              for p, q in ((e2, e1), (e0, e2), (e1, e0))], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.cots = self.dots / self.cross_norm[:, None]
         bad = ~np.isfinite(self.cots) | (np.abs(self.cots) > COT_OVERFLOW)
@@ -132,32 +126,19 @@ class _FaceData:
                 f"cotangent weight overflow from degenerate triangle at face {face}"
             )
         self.angles = np.arctan2(self.cross_norm[:, None], self.dots)
-        self.edge_sq = np.stack(
-            [
-                np.einsum("ij,ij->i", e0, e0),
-                np.einsum("ij,ij->i", e1, e1),
-                np.einsum("ij,ij->i", e2, e2),
-            ],
-            axis=1,
-        )
+        self.edge_sq = np.stack([np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2)],
+                                axis=1)
         self.signed_volume = corner_signed_volume(v0, v1, v2)
 
 
-def _laplacian_from(fd: _FaceData, mesh: TriangleMesh) -> sparse.csr_matrix:
-    # corner k's weight sits on the opposite edge; corner-major order
-    pattern = mesh.topology.laplacian_pattern(mesh.n_vertices)
-    return pattern.fill(0.5 * fd.cots.T.ravel())
-
-
-def _mixed_areas_from(fd: _FaceData, faces: np.ndarray, n: int) -> np.ndarray:
+def _corner_areas(fd: _FaceData) -> np.ndarray:
+    """Mixed-Voronoi area share of every corner, corner-major."""
     cots, e_sq = fd.cots, fd.edge_sq
     face_area = 0.5 * fd.cross_norm
     # Voronoi part (valid for non-obtuse faces): corner k gets
     # (|e_{k+1}|^2 cot_{k+1} + |e_{k+2}|^2 cot_{k+2}) / 8.
-    contrib = np.empty_like(cots)
-    for k in range(3):
-        k1, k2 = (k + 1) % 3, (k + 2) % 3
-        contrib[:, k] = (e_sq[:, k1] * cots[:, k1] + e_sq[:, k2] * cots[:, k2]) / 8.0
+    weighted = e_sq * cots
+    contrib = (np.roll(weighted, -1, axis=1) + np.roll(weighted, -2, axis=1)) / 8.0
     # obtuse faces: half the area at the obtuse corner, a quarter elsewhere
     obtuse = cots < 0
     any_obtuse = np.any(obtuse, axis=1)
@@ -166,42 +147,30 @@ def _mixed_areas_from(fd: _FaceData, faces: np.ndarray, n: int) -> np.ndarray:
         contrib[rows] = 0.25 * face_area[rows, None]
         obtuse_corner = np.argmax(obtuse[rows], axis=1)
         contrib[rows, obtuse_corner] = 0.5 * face_area[rows]
-    areas = np.zeros(n)
-    for k in range(3):
-        areas += np.bincount(faces[:, k], weights=contrib[:, k], minlength=n)
-    if np.any(areas <= 0):
-        raise GeometryError("non-positive mixed Voronoi vertex area")
-    return areas
-
-
-def _normals_from(fd: _FaceData, faces: np.ndarray, n: int) -> np.ndarray:
-    normals = np.zeros((n, 3))
-    for k in range(3):
-        idx = faces[:, k]
-        for c in range(3):
-            normals[:, c] += np.bincount(idx, weights=fd.cross[:, c], minlength=n)
-    norms = np.linalg.norm(normals, axis=1)
-    if np.any(norms == 0):
-        raise GeometryError("zero area-weighted normal at a vertex")
-    return normals / norms[:, None]
-
-
-def _defects_from(fd: _FaceData, faces: np.ndarray, n: int) -> np.ndarray:
-    total = np.zeros(n)
-    for k in range(3):
-        total += np.bincount(faces[:, k], weights=fd.angles[:, k], minlength=n)
-    return 2.0 * np.pi - total
+    return contrib.T.ravel()
 
 
 def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> GeometryCache:
     """Assemble all per-vertex curvature data and global energies for a mesh."""
-    n, faces = mesh.n_vertices, mesh.faces
+    n, topo = mesh.n_vertices, mesh.topology
     fd = _FaceData(mesh)
-    L = _laplacian_from(fd, mesh)
-    a = _mixed_areas_from(fd, faces, n)
-    nu = _normals_from(fd, faces, n)
+
+    def to_vertices(per_corner):
+        return np.bincount(topo.corner_vertex, weights=per_corner, minlength=n)
+
+    # corner k's cotangent weight sits on the opposite edge
+    L = topo.laplacian_pattern(n).fill(0.5 * fd.cots.T.ravel())
+    a = to_vertices(_corner_areas(fd))
+    if np.any(a <= 0):
+        raise GeometryError("non-positive mixed Voronoi vertex area")
+    # every corner of a face carries the face's area vector
+    nu = np.column_stack([to_vertices(np.tile(c, 3)) for c in fd.cross.T])
+    norms = np.linalg.norm(nu, axis=1)
+    if np.any(norms == 0):
+        raise GeometryError("zero area-weighted normal at a vertex")
+    nu /= norms[:, None]
     H = np.einsum("ij,ij->i", L @ mesh.vertices, nu) / a
-    K = _defects_from(fd, faces, n) / a
+    K = (2.0 * np.pi - to_vertices(fd.angles.T.ravel())) / a
     raw = 0.5 * H * H - 2.0 * K
     A0sq = np.maximum(raw, 0.0)
     clamp_mass = float(np.sum(np.minimum(raw, 0.0) * -a))

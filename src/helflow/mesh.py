@@ -71,32 +71,36 @@ def _as_face_array(faces) -> np.ndarray:
     return f
 
 
-def _directed_edges(faces: np.ndarray) -> np.ndarray:
-    """The three directed edges of every face: (0, 1), (1, 2), (2, 0) blocks."""
-    return np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-
-
 class Topology:
-    """Connectivity of one faces array: unique edges, edge-face pairs and
-    face components.
+    """Connectivity of one faces array, the source of every index map that
+    the geometry, the Laplacian and the projector read.
 
-    A mesh builds its topology on first use; meshes that only move vertices
-    hold the same instance, so a flow computes connectivity once per remesh,
-    not once per step.  Face components are computed on first use.  Indices
-    are stored as int32 to keep the shared arrays small.
+    Corner maps are corner-major: corner ``k * m + f`` is corner ``k`` of
+    face ``f``.  ``corner_vertex`` is the vertex at each corner and
+    ``corner_edge`` the edge opposite it.  One sort of the edge incidences
+    gives ``corner_edge``, the edges, the edge-face pairs and the edge
+    multiplicities.  Built on first use: the face components, the padded
+    vertex -> face table and the Laplacian's CSR layout
+    (:class:`LaplacianPattern`).  Meshes that only move vertices share one
+    instance, so a flow computes connectivity once per remesh, not once per
+    step.  Indices are int32; the face table is intp, like face indices.
     """
 
     def __init__(self, faces: np.ndarray):
         self.faces = faces
-        # One lexicographic sort of the undirected edge incidences gives the
-        # unique edges (first of each run), the face pairs (neighbours within
-        # a run) and each edge's multiplicity (run length).
-        directed = _directed_edges(faces).astype(np.int32)
-        forward = directed[:, 0] < directed[:, 1]
-        e = np.sort(directed, axis=1)
-        fidx = np.tile(np.arange(len(faces), dtype=np.int32), 3)
+        m = len(faces)
+        #: Vertex of every corner, corner-major.
+        self.corner_vertex = faces.T.astype(np.int32).ravel()
+        # incidence j * m + f is the directed edge from corner j of face f
+        # to corner j + 1, opposite corner j + 2.  One lexicographic sort of
+        # the undirected incidences gives the unique edges (first of each
+        # run), the face pairs (neighbours within a run), each edge's
+        # multiplicity (run length) and each incidence's edge (run number).
+        src, dst = self.corner_vertex, np.roll(self.corner_vertex, -m)
+        e = np.column_stack([np.minimum(src, dst), np.maximum(src, dst)])
+        fidx = np.tile(np.arange(m, dtype=np.int32), 3)
         order = np.lexsort((e[:, 1], e[:, 0]))
-        e, fidx, forward = e[order], fidx[order], forward[order]
+        e, fidx, forward = e[order], fidx[order], (src < dst)[order]
         same = np.all(e[1:] == e[:-1], axis=1)
         first = np.ones(len(e), dtype=bool)
         first[1:] = ~same
@@ -111,6 +115,10 @@ class Topology:
         self.n_boundary_edges = int(np.count_nonzero(multiplicity < 2))
         #: Per edge-face pair: both faces traverse the edge in one direction.
         self.same_direction = forward[:-1][same] == forward[1:][same]
+        edge_of = np.empty(len(e), dtype=np.int32)
+        edge_of[order] = np.cumsum(first, dtype=np.int32) - 1
+        #: Edge opposite every corner (an index into ``edges``), corner-major.
+        self.corner_edge = np.roll(edge_of, -m)
         self._laplacian_pattern = None
 
     @property
@@ -120,11 +128,22 @@ class Topology:
 
     def laplacian_pattern(self, n_vertices: int) -> "LaplacianPattern":
         """CSR layout of the cotangent Laplacian, built on first use."""
-        pattern = self._laplacian_pattern
-        if pattern is None or pattern.n != n_vertices:
-            pattern = self._laplacian_pattern = LaplacianPattern(self.faces,
-                                                                 n_vertices)
-        return pattern
+        if getattr(self._laplacian_pattern, "n", None) != n_vertices:
+            self._laplacian_pattern = LaplacianPattern(self, n_vertices)
+        return self._laplacian_pattern
+
+    @cached_property
+    def vertex_faces(self) -> np.ndarray:
+        """Faces around each vertex as one padded table: row ``i`` lists the
+        faces that use vertex ``i`` in ascending order, then ``n_faces``."""
+        verts = self.faces.ravel()
+        order = np.argsort(verts, kind="stable")
+        counts = np.bincount(verts)
+        slot = np.arange(len(verts)) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+        table = np.full((len(counts), counts.max()), len(self.faces))
+        table[verts[order], slot] = order // 3
+        return table
 
     @cached_property
     def face_components(self) -> np.ndarray:
@@ -132,53 +151,51 @@ class Topology:
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import connected_components
 
-        pairs = self.edge_face_pairs
-        m = len(self.faces)
-        adj = coo_matrix(
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
-        )
+        pairs, m = self.edge_face_pairs, len(self.faces)
+        adj = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(m, m))
         _, labels = connected_components(adj, directed=False)
         return labels
 
 
 class LaplacianPattern:
-    """CSR layout of the cotangent Laplacian of one faces array.
+    """CSR layout of the cotangent Laplacian of one :class:`Topology`.
 
-    The Laplacian is assembled from one weight per face corner, in
-    corner-major order: ``w[k * m + f]`` belongs to corner ``k`` of face ``f``
-    and adds ``+w`` to both off-diagonal entries of the opposite edge
-    ``(faces[f, k+1], faces[f, k+2])`` and ``-w`` to both of its diagonal
-    entries.  ``slot`` names the CSR entry of each of these terms, so
-    :meth:`fill` is one ``bincount``.  Columns are sorted within each row,
-    and index arrays are int32.
+    The entries are both directions of every edge plus the diagonal.  Row
+    ``i`` holds its lower neighbours, ``i`` itself and its upper neighbours,
+    so columns are sorted; index arrays are int32.  ``term`` names, per CSR
+    entry, its source in ``[lower edges, diagonal, upper edges]``, so
+    :meth:`fill` is two ``bincount`` passes and one gather.
     """
 
-    def __init__(self, faces: np.ndarray, n_vertices: int):
+    def __init__(self, topology: Topology, n_vertices: int):
+        from scipy.sparse import coo_matrix
+
         n = self.n = n_vertices
-        f = faces.astype(np.int32)
-        i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
-        j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
-        # the terms (i, j), (j, i), (i, i), (j, j) in the order fill() weights
-        rows = np.concatenate([i, j, i, j])
-        cols = np.concatenate([j, i, i, j])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        start = np.ones(len(order), dtype=bool)
-        start[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        self.slot = np.empty(len(order), dtype=np.int32)
-        self.slot[order] = np.cumsum(start, dtype=np.int32) - 1
-        self.indices = cols[start]
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows[start], minlength=n), out=self.indptr[1:])
-        for a in (self.slot, self.indices, self.indptr):
+        self.edges, self.corner_edge = topology.edges, topology.corner_edge
+        lo, hi, diag = *self.edges.T, np.arange(n, dtype=np.int32)
+        # coo->csr keeps the input order within a row, and the edges are
+        # sorted by (lo, hi): lower terms, then the diagonal, then upper
+        # terms leave every row's columns ascending
+        rows = np.concatenate([hi, diag, lo])
+        cols = np.concatenate([lo, diag, hi])
+        csr = coo_matrix((np.arange(1, len(rows) + 1), (rows, cols)),
+                         shape=(n, n)).tocsr()
+        self.term = (csr.data - 1).astype(np.int32)
+        self.indices, self.indptr = csr.indices, csr.indptr
+        for a in (self.term, self.indices, self.indptr):
             a.setflags(write=False)
 
     def fill(self, w: np.ndarray):
-        """The Laplacian for corner weights ``w`` as a ``csr_matrix``."""
+        """The Laplacian for corner weights ``w`` (corner-major) as a
+        ``csr_matrix``: each edge weighs the sum of its corners' weights,
+        and each diagonal entry is minus the sum of its row's edge weights."""
         from scipy.sparse import csr_matrix
 
-        data = np.bincount(self.slot, weights=np.concatenate([w, w, -w, -w]),
-                           minlength=len(self.indices))
+        edge_w = np.bincount(self.corner_edge, weights=w,
+                             minlength=len(self.edges))
+        diag = np.bincount(self.edges.ravel(), weights=np.repeat(edge_w, 2),
+                           minlength=self.n)
+        data = np.concatenate([edge_w, -diag, edge_w])[self.term]
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
@@ -311,6 +328,9 @@ class TriangleMesh:
         if self.faces.min() < 0 or self.faces.max() >= self.n_vertices:
             raise MeshError("face indices out of range")
         f = self.faces
+        unused = self.n_vertices - np.count_nonzero(np.bincount(f.ravel()))
+        if unused:
+            raise MeshError(f"{unused} vertex(es) used by no face")
         if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])):
             raise DegenerateFaceError("face with repeated vertex index")
 

@@ -106,25 +106,18 @@ class MeshProjector:
     """Closest-point queries against a fixed reference mesh.
 
     A query's candidate faces are the faces around its ``K_NEAREST`` nearest
-    reference vertices.  The vertex -> face incidence is held as one padded
-    table (one row per vertex, faces in face order, padded with ``n_faces``),
-    so gathering the candidates of every query is one fancy index, one sort
-    per row and one mask, and the closest candidate is read from the same
-    padded rows: no Python loop over the queries.
+    reference vertices.  The vertex -> face incidence is the mesh topology's
+    padded table (one row per vertex, faces in face order, padded with
+    ``n_faces``), so gathering the candidates of every query is one fancy
+    index, one sort per row and one mask, and the closest candidate is read
+    from the same padded rows: no Python loop over the queries.
     """
 
     def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
         self.k_nearest = min(K_NEAREST, mesh.n_vertices)
         self._tree = cKDTree(mesh.vertices)
-        verts = mesh.faces.ravel()
-        order = np.argsort(verts, kind="stable")
-        counts = np.bincount(verts, minlength=mesh.n_vertices)
-        slot = np.arange(len(verts)) - np.repeat(np.cumsum(counts) - counts,
-                                                 counts)
-        self._vertex_faces = np.full((mesh.n_vertices, counts.max()),
-                                     mesh.n_faces, dtype=np.intp)
-        self._vertex_faces[verts[order], slot] = order // 3
+        self._vertex_faces = mesh.topology.vertex_faces
 
     def _candidate_faces(self, nearest_vertices: np.ndarray):
         """Candidate faces of each query, one row per query.

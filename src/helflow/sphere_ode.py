@@ -165,6 +165,8 @@ def integrate_sphere_ode(r0: float, params: FlowParams, horizon: float,
         raise ValueError("initial radius must be positive")
     if horizon <= 0 or not np.isfinite(horizon):
         raise ValueError("horizon must be positive and finite")
+    if not 0 < rtol < 1:
+        raise ValueError("rtol must lie in (0, 1)")
 
     r_star = equilibrium_radius(params)
     eq_band = max(rtol, 1e-12)

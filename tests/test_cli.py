@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -157,6 +158,8 @@ def test_flow_command_bad_config(tmp_path):
     "rescale {mesh} --r 2 --x nan 0 0 --c0 1",
     "ode --c0 -1 --r0 nan --horizon 1 --out {out}",
     "ode --c0 -1 --r0 1 --horizon inf --out {out}",
+    *(f"ode --c0 -1 --r0 1 --horizon 1 --rtol {value} --out {{out}}"
+      for value in ("nan", "0", "-1", "1", "10")),
     "flow --config {cfg} --out {out} --override policy.checkpoint_every=-1",
     "flow --config {cfg} --out {out} --override policy.remesh_edge_drift=1",
     *(f"flow --config {{cfg}} --out {{out}} --override policy.{name}=nan"
@@ -173,6 +176,42 @@ def test_invalid_values_exit_with_config_error(tmp_path, capfd, command):
     save_mesh(make_icosphere(1, 1.0), mesh_path)
     argv = command.format(cfg=write_cfg(tmp_path), out=str(tmp_path / "out"),
                           mesh=mesh_path).split()
+    assert _main_within(30, ["--quiet", *argv]) == EXIT_CONFIG
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def _main_within(seconds, argv):
+    """``main(argv)``, failing with TimeoutError after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{' '.join(argv)} ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command", [
+    "energy {mesh} --c0 1",
+    "rescale {mesh} --r 2 --c0 1",
+    "flow --config {cfg} --out {out}",
+])
+def test_unused_vertices_exit_with_config_error(tmp_path, capfd, command):
+    # chi stays even with two extra vertices, so only the vertex check sees it
+    base = make_icosphere(1)
+    mesh_path = tmp_path / "unused.off"
+    vertices = np.vstack([base.vertices, [[3.0, 3.0, 3.0], [4.0, 4.0, 4.0]]])
+    mesh_path.write_text(
+        f"OFF\n{len(vertices)} {base.n_faces} 0\n"
+        + "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in vertices)
+        + "".join(f"3 {a} {b} {c}\n" for a, b, c in base.faces))
+    cfg = write_cfg(tmp_path, f"mesh.path = {mesh_path}\nparams.c0 = -1.0\n"
+                    "policy.max_steps = 3\n")
+    argv = command.format(mesh=str(mesh_path), cfg=cfg,
+                          out=str(tmp_path / "out")).split()
     assert main(["--quiet", *argv]) == EXIT_CONFIG
     assert "Traceback" not in capfd.readouterr().err
 

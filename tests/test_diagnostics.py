@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helflow.diagnostics import (BlowUpFrame, DiagnosticsError, FrameSink,
+from helflow.diagnostics import (KAPPA_SCAN_CHUNK, BlowUpFrame,
+                                 DiagnosticsError, FrameSink, _kappa_scan,
                                  classify_singularity, default_radii_grid,
                                  extract_blowup_frame, hypothesis_monitors,
                                  kappa, kappa_profile, select_blowup_radius,
@@ -9,6 +10,7 @@ from helflow.diagnostics import (BlowUpFrame, DiagnosticsError, FrameSink,
 from helflow.flow import SteppingPolicy, init_state
 from helflow.geometry import FlowParams, build_cache
 from helflow.mesh import TriangleMesh, make_icosphere, orient_for_positive_volume
+from helflow.validate import perturbed_sphere
 
 FOUR_PI = 4 * np.pi
 EIGHT_PI = 8 * np.pi
@@ -75,6 +77,46 @@ def test_kappa_no_double_counting(ico3):
     k_both, _ = kappa(both, build_cache(both), 1.0)
     k_one, _ = kappa(ico3, build_cache(ico3), 1.0)
     assert k_both == pytest.approx(k_one, rel=1e-12)
+
+
+def _kappa_scan_reference(vertices, weights, radii):
+    """The scan with a row array and a flat key array per chunk."""
+    r_sq = np.asarray(radii, dtype=np.float64) ** 2
+    n_r = len(r_sq)
+    best = np.full(n_r, -np.inf)
+    best_center = np.zeros(n_r, dtype=np.int64)
+    v_sq = np.einsum("ij,ij->i", vertices, vertices)
+    for start in range(0, len(vertices), KAPPA_SCAN_CHUNK):
+        c = vertices[start: start + KAPPA_SCAN_CHUNK]
+        m = len(c)
+        d_sq = (np.einsum("ij,ij->i", c, c)[:, None] + v_sq[None, :]
+                - 2.0 * (c @ vertices.T))
+        bins = np.searchsorted(r_sq, d_sq.ravel(), side="right")
+        rows = np.repeat(np.arange(m), len(vertices))
+        acc = np.bincount(rows * (n_r + 1) + bins,
+                          weights=np.broadcast_to(weights, d_sq.shape).ravel(),
+                          minlength=m * (n_r + 1)).reshape(m, n_r + 1)
+        vals = np.cumsum(acc[:, :n_r], axis=1)
+        for k in range(n_r):
+            i = int(np.argmax(vals[:, k]))
+            if vals[i, k] > best[k]:
+                best[k] = vals[i, k]
+                best_center[k] = start + i
+    return best, best_center
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("radii", [[0.3], [0.05, 0.2, 0.7, 1.5, 2.5],
+                                   np.geomspace(1e-3, 3.0, 40)],
+                         ids=["one", "five", "geom40"])
+def test_kappa_scan_matches_reference(level, radii):
+    mesh = perturbed_sphere(5, level, 0.05)
+    cache = build_cache(mesh)
+    weights = cache.Asq * cache.vertex_areas
+    got = _kappa_scan(mesh.vertices, weights, np.asarray(radii))
+    expected = _kappa_scan_reference(mesh.vertices, weights, np.asarray(radii))
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
 
 def test_select_blowup_radius(sphere5):

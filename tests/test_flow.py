@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import helflow.flow as fl
-import helflow.geometry as geo
 import helflow.mesh as hm
 from helflow.flow import (TERMINATION_REASONS, CheckpointError, FlowError,
                           SteppingPolicy, checkpoint, init_state, restore,
@@ -302,9 +301,9 @@ def _count_topology_builds(monkeypatch):
             super().__init__(faces)
 
     class CountingPattern(hm.LaplacianPattern):
-        def __init__(self, faces, n_vertices):
-            patterns.append(len(faces))
-            super().__init__(faces, n_vertices)
+        def __init__(self, topology, n_vertices):
+            patterns.append(len(topology.faces))
+            super().__init__(topology, n_vertices)
 
     monkeypatch.setattr(hm, "Topology", CountingTopology)
     monkeypatch.setattr(hm, "LaplacianPattern", CountingPattern)
@@ -364,6 +363,26 @@ def test_remeshes_are_listed_with_their_energy_change():
         assert r["vertices_before"] > 0 and r["vertices_after"] > 0
 
 
+def test_record_every_emits_every_third_step_and_the_final_state():
+    params = FlowParams(-1.0)
+    every, _ = run_flow(make_icosphere(2), params, SteppingPolicy(max_steps=10))
+    third, _ = run_flow(make_icosphere(2), params,
+                        SteppingPolicy(max_steps=10, record_every=3))
+    assert len(every) == 11     # the initial state and 10 accepted steps
+    assert [r.t for r in third] == [every[i].t for i in (0, 3, 6, 9, 10)]
+
+
+def test_remesh_disabled_never_remeshes():
+    # with remeshing on, this angle floor remeshes after every step
+    # (test_remeshes_are_listed_with_their_energy_change)
+    policy = SteppingPolicy(max_steps=3, remesh_min_angle=np.deg2rad(60.0),
+                            remesh_enabled=False)
+    _, report = run_flow(make_icosphere(2, 1.0), FlowParams(-1.0, 0.0), policy)
+    assert report.steps == 3
+    assert report.evidence["remesh_count"] == 0
+    assert report.evidence["remeshes"] == []
+
+
 def test_flow_builds_topology_once_without_remesh(monkeypatch):
     base = make_icosphere(2, 1.0)
     built, patterns = _count_topology_builds(monkeypatch)
@@ -394,26 +413,35 @@ def _remeshed_sphere():
     return out
 
 
-@pytest.mark.parametrize("make_mesh", [
-    lambda: perturbed_sphere(1, 3, 0.05),
-    lambda: perturbed_sphere(4, 2, 0.2),
-    lambda: make_torus(1.0, 0.4, 48, 24),
-    _remeshed_sphere,
-], ids=["perturbed-ico3", "perturbed-ico2", "torus", "remeshed"])
-def test_laplacian_is_plain_coo_to_csr_assembly(make_mesh):
-    # The pattern is coo->csr's; the values may differ from it only in the
-    # summation order of duplicate entries, since step acceptance allows the
-    # energy's rounding bound.
-    mesh = make_mesh()
+def _coo_laplacian(mesh):
+    """The cotangent Laplacian assembled by scipy's coo->csr."""
     f, n = mesh.faces, mesh.n_vertices
     cots = _FaceData(mesh).cots
     i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
     j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
     w = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])
-    expected = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (np.concatenate([w, w, -w, -w]),
          (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
         shape=(n, n)).tocsr()
+
+
+LAPLACIAN_MESHES = pytest.mark.parametrize("make_mesh", [
+    lambda: perturbed_sphere(1, 3, 0.05),
+    lambda: perturbed_sphere(4, 2, 0.2),
+    lambda: make_torus(1.0, 0.4, 48, 24),
+    _remeshed_sphere,
+], ids=["perturbed-ico3", "perturbed-ico2", "torus", "remeshed"])
+
+
+@LAPLACIAN_MESHES
+def test_laplacian_is_plain_coo_to_csr_assembly(make_mesh):
+    # The pattern is coo->csr's; the values may differ from it only in the
+    # summation order of duplicate entries, since step acceptance allows the
+    # energy's rounding bound.
+    mesh = make_mesh()
+    n = mesh.n_vertices
+    expected = _coo_laplacian(mesh)
     L = build_cache(mesh).laplacian
     for attr in ("indices", "indptr"):
         assert np.array_equal(getattr(L, attr), getattr(expected, attr))
@@ -422,19 +450,32 @@ def test_laplacian_is_plain_coo_to_csr_assembly(make_mesh):
     assert np.all(np.abs(L.data - expected.data) <= 1e-15 * row_abs[rows])
 
 
+@LAPLACIAN_MESHES
+def test_laplacian_off_diagonal_is_bit_identical_to_coo_to_csr(make_mesh):
+    # an off-diagonal entry sums the weights of an edge's two corners, and a
+    # sum of two terms does not depend on their order
+    mesh = make_mesh()
+    expected = _coo_laplacian(mesh)
+    L = build_cache(mesh).laplacian
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(expected.indptr))
+    off = expected.indices != rows
+    assert np.array_equal(L.indices, expected.indices)
+    assert L.data[off].tobytes() == expected.data[off].tobytes()
+
+
 def _nudged_laplacians(monkeypatch, seed):
     """Every Laplacian built from here on has a random half of its values
     raised by one ulp, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    assemble = geo._laplacian_from
+    fill = hm.LaplacianPattern.fill
 
-    def nudged(fd, mesh):
-        L = assemble(fd, mesh)
+    def nudged(pattern, w):
+        L = fill(pattern, w)
         up = rng.random(L.nnz) < 0.5
         L.data[up] = np.nextafter(L.data[up], np.inf)
         return L
 
-    monkeypatch.setattr(geo, "_laplacian_from", nudged)
+    monkeypatch.setattr(hm.LaplacianPattern, "fill", nudged)
 
 
 def _stationary_ico1_run(shift=0.0):
