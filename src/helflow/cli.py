@@ -32,8 +32,8 @@ from .geometry import (FlowParams, GeometryError, build_cache,
                        penalized_energy, willmore_bound_residual)
 from .mesh import MeshError, TriangleMesh, load_mesh, make_icosphere, save_mesh
 from .remesh import RemeshError
-from .sphere_ode import (extinction_time_closed_form, integrate_sphere_ode,
-                         theory_bounds)
+from .sphere_ode import (MIN_RTOL, extinction_time_closed_form,
+                         integrate_sphere_ode, theory_bounds)
 from .validate import SUITES, run_suite
 
 logger = logging.getLogger(__name__)
@@ -395,8 +395,8 @@ def cmd_ode(args) -> int:
     if not (0 < args.r0 < np.inf and 0 < args.horizon < np.inf):
         logger.error("r0 and horizon must be positive and finite")
         return EXIT_CONFIG
-    if not 0 < args.rtol < 1:
-        logger.error("rtol must lie in (0, 1)")
+    if not MIN_RTOL <= args.rtol < 1:
+        logger.error("rtol must lie in [%.3g, 1)", MIN_RTOL)
         return EXIT_CONFIG
     sol = integrate_sphere_ode(args.r0, params, horizon=args.horizon,
                                rtol=args.rtol)

@@ -14,10 +14,11 @@ unchanged).  Two stepping modes:
 
   with M the diagonal mixed-area mass matrix and L the cotangent operator;
   all curvature (lower-order) terms stay explicit.  The system is solved by
-  Jacobi-preconditioned CG with the operator applied matrix-free (two
-  products with L per iteration); there is no direct fallback, and a solve
-  that does not converge rejects the step.  dt is additionally capped
-  by ``curvature_dt_coeff / (sup |A|^2)^2``, which tracks the physical r^4
+  Jacobi-preconditioned CG on coordinate-major vectors, with the operator
+  applied matrix-free (two products with ``diag(L, L, L)`` per iteration);
+  there is no direct fallback, and a solve that does not converge rejects
+  the step.  dt is additionally capped by
+  ``curvature_dt_coeff / (sup |A|^2)^2``, which tracks the physical r^4
   stiffness scale, so shrinking surfaces remain time-accurate.
 
 Time has units length^4 (fourth-order scaling).
@@ -33,7 +34,8 @@ from scipy import sparse
 
 from .geometry import (FlowParams, GeometryCache, GeometryError, build_cache,
                        flow_velocity, mean_curvature_integral)
-from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh, signed_volume
+from .mesh import (LaplacianPattern, MeshError, TriangleMesh, load_mesh,
+                   save_mesh, signed_volume)
 
 logger = logging.getLogger(__name__)
 
@@ -187,82 +189,91 @@ class TerminationReport:
 class ImplicitSolver:
     """Solves the stabilized implicit system in update form.
 
-    Jacobi-preconditioned conjugate gradients on the three coordinate columns
-    of ``(M + dt L M^-1 L) delta = dt M xi nu``.  The operator is applied
-    matrix-free, as ``M p + dt L (M^-1 (L p))``; no bi-Laplacian is assembled.
-    A solve that reaches ``CG_MAXITER`` or gives non-finite positions raises
-    :class:`SolverError`, which :func:`step` turns into a rejection.  The
-    solve is a pure function of the current state (no cross-step memory), so
-    replayed or restored trajectories reproduce the original bit for bit, and
-    twin runs related by parabolic rescaling stay in lockstep.
+    Jacobi-preconditioned conjugate gradients on the three coordinates of
+    ``(M + dt L M^-1 L) delta = dt M xi nu`` in lockstep, each with its own
+    stopping test.  Vectors are coordinate-major ``(3, n)`` arrays, so every
+    per-coordinate dot product and scaling runs over rows of length n.  The
+    operator is applied matrix-free (:func:`implicit_operator`); no
+    bi-Laplacian is assembled.  A solve that reaches ``CG_MAXITER`` or gives
+    non-finite positions raises :class:`SolverError`, which :func:`step`
+    turns into a rejection.  The solve is a pure function of the current
+    state (no cross-step memory), so replayed or restored trajectories
+    reproduce the original bit for bit, and twin runs related by parabolic
+    rescaling stay in lockstep.
     """
 
     def solve(self, vertices: np.ndarray, areas: np.ndarray,
-              laplacian: sparse.csr_matrix, dt: float,
-              velocity: np.ndarray) -> np.ndarray:
+              laplacian: sparse.csr_matrix, dt: float, velocity: np.ndarray,
+              pattern: LaplacianPattern) -> np.ndarray:
+        """New ``(n, 3)`` positions; ``laplacian`` is filled on ``pattern``."""
         # In update form the add-subtract terms cancel exactly:
         # (M + dt L M^-1 L) (v+ - v) = dt M xi nu.
-        rhs = dt * (areas[:, None] * velocity)
+        rhs = dt * (areas * np.ascontiguousarray(velocity.T))
         # CG's stopping test squares the right-hand side; past the float
         # range it would stop at once and return a zero update.
         if not np.isfinite(np.einsum("ij,ij->", rhs, rhs)):
             raise SolverError("right-hand side out of floating-point range")
-        delta = self._pcg_block(*implicit_operator(areas, laplacian, dt), rhs)
+        delta = self._pcg_block(
+            *implicit_operator(areas, laplacian, dt, pattern), rhs)
         if delta is None:
             raise SolverError(f"CG did not converge in {CG_MAXITER} iterations")
-        out = vertices + delta
+        out = vertices + delta.T
         if not np.all(np.isfinite(out)):
             raise SolverError("linear solve produced non-finite positions")
         return out
 
     def _pcg_block(self, apply, diagonal, rhs):
-        """Jacobi-preconditioned CG on the three coordinate columns in lockstep."""
+        """Jacobi-preconditioned CG on the three rows of ``rhs`` in lockstep."""
         inv_diag = 1.0 / diagonal
         x = np.zeros_like(rhs)
         r = rhs.copy()
-        tol_sq = (CG_RTOL ** 2) * np.einsum("ij,ij->j", rhs, rhs)
-        z = inv_diag[:, None] * r
+        tol_sq = (CG_RTOL ** 2) * np.einsum("ij,ij->i", rhs, rhs)
+        z = inv_diag * r
         p = z.copy()
-        rz = np.einsum("ij,ij->j", r, z)
+        rz = np.einsum("ij,ij->i", r, z)
         for _ in range(CG_MAXITER):
-            r_sq = np.einsum("ij,ij->j", r, r)
+            r_sq = np.einsum("ij,ij->i", r, r)
             active = r_sq > tol_sq
             if not np.any(active):
                 return x
             Ap = apply(p)
-            pAp = np.einsum("ij,ij->j", p, Ap)
+            pAp = np.einsum("ij,ij->i", p, Ap)
             alpha = np.where(active & (pAp > 0), rz / np.where(pAp > 0, pAp, 1.0), 0.0)
-            x += alpha * p
-            r -= alpha * Ap
-            z = inv_diag[:, None] * r
-            rz_new = np.einsum("ij,ij->j", r, z)
+            x += alpha[:, None] * p
+            r -= alpha[:, None] * Ap
+            np.multiply(inv_diag, r, out=z)
+            rz_new = np.einsum("ij,ij->i", r, z)
             beta = np.where(active, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-            p = z + beta * p
+            p *= beta[:, None]
+            p += z
             rz = rz_new
         return None
 
 
 def implicit_operator(areas: np.ndarray, laplacian: sparse.csr_matrix,
-                      dt: float):
-    """``A = M + dt L M^-1 L`` as the product ``p -> A p`` and its diagonal.
+                      dt: float, pattern: LaplacianPattern):
+    """``A = M + dt L M^-1 L`` as the product ``P -> A P`` on C-ordered
+    ``(3, n)`` arrays, and its diagonal (length n, shared by the rows).
 
+    Each application of ``L`` is one product of the block-diagonal
+    ``diag(L, L, L)`` (``pattern.block``) with ``P.ravel()``.
     ``diag(A)_i = a_i + dt sum_k L_ik^2 / a_k``, read from the stored values
     of the symmetric ``L``.
     """
-    mass = areas[:, None]
-    dt_inv_mass = (dt / areas)[:, None]
+    block, shape = pattern.block(laplacian), (3, len(areas))
+    dt_inv_mass = dt / areas
 
     def apply(p):
-        q = laplacian @ p
+        q = (block @ p.ravel()).reshape(shape)
         q *= dt_inv_mass
-        out = laplacian @ q
-        out += mass * p
+        out = (block @ q.ravel()).reshape(shape)
+        out += areas * p
         return out
 
     squared = sparse.csr_matrix(
         (laplacian.data * laplacian.data, laplacian.indices, laplacian.indptr),
         shape=laplacian.shape)
-    return apply, areas + squared @ (dt / areas)
+    return apply, areas + squared @ dt_inv_mass
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +332,8 @@ def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
                 v_new = v_old + dt * velocity
             else:
                 v_new = (solver or ImplicitSolver()).solve(
-                    v_old, cache.vertex_areas, cache.laplacian, dt, velocity)
+                    v_old, cache.vertex_areas, cache.laplacian, dt, velocity,
+                    state.mesh.topology.laplacian_pattern(len(v_old)))
             new_mesh = state.mesh.with_vertices(v_new)
             new_cache = build_cache(new_mesh, params)
     except (SolverError, GeometryError, MeshError) as exc:

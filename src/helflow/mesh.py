@@ -164,7 +164,10 @@ class LaplacianPattern:
     ``i`` holds its lower neighbours, ``i`` itself and its upper neighbours,
     so columns are sorted; index arrays are int32.  ``term`` names, per CSR
     entry, its source in ``[lower edges, diagonal, upper edges]``, so
-    :meth:`fill` is two ``bincount`` passes and one gather.
+    :meth:`fill` is two ``bincount`` passes and one gather.  The layout of
+    the block-diagonal ``diag(L, L, L)`` (:meth:`block`), which acts on the
+    three coordinate rows of a ``(3, n)`` array at once, is built on first
+    use, once per topology.
     """
 
     def __init__(self, topology: Topology, n_vertices: int):
@@ -197,6 +200,28 @@ class LaplacianPattern:
                            minlength=self.n)
         data = np.concatenate([edge_w, -diag, edge_w])[self.term]
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    @cached_property
+    def block_layout(self):
+        """``(indices, indptr)`` of ``diag(L, L, L)``: block ``k`` repeats
+        the layout of ``L`` shifted by ``k * n`` columns and ``k * nnz``
+        entries."""
+        nnz, k = self.indptr[-1], np.arange(3, dtype=np.int32)[:, None]
+        indices = (self.indices + k * self.n).ravel()
+        indptr = np.append((self.indptr[:-1] + k * nnz).ravel(), 3 * nnz)
+        for a in (indices, indptr):
+            a.setflags(write=False)
+        return indices, indptr
+
+    def block(self, laplacian):
+        """``diag(L, L, L)`` (3n x 3n CSR) for a Laplacian filled on this
+        pattern, so that ``block @ P.ravel()`` applies ``L`` to every row of
+        a C-ordered ``(3, n)`` array ``P``."""
+        from scipy.sparse import csr_matrix
+
+        n3 = 3 * self.n
+        return csr_matrix((np.tile(laplacian.data, 3), *self.block_layout),
+                          shape=(n3, n3))
 
 
 class TriangleMesh:

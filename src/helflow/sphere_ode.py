@@ -6,13 +6,14 @@ A family of round spheres of radius ``r(t)`` evolves under the flow iff
 
 This module is the oracle the mesh solver is validated against, so its
 accuracy target (default rtol 1e-10) is far tighter than the mesh solver's.
+``scipy.integrate`` and ``scipy.optimize`` are imported at first use: the
+closed forms and :func:`theory_bounds` need neither, and importing them
+would add about a third of a second to every ``import helflow``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .geometry import FlowParams
 
@@ -25,6 +26,10 @@ __all__ = [
 # Below this fraction of r0 the ODE integration hands over to the closed-form
 # antiderivative (the rhs stiffens like -C/r^2 near extinction).
 EXTINCTION_SWITCH_FRACTION = 1e-3
+
+# The smallest rtol that ``solve_ivp`` honours; below it scipy warns and runs
+# at this value instead.
+MIN_RTOL = 100 * np.finfo(float).eps
 
 FOUR_PI = 4.0 * np.pi
 
@@ -95,6 +100,8 @@ def extinction_time_closed_form(r0: float, params: FlowParams) -> float | None:
 def _radius_at_time_to_extinction(remaining: float, r_hint: float,
                                   params: FlowParams) -> float:
     """Invert the closed-form time-to-extinction for the tail interpolant."""
+    from scipy.optimize import brentq
+
     if remaining <= 0:
         return 0.0
     f0 = _extinction_antiderivative(0.0, params)
@@ -160,13 +167,14 @@ def integrate_sphere_ode(r0: float, params: FlowParams, horizon: float,
     ``1e-3 * r0``) and arrival within ``rtol``-relative distance of the
     equilibrium radius.  The classification reproduces the dichotomy:
     c0 < 0 shrinks to extinction in finite time, c0 > 0 settles at r*.
+    ``rtol`` must lie in ``[MIN_RTOL, 1)``.
     """
     if r0 <= 0:
         raise ValueError("initial radius must be positive")
     if horizon <= 0 or not np.isfinite(horizon):
         raise ValueError("horizon must be positive and finite")
-    if not 0 < rtol < 1:
-        raise ValueError("rtol must lie in (0, 1)")
+    if not MIN_RTOL <= rtol < 1:
+        raise ValueError(f"rtol must lie in [{MIN_RTOL:.3g}, 1)")
 
     r_star = equilibrium_radius(params)
     eq_band = max(rtol, 1e-12)
@@ -206,6 +214,8 @@ def integrate_sphere_ode(r0: float, params: FlowParams, horizon: float,
 
     def rhs(t, y):
         return [sphere_ode_rhs(max(y[0], r_floor), params)]
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs,

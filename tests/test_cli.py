@@ -159,7 +159,7 @@ def test_flow_command_bad_config(tmp_path):
     "ode --c0 -1 --r0 nan --horizon 1 --out {out}",
     "ode --c0 -1 --r0 1 --horizon inf --out {out}",
     *(f"ode --c0 -1 --r0 1 --horizon 1 --rtol {value} --out {{out}}"
-      for value in ("nan", "0", "-1", "1", "10")),
+      for value in ("nan", "0", "-1", "1", "10", "1e-20", "1e-15")),
     "flow --config {cfg} --out {out} --override policy.checkpoint_every=-1",
     "flow --config {cfg} --out {out} --override policy.remesh_edge_drift=1",
     *(f"flow --config {{cfg}} --out {{out}} --override policy.{name}=nan"

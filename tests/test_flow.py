@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ import helflow.mesh as hm
 from helflow.flow import (TERMINATION_REASONS, CheckpointError, FlowError,
                           SteppingPolicy, checkpoint, init_state, restore,
                           run_flow, step)
-from helflow.geometry import FlowParams, GeometryError, _FaceData, build_cache
+from helflow.geometry import (FlowParams, GeometryError, _FaceData, build_cache,
+                              flow_velocity)
 from helflow.mesh import TriangleMesh, make_icosphere, make_torus
 from helflow.remesh import RemeshError, remesh
 from helflow.validate import perturbed_sphere
@@ -292,8 +295,9 @@ def test_overflowing_trial_step_is_rejected():
 
 
 def _count_topology_builds(monkeypatch):
-    """Lists that grow by one per Topology and per LaplacianPattern built."""
-    topologies, patterns = [], []
+    """Lists that grow by one per Topology, per LaplacianPattern and per
+    block layout of ``diag(L, L, L)`` built."""
+    topologies, patterns, blocks = [], [], []
 
     class CountingTopology(hm.Topology):
         def __init__(self, faces):
@@ -305,9 +309,14 @@ def _count_topology_builds(monkeypatch):
             patterns.append(len(topology.faces))
             super().__init__(topology, n_vertices)
 
+        @cached_property
+        def block_layout(self):
+            blocks.append(self.n)
+            return super().block_layout
+
     monkeypatch.setattr(hm, "Topology", CountingTopology)
     monkeypatch.setattr(hm, "LaplacianPattern", CountingPattern)
-    return topologies, patterns
+    return topologies, patterns, blocks
 
 
 def _log_uniform(lo_exp, hi_exp):
@@ -385,7 +394,7 @@ def test_remesh_disabled_never_remeshes():
 
 def test_flow_builds_topology_once_without_remesh(monkeypatch):
     base = make_icosphere(2, 1.0)
-    built, patterns = _count_topology_builds(monkeypatch)
+    built, patterns, blocks = _count_topology_builds(monkeypatch)
     mesh = TriangleMesh(base.vertices, base.faces)
     _, report = run_flow(mesh, FlowParams(-1.0, 0.0),
                          SteppingPolicy(max_steps=20))
@@ -393,17 +402,20 @@ def test_flow_builds_topology_once_without_remesh(monkeypatch):
     assert report.evidence["remesh_count"] == 0
     assert len(built) == 1
     assert len(patterns) == 1
+    assert len(blocks) == 1
 
 
 def test_flow_builds_one_topology_per_remesh(monkeypatch):
     base = make_icosphere(2, 1.0)
-    built, patterns = _count_topology_builds(monkeypatch)
+    built, patterns, blocks = _count_topology_builds(monkeypatch)
     mesh = TriangleMesh(base.vertices, base.faces)
     policy = SteppingPolicy(max_steps=3, remesh_min_angle=np.deg2rad(60.0))
     _, report = run_flow(mesh, FlowParams(-1.0, 0.0), policy)
     assert report.evidence["remesh_count"] == 3
     assert len(built) == 1 + report.evidence["remesh_count"]
     assert len(patterns) == 1 + report.evidence["remesh_count"]
+    # only solves build the block layout, and the last topology takes no step
+    assert len(blocks) == report.steps == report.evidence["remesh_count"]
 
 
 def _remeshed_sphere():
@@ -495,20 +507,80 @@ def test_one_ulp_laplacian_nudge_keeps_stationary_run(monkeypatch, seed, shift):
     assert _stationary_ico1_run(shift) == expected
 
 
-@pytest.mark.parametrize("make_mesh", [
+SOLVER_MESHES = pytest.mark.parametrize("make_mesh", [
     lambda: perturbed_sphere(3, 3, 0.05),
     lambda: make_torus(1.0, 0.4, 48, 24),
 ], ids=["perturbed-ico3", "torus"])
+
+
+@SOLVER_MESHES
 @pytest.mark.parametrize("dt", [1e-6, 1e-3])
 def test_matrix_free_operator_matches_assembled_system(make_mesh, dt):
-    cache = build_cache(make_mesh())
+    mesh = make_mesh()
+    cache = build_cache(mesh)
     a, L = cache.vertex_areas, cache.laplacian
     assembled = (sparse.diags(a) + dt * ((L @ sparse.diags(1.0 / a)) @ L)).tocsr()
-    apply, diagonal = fl.implicit_operator(a, L, dt)
-    p = np.random.default_rng(0).standard_normal((len(a), 3))
-    expected = assembled @ p
+    apply, diagonal = fl.implicit_operator(
+        a, L, dt, mesh.topology.laplacian_pattern(mesh.n_vertices))
+    # coordinate-major: one row per coordinate
+    p = np.random.default_rng(0).standard_normal((len(a), 3)).T.copy()
+    expected = (assembled @ p.T).T
     assert np.linalg.norm(apply(p) - expected) <= 1e-12 * np.linalg.norm(expected)
     np.testing.assert_allclose(diagonal, assembled.diagonal(), rtol=1e-14, atol=0)
+
+
+def _column_major_pcg(apply, diagonal, rhs):
+    """The vertex-major (n, 3) Jacobi PCG that the coordinate-major solve
+    replaced, kept as its reference."""
+    inv_diag = 1.0 / diagonal
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    tol_sq = (fl.CG_RTOL ** 2) * np.einsum("ij,ij->j", rhs, rhs)
+    z = inv_diag[:, None] * r
+    p = z.copy()
+    rz = np.einsum("ij,ij->j", r, z)
+    for _ in range(fl.CG_MAXITER):
+        r_sq = np.einsum("ij,ij->j", r, r)
+        active = r_sq > tol_sq
+        if not np.any(active):
+            return x
+        Ap = apply(p)
+        pAp = np.einsum("ij,ij->j", p, Ap)
+        alpha = np.where(active & (pAp > 0), rz / np.where(pAp > 0, pAp, 1.0), 0.0)
+        x += alpha * p
+        r -= alpha * Ap
+        z = inv_diag[:, None] * r
+        rz_new = np.einsum("ij,ij->j", r, z)
+        beta = np.where(active, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
+        p = z + beta * p
+        rz = rz_new
+    return None
+
+
+@SOLVER_MESHES
+@pytest.mark.parametrize("dt", [1e-6, 1e-3])
+def test_coordinate_major_solve_matches_column_major_reference(make_mesh, dt):
+    mesh, params = make_mesh(), FlowParams(1.0, 0.5)
+    cache = build_cache(mesh, params)
+    a, L = cache.vertex_areas, cache.laplacian
+    velocity = flow_velocity(cache, params)[:, None] * cache.normals
+
+    def apply(p):   # the vertex-major operator: two products with L
+        q = L @ p
+        q *= (dt / a)[:, None]
+        out = L @ q
+        out += a[:, None] * p
+        return out
+
+    squared = sparse.csr_matrix((L.data * L.data, L.indices, L.indptr),
+                                shape=L.shape)
+    diagonal = a + squared @ (dt / a)
+    expected = _column_major_pcg(apply, diagonal, dt * (a[:, None] * velocity))
+    delta = fl.ImplicitSolver().solve(
+        np.zeros_like(velocity), a, L, dt, velocity,
+        mesh.topology.laplacian_pattern(mesh.n_vertices))
+    assert expected is not None and np.abs(expected).max() > 0
+    assert np.abs(delta - expected).max() <= 1e-11 * np.abs(expected).max()
 
 
 def test_failed_solve_is_a_rejection(monkeypatch):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import helflow
 from helflow.geometry import FlowParams
-from helflow.sphere_ode import (extinction_time_closed_form,
+from helflow.sphere_ode import (MIN_RTOL, extinction_time_closed_form,
                                 integrate_sphere_ode, sphere_energy,
                                 sphere_ode_rhs, theory_bounds)
 
@@ -142,3 +147,32 @@ def test_ode_parabolic_rescaling_property():
                                 horizon=tau / s ** 4)
     assert sol1.radius_at(tau) / s == pytest.approx(
         sol2.radius_at(tau / s ** 4), rel=1e-10)
+
+
+@pytest.mark.parametrize("rtol", [1e-20, 1e-15, 0.5 * MIN_RTOL, 1.0])
+def test_rtol_outside_solve_ivp_range_is_rejected(rtol):
+    with pytest.raises(ValueError, match="rtol"):
+        integrate_sphere_ode(1.0, FlowParams(-1.0), horizon=1.0, rtol=rtol)
+
+
+def test_rtol_floor_runs_without_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = integrate_sphere_ode(1.0, FlowParams(-1.0), horizon=1.0,
+                                   rtol=MIN_RTOL)
+    assert sol.terminal == "extinct"
+
+
+@pytest.mark.parametrize("module", ["helflow", "helflow.cli"])
+def test_import_leaves_ode_solvers_unloaded(module):
+    # solve_ivp and brentq are imported at first use, off every flow's path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(helflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = (f"import sys, {module}; "
+            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
