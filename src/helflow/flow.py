@@ -13,17 +13,16 @@ unchanged).  Two stepping modes:
       (M + dt L M^-1 L) v+ = M v + dt (M xi nu + L M^-1 L v),
 
   with M the diagonal mixed-area mass matrix and L the cotangent operator;
-  all curvature (lower-order) terms stay explicit.  The system is solved by
-  Jacobi-preconditioned CG on coordinate-major vectors, with the operator
-  applied matrix-free (two products with ``diag(L, L, L)`` per iteration);
-  there is no direct fallback, and a solve that does not converge rejects
-  the step.  dt is additionally capped by
+  all curvature (lower-order) terms stay explicit.  The update is the real
+  part of one complex-shifted solve by COCG (:class:`ImplicitSolver`); a
+  solve that fails rejects the step.  dt is additionally capped by
   ``curvature_dt_coeff / (sup |A|^2)^2``, which tracks the physical r^4
   stiffness scale, so shrinking surfaces remain time-accurate.
 
 Time has units length^4 (fourth-order scaling).
 """
 
+import cmath
 import hashlib
 import logging
 import os
@@ -187,93 +186,93 @@ class TerminationReport:
 
 
 class ImplicitSolver:
-    """Solves the stabilized implicit system in update form.
+    """Solves the stabilized implicit system in update form, where its
+    add-subtract terms cancel: ``(M + dt L M^-1 L) delta = b = dt M xi nu``.
 
-    Jacobi-preconditioned conjugate gradients on the three coordinates of
-    ``(M + dt L M^-1 L) delta = dt M xi nu`` in lockstep, each with its own
-    stopping test.  Vectors are coordinate-major ``(3, n)`` arrays, so every
-    per-coordinate dot product and scaling runs over rows of length n.  The
-    operator is applied matrix-free (:func:`implicit_operator`); no
-    bi-Laplacian is assembled.  A solve that reaches ``CG_MAXITER`` or gives
-    non-finite positions raises :class:`SolverError`, which :func:`step`
-    turns into a rejection.  The solve is a pure function of the current
-    state (no cross-step memory), so replayed or restored trajectories
-    reproduce the original bit for bit, and twin runs related by parabolic
-    rescaling stay in lockstep.
+    With ``s = sqrt(dt)`` the operator is ``(M + i s L) M^-1 (M - i s L)``,
+    so ``delta = Re[(M + i s L)^-1 b]``, a complex-symmetric system with
+    about the square root of the condition number.  COCG (van der Vorst &
+    Melissen, IEEE Trans. Magn. 26 (1990) 706), Jacobi-preconditioned by
+    ``1/(a + i s L_ii)``, solves it on the rows of a complex ``(3, n)`` array.
+    A row stops once the real residual ``Re r + s L M^-1 Im r`` of its
+    complex residual ``r`` is within ``CG_RTOL |b|``.  A breakdown,
+    ``CG_MAXITER`` or non-finite positions raise :class:`SolverError`.  The
+    solve is a pure function of the state; ``sqrt`` is exact under
+    parabolic rescaling by powers of two.
     """
 
     def solve(self, vertices: np.ndarray, areas: np.ndarray,
               laplacian: sparse.csr_matrix, dt: float, velocity: np.ndarray,
               pattern: LaplacianPattern) -> np.ndarray:
         """New ``(n, 3)`` positions; ``laplacian`` is filled on ``pattern``."""
-        # In update form the add-subtract terms cancel exactly:
-        # (M + dt L M^-1 L) (v+ - v) = dt M xi nu.
         rhs = dt * (areas * np.ascontiguousarray(velocity.T))
-        # CG's stopping test squares the right-hand side; past the float
+        # The stopping test squares the right-hand side; past the float
         # range it would stop at once and return a zero update.
         if not np.isfinite(np.einsum("ij,ij->", rhs, rhs)):
             raise SolverError("right-hand side out of floating-point range")
-        delta = self._pcg_block(
-            *implicit_operator(areas, laplacian, dt, pattern), rhs)
-        if delta is None:
-            raise SolverError(f"CG did not converge in {CG_MAXITER} iterations")
-        out = vertices + delta.T
+        out = vertices + self._cocg(
+            *shifted_operator(areas, laplacian, np.sqrt(dt), pattern), rhs).T
         if not np.all(np.isfinite(out)):
             raise SolverError("linear solve produced non-finite positions")
         return out
 
-    def _pcg_block(self, apply, diagonal, rhs):
-        """Jacobi-preconditioned CG on the three rows of ``rhs`` in lockstep."""
+    def _cocg(self, apply, real_residual, diagonal, rhs):
+        """``Re[A^-1 rhs]`` for complex-symmetric ``A``, rows in lockstep."""
         inv_diag = 1.0 / diagonal
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
         tol_sq = (CG_RTOL ** 2) * np.einsum("ij,ij->i", rhs, rhs)
-        z = inv_diag * r
-        p = z.copy()
-        rz = np.einsum("ij,ij->i", r, z)
+        check_sq = tol_sq.copy()    # negative once a row has stopped
+        x = np.zeros(rhs.shape, dtype=np.complex128)
+        r = rhs.astype(np.complex128)
+        r_flat = r.view(np.float64)
+        p = z = inv_diag * r
+        # per-row scalars are Python numbers, cheaper than numpy on three
+        rho = np.einsum("ij,ij->i", r, z).tolist()
         for _ in range(CG_MAXITER):
-            r_sq = np.einsum("ij,ij->i", r, r)
-            active = r_sq > tol_sq
-            if not np.any(active):
-                return x
-            Ap = apply(p)
-            pAp = np.einsum("ij,ij->i", p, Ap)
-            alpha = np.where(active & (pAp > 0), rz / np.where(pAp > 0, pAp, 1.0), 0.0)
-            x += alpha[:, None] * p
-            r -= alpha[:, None] * Ap
-            np.multiply(inv_diag, r, out=z)
-            rz_new = np.einsum("ij,ij->i", r, z)
-            beta = np.where(active, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-            p *= beta[:, None]
-            p += z
-            rz = rz_new
-        return None
+            r_sq = np.einsum("ij,ij->i", r_flat, r_flat)
+            near = np.flatnonzero(r_sq <= check_sq)
+            if len(near):
+                res = real_residual(r)
+                real_sq = np.einsum("ij,ij->i", res, res)
+                # recheck a failed row once |r| falls by its real/complex ratio
+                for k in near:
+                    check_sq[k] = (-1.0 if real_sq[k] <= tol_sq[k]
+                                   else r_sq[k] * tol_sq[k] / real_sq[k])
+                if np.all(check_sq < 0):
+                    return x.real
+            active = (check_sq >= 0).tolist()
+            q = apply(p)
+            mu = np.einsum("ij,ij->i", p, q).tolist()
+            if any(a and (m == 0 or c == 0 or not cmath.isfinite(m))
+                   for a, m, c in zip(active, mu, rho)):
+                raise SolverError("COCG broke down")
+            alpha = np.array([c / m if a else 0j
+                              for a, m, c in zip(active, mu, rho)])[:, None]
+            x += alpha * p
+            r -= alpha * q
+            z = inv_diag * r
+            rho_new = np.einsum("ij,ij->i", r, z).tolist()
+            p = z + np.array([c1 / c0 if a else 0j for a, c1, c0
+                              in zip(active, rho_new, rho)])[:, None] * p
+            rho = rho_new
+        raise SolverError(f"COCG did not converge in {CG_MAXITER} iterations")
 
 
-def implicit_operator(areas: np.ndarray, laplacian: sparse.csr_matrix,
-                      dt: float, pattern: LaplacianPattern):
-    """``A = M + dt L M^-1 L`` as the product ``P -> A P`` on C-ordered
-    ``(3, n)`` arrays, and its diagonal (length n, shared by the rows).
-
-    Each application of ``L`` is one product of the block-diagonal
-    ``diag(L, L, L)`` (``pattern.block``) with ``P.ravel()``.
-    ``diag(A)_i = a_i + dt sum_k L_ik^2 / a_k``, read from the stored values
-    of the symmetric ``L``.
-    """
-    block, shape = pattern.block(laplacian), (3, len(areas))
-    dt_inv_mass = dt / areas
+def shifted_operator(areas: np.ndarray, laplacian: sparse.csr_matrix,
+                     s: float, pattern: LaplacianPattern):
+    """``A = M + i s L`` as ``P -> A P`` on complex C-ordered ``(3, n)``
+    arrays, one product of ``s diag(L, L, L)`` with the ``(3n, 2)`` float view
+    of ``P``; the real residual of a residual of ``A``; and ``diag(A)``."""
+    sl = pattern.block(s * laplacian.data)
 
     def apply(p):
-        q = (block @ p.ravel()).reshape(shape)
-        q *= dt_inv_mass
-        out = (block @ q.ravel()).reshape(shape)
-        out += areas * p
-        return out
+        slp = (sl @ p.view(np.float64).reshape(-1, 2)).view(
+            np.complex128).reshape(p.shape)
+        return areas * p + 1j * slp
 
-    squared = sparse.csr_matrix(
-        (laplacian.data * laplacian.data, laplacian.indices, laplacian.indptr),
-        shape=laplacian.shape)
-    return apply, areas + squared @ dt_inv_mass
+    def real_residual(r):
+        return r.real + (sl @ (r.imag / areas).ravel()).reshape(r.shape)
+
+    return apply, real_residual, areas + 1j * (s * laplacian.diagonal())
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +487,8 @@ def _needs_remesh(state: FlowState, policy: SteppingPolicy,
     # Scale-adaptive target keeps resolution relative to sqrt(area); for a
     # uniformly shrinking surface the ratio never drifts and no remesh fires.
     target = target_edge0 * np.sqrt(max(state.cache.area / area0, 1e-300))
-    mean_edge = state.mesh.mean_edge_length()
     drift = policy.remesh_edge_drift
-    if not (target / drift <= mean_edge <= target * drift):
+    if not (target / drift <= state.cache.mean_edge <= target * drift):
         return True
     return state.cache.min_angle < policy.remesh_min_angle
 

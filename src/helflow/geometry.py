@@ -74,10 +74,10 @@ class GeometryCache:
     ``K`` (1/length^2), ``A0sq``, ``Asq`` (1/length^2 each).  ``laplacian`` is
     the integrated cotangent operator (row sums zero; apply and divide by
     ``vertex_areas`` for the pointwise Laplacian).  ``min_angle`` is the
-    smallest interior face angle in radians.  Energies that need flow
-    parameters (``helfrich``, ``penalized``) are populated when ``build_cache``
-    receives them, with ``penalized_roundoff``, a first-order bound on the
-    rounding error of ``penalized`` (see :func:`_energy_roundoff`).
+    smallest face angle in radians, ``mean_edge`` the mean edge length.
+    Energies that need flow parameters (``helfrich``, ``penalized``) are set
+    when ``build_cache`` receives them, with ``penalized_roundoff``, a bound
+    on the rounding error of ``penalized`` (:func:`_energy_roundoff`).
     """
 
     vertex_areas: np.ndarray
@@ -94,6 +94,7 @@ class GeometryCache:
     clamp_mass: float
     sup_Asq: float
     min_angle: float
+    mean_edge: float
     helfrich: float | None = None
     penalized: float | None = None
     penalized_roundoff: float | None = None
@@ -191,6 +192,7 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
         clamp_mass=clamp_mass,
         sup_Asq=float(Asq.max()),
         min_angle=float(fd.angles.min()),
+        mean_edge=float(np.sqrt(fd.edge_sq).mean()),   # 2 sides per edge
     )
     if params is not None:
         cache.params = params

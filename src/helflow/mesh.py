@@ -213,14 +213,14 @@ class LaplacianPattern:
             a.setflags(write=False)
         return indices, indptr
 
-    def block(self, laplacian):
-        """``diag(L, L, L)`` (3n x 3n CSR) for a Laplacian filled on this
-        pattern, so that ``block @ P.ravel()`` applies ``L`` to every row of
-        a C-ordered ``(3, n)`` array ``P``."""
+    def block(self, values):
+        """``diag(L, L, L)`` (3n x 3n CSR) for the CSR ``values`` of a
+        Laplacian filled on this pattern, so that ``block @ P.ravel()``
+        applies ``L`` to every row of a C-ordered ``(3, n)`` array ``P``."""
         from scipy.sparse import csr_matrix
 
         n3 = 3 * self.n
-        return csr_matrix((np.tile(laplacian.data, 3), *self.block_layout),
+        return csr_matrix((np.tile(values, 3), *self.block_layout),
                           shape=(n3, n3))
 
 

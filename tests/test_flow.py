@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 import helflow.flow as fl
 import helflow.mesh as hm
@@ -513,74 +514,93 @@ SOLVER_MESHES = pytest.mark.parametrize("make_mesh", [
 ], ids=["perturbed-ico3", "torus"])
 
 
+def _assembled_system(a, L, dt):
+    """The real implicit operator ``M + dt L M^-1 L``, assembled."""
+    return (sparse.diags(a) + dt * ((L @ sparse.diags(1.0 / a)) @ L)).tocsr()
+
+
 @SOLVER_MESHES
 @pytest.mark.parametrize("dt", [1e-6, 1e-3])
-def test_matrix_free_operator_matches_assembled_system(make_mesh, dt):
+def test_shifted_operator_matches_assembled_system(make_mesh, dt):
     mesh = make_mesh()
     cache = build_cache(mesh)
-    a, L = cache.vertex_areas, cache.laplacian
-    assembled = (sparse.diags(a) + dt * ((L @ sparse.diags(1.0 / a)) @ L)).tocsr()
-    apply, diagonal = fl.implicit_operator(
-        a, L, dt, mesh.topology.laplacian_pattern(mesh.n_vertices))
+    a, L, s = cache.vertex_areas, cache.laplacian, np.sqrt(dt)
+    shifted = (sparse.diags(a) + 1j * s * L).tocsr()
+    apply, real_residual, diagonal = fl.shifted_operator(
+        a, L, s, mesh.topology.laplacian_pattern(mesh.n_vertices))
     # coordinate-major: one row per coordinate
-    p = np.random.default_rng(0).standard_normal((len(a), 3)).T.copy()
-    expected = (assembled @ p.T).T
-    assert np.linalg.norm(apply(p) - expected) <= 1e-12 * np.linalg.norm(expected)
-    np.testing.assert_allclose(diagonal, assembled.diagonal(), rtol=1e-14, atol=0)
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((3, len(a))) + 1j * rng.standard_normal((3, len(a)))
+    shifted_y = (shifted @ y.T).T
+    assert (np.linalg.norm(apply(y) - shifted_y)
+            <= 1e-12 * np.linalg.norm(shifted_y))
+    np.testing.assert_allclose(diagonal, shifted.diagonal(), rtol=1e-14, atol=0)
+    # a residual of the complex system gives that of the real one at Re y
+    b = rng.standard_normal((3, len(a)))
+    real_y = (_assembled_system(a, L, dt) @ y.real.T).T
+    scale = np.linalg.norm(b) + np.linalg.norm(real_y)
+    assert (np.linalg.norm(real_residual(b - shifted_y) - (b - real_y))
+            <= 1e-12 * scale)
 
 
-def _column_major_pcg(apply, diagonal, rhs):
-    """The vertex-major (n, 3) Jacobi PCG that the coordinate-major solve
-    replaced, kept as its reference."""
-    inv_diag = 1.0 / diagonal
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    tol_sq = (fl.CG_RTOL ** 2) * np.einsum("ij,ij->j", rhs, rhs)
-    z = inv_diag[:, None] * r
-    p = z.copy()
-    rz = np.einsum("ij,ij->j", r, z)
-    for _ in range(fl.CG_MAXITER):
-        r_sq = np.einsum("ij,ij->j", r, r)
-        active = r_sq > tol_sq
-        if not np.any(active):
-            return x
-        Ap = apply(p)
-        pAp = np.einsum("ij,ij->j", p, Ap)
-        alpha = np.where(active & (pAp > 0), rz / np.where(pAp > 0, pAp, 1.0), 0.0)
-        x += alpha * p
-        r -= alpha * Ap
-        z = inv_diag[:, None] * r
-        rz_new = np.einsum("ij,ij->j", r, z)
-        beta = np.where(active, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-        p = z + beta * p
-        rz = rz_new
-    return None
+def test_complex_shift_identity():
+    # Re[(M + i sqrt(dt) L)^-1 b] = (M + dt L M^-1 L)^-1 b, by direct solves
+    mesh = perturbed_sphere(2, 2, 0.1)
+    cache = build_cache(mesh)
+    a, L, dt = cache.vertex_areas, cache.laplacian, 1e-3
+    b = np.random.default_rng(1).standard_normal((len(a), 3))
+    shifted = (sparse.diags(a) + 1j * np.sqrt(dt) * L).tocsc()
+    expected = spsolve(_assembled_system(a, L, dt).tocsc(), b)
+    got = spsolve(shifted, b.astype(complex)).real
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
-@SOLVER_MESHES
-@pytest.mark.parametrize("dt", [1e-6, 1e-3])
-def test_coordinate_major_solve_matches_column_major_reference(make_mesh, dt):
-    mesh, params = make_mesh(), FlowParams(1.0, 0.5)
+def _assert_meets_residual_contract(mesh, params, dt):
     cache = build_cache(mesh, params)
     a, L = cache.vertex_areas, cache.laplacian
     velocity = flow_velocity(cache, params)[:, None] * cache.normals
-
-    def apply(p):   # the vertex-major operator: two products with L
-        q = L @ p
-        q *= (dt / a)[:, None]
-        out = L @ q
-        out += a[:, None] * p
-        return out
-
-    squared = sparse.csr_matrix((L.data * L.data, L.indices, L.indptr),
-                                shape=L.shape)
-    diagonal = a + squared @ (dt / a)
-    expected = _column_major_pcg(apply, diagonal, dt * (a[:, None] * velocity))
     delta = fl.ImplicitSolver().solve(
         np.zeros_like(velocity), a, L, dt, velocity,
         mesh.topology.laplacian_pattern(mesh.n_vertices))
-    assert expected is not None and np.abs(expected).max() > 0
-    assert np.abs(delta - expected).max() <= 1e-11 * np.abs(expected).max()
+    b = dt * (a[:, None] * velocity)
+    residual = b - _assembled_system(a, L, dt) @ delta
+    assert np.abs(delta).max() > 0
+    assert np.all(np.linalg.norm(residual, axis=0)
+                  <= fl.CG_RTOL * np.linalg.norm(b, axis=0))
+
+
+@SOLVER_MESHES
+@pytest.mark.parametrize("dt", [1e-6, 1e-3])
+def test_solve_meets_residual_contract_of_assembled_system(make_mesh, dt):
+    # per coordinate, |b - (M + dt L M^-1 L) delta| <= CG_RTOL |b|
+    _assert_meets_residual_contract(make_mesh(), FlowParams(1.0, 0.5), dt)
+
+
+def test_ico5_solve_converges_at_flow_dt():
+    # dt 5e-3 is the unit sphere's curvature cap; Jacobi CG on the real
+    # system M + dt L M^-1 L does not converge here within CG_MAXITER
+    _assert_meets_residual_contract(perturbed_sphere(1, 5, 0.05),
+                                    FlowParams(1.0, 0.5), 5e-3)
+
+
+def test_solver_breakdown_raises():
+    # p^T A p = 0 must not end the iteration with a zero update
+    rhs = np.ones((3, 4))
+    with pytest.raises(fl.SolverError, match="broke down"):
+        fl.ImplicitSolver()._cocg(np.zeros_like, lambda r: r.real,
+                                  np.ones(4, dtype=complex), rhs)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: make_icosphere(3),
+    lambda: make_torus(1.0, 0.4, 48, 24),
+    lambda: TriangleMesh(make_icosphere(3).vertices * np.array([1.0, 1.0, 6.0]),
+                         make_icosphere(3).faces),
+], ids=["ico3", "torus", "ellipsoid6"])
+def test_cached_mean_edge_matches_mesh(make_mesh):
+    mesh = make_mesh()
+    expected = mesh.mean_edge_length()
+    assert abs(build_cache(mesh).mean_edge - expected) <= 1e-14 * expected
 
 
 def test_failed_solve_is_a_rejection(monkeypatch):
