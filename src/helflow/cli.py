@@ -9,8 +9,8 @@ Exit codes: 0 clean termination (converged / horizon), 2 singular termination
 (a scientific outcome, not a failure), 3 inconclusive termination
 (dt collapse / step budget), 10 configuration errors, 11 IO errors,
 12 solver failures (a remesh that fails, a starting geometry that cannot be
-assembled, or blow-up diagnostics that fail during a run).  ``validate``
-exits 1 when a check fails.
+assembled, also in ``energy`` and ``rescale``, or blow-up diagnostics that
+fail during a run).  ``validate`` exits 1 when a check fails.
 """
 
 import argparse
@@ -433,7 +433,11 @@ def cmd_energy(args) -> int:
     params = _params_from_args(args)
     if params is None:
         return EXIT_CONFIG
-    cache = build_cache(mesh, params)
+    try:
+        cache = build_cache(mesh, params)
+    except GeometryError as exc:
+        logger.error("cannot assemble geometry: %s", exc)
+        return EXIT_SOLVER
     payload = {
         "mesh": {"path": args.mesh, "n_vertices": mesh.n_vertices,
                  "n_faces": mesh.n_faces, "genus": mesh.genus,
@@ -479,8 +483,12 @@ def cmd_rescale(args) -> int:
     x = np.asarray(args.x, dtype=np.float64)
     rescaled = mesh.translated(-x).scaled(1.0 / args.r)
     new_params = params.rescaled(args.r)
-    e_orig = penalized_energy(build_cache(mesh), params)
-    e_new = penalized_energy(build_cache(rescaled), new_params)
+    try:
+        e_orig = penalized_energy(build_cache(mesh), params)
+        e_new = penalized_energy(build_cache(rescaled), new_params)
+    except GeometryError as exc:
+        logger.error("cannot assemble geometry: %s", exc)
+        return EXIT_SOLVER
     out_path = args.out or (os.path.splitext(args.mesh)[0] + "_rescaled.off")
     save_mesh(rescaled, out_path)
     identity_dev = abs(e_new - e_orig) / max(abs(e_orig), 1e-300)

@@ -3,21 +3,17 @@
 The evolving object is a :class:`FlowState`; accepted steps never increase the
 penalized energy by more than the larger of the policy tolerance and the
 energy's rounding bound (rejected attempts shrink dt and leave the state
-unchanged).  Two stepping modes:
+unchanged).  Each step is semi-implicit: the bi-Laplacian stiffness is
+treated implicitly in stabilized (add-subtract) form,
 
-* ``explicit``: forward Euler on the velocity, dt capped by a fourth-order
-  CFL bound ``c_dt * h_min^4``;
-* ``semi_implicit``: the bi-Laplacian stiffness is treated implicitly in
-  stabilized (add-subtract) form,
+    (M + dt L M^-1 L) v+ = M v + dt (M xi nu + L M^-1 L v),
 
-      (M + dt L M^-1 L) v+ = M v + dt (M xi nu + L M^-1 L v),
-
-  with M the diagonal mixed-area mass matrix and L the cotangent operator;
-  all curvature (lower-order) terms stay explicit.  The update is the real
-  part of one complex-shifted solve by COCG (:class:`ImplicitSolver`); a
-  solve that fails rejects the step.  dt is additionally capped by
-  ``curvature_dt_coeff / (sup |A|^2)^2``, which tracks the physical r^4
-  stiffness scale, so shrinking surfaces remain time-accurate.
+with M the diagonal mixed-area mass matrix and L the cotangent operator; all
+curvature (lower-order) terms stay explicit.  The update is the real part of
+one complex-shifted solve by COCG (:class:`ImplicitSolver`); a solve that
+fails rejects the step.  dt is capped by ``curvature_dt_coeff /
+(sup |A|^2)^2``, which tracks the physical r^4 stiffness scale, so shrinking
+surfaces remain time-accurate.
 
 Time has units length^4 (fourth-order scaling).
 """
@@ -71,6 +67,9 @@ class CheckpointError(FlowError):
 class SteppingPolicy:
     """Step-size control, termination thresholds, and run bookkeeping.
 
+    Every step is semi-implicit.  dt starts at ``dt_init``, is multiplied by
+    ``dt_growth`` after an accepted step and by ``dt_shrink`` after a
+    rejected one, and is capped by ``curvature_dt_coeff / (sup|A|^2)^2``.
     ``energy_increase_tol_rel`` is relative to the initial energy; an accepted
     step may raise the penalized energy by at most that amount or, if larger,
     by the rounding bound of the energies before and after the step
@@ -82,12 +81,10 @@ class SteppingPolicy:
     zero is meaningless) zero values raise ``ValueError``.
     """
 
-    mode: str = "semi_implicit"  # or "explicit"
     dt_init: float = 1e-3
     dt_growth: float = 1.3
     dt_shrink: float = 0.25
-    cfl_coefficient: float = 0.05          # explicit: dt <= c * h_min^4
-    curvature_dt_coeff: float = 0.02       # semi-implicit: dt <= c / sup|A|^2 ^2
+    curvature_dt_coeff: float = 0.02       # dt <= c / sup|A|^2 ^2
     energy_increase_tol_rel: float = 1e-10
     gradient_tol: float | None = None
     convergence_window: int = 50
@@ -104,15 +101,12 @@ class SteppingPolicy:
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("explicit", "semi_implicit"):
-            raise ValueError(f"unknown stepping mode {self.mode!r}")
         if not (0 < self.dt_shrink < 1 < self.dt_growth):
             raise ValueError("need 0 < dt_shrink < 1 < dt_growth")
         # written as "not > 0" so that NaN fails too
-        for name in ("dt_init", "cfl_coefficient", "curvature_dt_coeff",
-                     "convergence_window", "max_steps", "time_horizon",
-                     "dt_floor", "area_floor_fraction", "blowup_threshold",
-                     "record_every"):
+        for name in ("dt_init", "curvature_dt_coeff", "convergence_window",
+                     "max_steps", "time_horizon", "dt_floor",
+                     "area_floor_fraction", "blowup_threshold", "record_every"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("energy_increase_tol_rel", "remesh_min_angle"):
@@ -296,15 +290,8 @@ def init_state(mesh: TriangleMesh, params: FlowParams,
     )
 
 
-def _dt_cap(state: FlowState, policy: SteppingPolicy) -> float:
-    if policy.mode == "explicit":
-        h_min = float(state.mesh.edge_lengths().min())
-        return policy.cfl_coefficient * h_min ** 4
-    return policy.curvature_dt_coeff / max(state.cache.sup_Asq, 1e-300) ** 2
-
-
-def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
-         solver: ImplicitSolver | None = None) -> FlowState:
+def step(state: FlowState, params: FlowParams,
+         policy: SteppingPolicy) -> FlowState:
     """One stepping attempt.
 
     On acceptance: positions advance, t increases by the (possibly capped) dt,
@@ -318,7 +305,8 @@ def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
     if cache.penalized is None or cache.params != params:
         cache = build_cache(state.mesh, params)
         state = replace(state, cache=cache)
-    dt = min(state.dt, _dt_cap(state, policy))
+    dt = min(state.dt,
+             policy.curvature_dt_coeff / max(cache.sup_Asq, 1e-300) ** 2)
 
     xi = flow_velocity(cache, params)
     velocity = xi[:, None] * cache.normals
@@ -327,12 +315,9 @@ def step(state: FlowState, params: FlowParams, policy: SteppingPolicy,
     # A trial that overflows is judged by the checks below, not by warnings.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if policy.mode == "explicit":
-                v_new = v_old + dt * velocity
-            else:
-                v_new = (solver or ImplicitSolver()).solve(
-                    v_old, cache.vertex_areas, cache.laplacian, dt, velocity,
-                    state.mesh.topology.laplacian_pattern(len(v_old)))
+            v_new = ImplicitSolver().solve(
+                v_old, cache.vertex_areas, cache.laplacian, dt, velocity,
+                state.mesh.topology.laplacian_pattern(len(v_old)))
             new_mesh = state.mesh.with_vertices(v_new)
             new_cache = build_cache(new_mesh, params)
     except (SolverError, GeometryError, MeshError) as exc:
@@ -399,7 +384,6 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
     counts and penalized energy before and after.
     """
     state = init_state(initial, params, policy)
-    solver = ImplicitSolver() if policy.mode == "semi_implicit" else None
     area0 = state.cache.area
     target_edge0 = initial.mean_edge_length()
     records: list[TimeSeriesRecord] = []
@@ -433,7 +417,7 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
             if state.dt > room:
                 state = replace(state, dt=room)
 
-        state = step(state, params, policy, solver=solver)
+        state = step(state, params, policy)
 
         if not state.last_step_accepted:
             if state.dt < policy.dt_floor:

@@ -148,6 +148,8 @@ def test_flow_command_bad_config(tmp_path):
 @pytest.mark.parametrize("command", [
     "flow --config {cfg} --out {out} --override policy.dt_init=-1",
     "flow --config {cfg} --out {out} --override policy.mode=foo",
+    "flow --config {cfg} --out {out} --override policy.mode=semi_implicit",
+    "flow --config {cfg} --out {out} --override policy.cfl_coefficient=0.05",
     "flow --config {cfg} --out {out} --override policy.max_steps=abc",
     "flow --config {cfg} --out {out} --override params.c0=x",
     "flow --config {cfg} --out {out} --override params.lambda=-1",
@@ -164,8 +166,8 @@ def test_flow_command_bad_config(tmp_path):
     "flow --config {cfg} --out {out} --override policy.remesh_edge_drift=1",
     *(f"flow --config {{cfg}} --out {{out}} --override policy.{name}=nan"
       for name in ("dt_init", "dt_floor", "area_floor_fraction",
-                   "blowup_threshold", "cfl_coefficient", "curvature_dt_coeff",
-                   "time_horizon", "gradient_tol", "remesh_min_angle",
+                   "blowup_threshold", "curvature_dt_coeff", "time_horizon",
+                   "gradient_tol", "remesh_min_angle",
                    "energy_increase_tol_rel")),
     *("flow --config {cfg} --out {out} "
       f"--override diagnostics.kappa_target_fraction={value}"
@@ -259,7 +261,7 @@ def test_csv_header_follows_record_fields(tmp_path):
 
 def test_flow_command_overflowing_steps_end_cleanly(tmp_path, capfd):
     text = BASE_CFG.replace("policy.max_steps = 8000", "policy.max_steps = 5") \
-        + "policy.mode = explicit\npolicy.cfl_coefficient = 1e300\n" \
+        + "policy.curvature_dt_coeff = 1e300\n" \
         + "policy.dt_init = 1e300\n"
     cfg = write_cfg(tmp_path, text)
     out = str(tmp_path / "out5")
@@ -311,6 +313,23 @@ def test_flow_command_maps_diagnostics_error_to_solver_exit(tmp_path,
     code = main(["--quiet", "flow", "--config", cfg,
                  "--out", str(tmp_path / "out8")])
     assert code == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("command", [
+    "energy {mesh} --c0 1",
+    "rescale {mesh} --r 2 --c0 1 --out {out}",
+])
+def test_unassemblable_geometry_exits_with_solver_error(tmp_path, capfd,
+                                                        command):
+    # a valid closed mesh whose sliver face overflows a cotangent weight
+    mesh_path = tmp_path / "sliver.off"
+    mesh_path.write_text(
+        "OFF\n4 4 0\n0 0 0\n1 0 0\n0.5 1 0\n0.5 1e-13 1e-13\n"
+        "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 2 0 3\n")
+    argv = command.format(mesh=str(mesh_path),
+                          out=str(tmp_path / "out.off")).split()
+    assert main(["--quiet", *argv]) == EXIT_SOLVER
+    assert "Traceback" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -27,8 +27,6 @@ def radial_stats(mesh):
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        SteppingPolicy(mode="magic")
-    with pytest.raises(ValueError):
         SteppingPolicy(dt_growth=0.9)
     with pytest.raises(ValueError):
         SteppingPolicy(dt_init=-1.0)
@@ -36,8 +34,8 @@ def test_policy_validation():
 
 @pytest.mark.parametrize("name", [
     "dt_init", "dt_floor", "area_floor_fraction", "blowup_threshold",
-    "cfl_coefficient", "curvature_dt_coeff", "time_horizon", "gradient_tol",
-    "remesh_min_angle", "energy_increase_tol_rel"])
+    "curvature_dt_coeff", "time_horizon", "gradient_tol", "remesh_min_angle",
+    "energy_increase_tol_rel"])
 @pytest.mark.parametrize("value", [np.nan, -1.0])
 def test_policy_rejects_nan_and_negative_values(name, value):
     with pytest.raises(ValueError, match=name):
@@ -50,11 +48,11 @@ def test_init_state_requires_positive_volume(ico3):
                    FlowParams(1.0, 0.0), SteppingPolicy())
 
 
-def test_explicit_single_step_shrink_rate():
-    # one explicit step from r = 1 with dt = 1e-5: radius drops by ~ 3e-5
+def test_single_step_shrink_rate():
+    # one step from r = 1 with dt = 1e-5: radius drops by ~ 3e-5
     mesh = make_icosphere(2, 1.0)
     params = FlowParams(-1.0, 0.0)
-    policy = SteppingPolicy(mode="explicit", dt_init=1e-5)
+    policy = SteppingPolicy(dt_init=1e-5)
     state = init_state(mesh, params, policy)
     new = step(state, params, policy)
     assert new.last_step_accepted
@@ -64,24 +62,24 @@ def test_explicit_single_step_shrink_rate():
     assert new.t == pytest.approx(1e-5)
 
 
-def test_explicit_cfl_cap():
+def test_curvature_dt_cap():
     mesh = make_icosphere(2, 1.0)
     params = FlowParams(-1.0, 0.0)
-    policy = SteppingPolicy(mode="explicit", dt_init=1.0, cfl_coefficient=0.05)
+    policy = SteppingPolicy(dt_init=1.0)
     state = init_state(mesh, params, policy)
     new = step(state, params, policy)
-    h_min = float(mesh.edge_lengths().min())
     assert new.last_step_accepted
-    assert new.t <= 0.05 * h_min ** 4 * 1.0000001
+    assert new.t == policy.curvature_dt_coeff / state.cache.sup_Asq ** 2
 
 
-def test_step_rejection_contract():
-    # an artificially inflated explicit step on the critical sphere must be
-    # rejected: energy up, dt shrunk, state otherwise unchanged
+def test_step_rejection_contract(monkeypatch):
+    # a solve that inflates the critical sphere raises its energy; the step
+    # must be rejected: dt shrunk, state otherwise unchanged
     mesh = make_icosphere(2, 1.0)
     params = FlowParams(2.0, 0.0)
-    policy = SteppingPolicy(mode="explicit", dt_init=1e-3,
-                            cfl_coefficient=1e12)
+    policy = SteppingPolicy(dt_init=1e-3)
+    monkeypatch.setattr(fl.ImplicitSolver, "solve",
+                        lambda self, v_old, *args: 1.01 * v_old)
     state = init_state(mesh, params, policy)
     new = step(state, params, policy)
     assert not new.last_step_accepted
@@ -92,17 +90,18 @@ def test_step_rejection_contract():
 
 
 def test_semi_implicit_matches_explicit_at_tiny_dt():
+    # at tiny dt the step is forward Euler on the velocity, v + dt xi nu
     mesh = make_icosphere(2, 1.0)
     params = FlowParams(-1.0, 0.0)
     dt = 1e-9
-    exp_policy = SteppingPolicy(mode="explicit", dt_init=dt,
-                                cfl_coefficient=1e12)
-    imp_policy = SteppingPolicy(mode="semi_implicit", dt_init=dt,
-                                curvature_dt_coeff=1e12)
-    s_exp = step(init_state(mesh, params, exp_policy), params, exp_policy)
-    s_imp = step(init_state(mesh, params, imp_policy), params, imp_policy)
-    diff = np.abs(s_exp.mesh.vertices - s_imp.mesh.vertices).max()
-    move = np.abs(s_exp.mesh.vertices - mesh.vertices).max()
+    policy = SteppingPolicy(dt_init=dt, curvature_dt_coeff=1e12)
+    state = init_state(mesh, params, policy)
+    xi = flow_velocity(state.cache, params)
+    explicit = mesh.vertices + dt * xi[:, None] * state.cache.normals
+    s_imp = step(state, params, policy)
+    assert s_imp.last_step_accepted
+    diff = np.abs(explicit - s_imp.mesh.vertices).max()
+    move = np.abs(explicit - mesh.vertices).max()
     assert diff <= 1e-4 * move
 
 
@@ -140,11 +139,10 @@ def test_step_budget_termination():
 
 
 def test_dt_collapse_termination():
-    # explicit stepping without a CFL guard rejects unstable attempts on the
-    # critical sphere; with the floor above the stable region, dt collapses
-    policy = SteppingPolicy(mode="explicit", dt_init=1e-2,
-                            cfl_coefficient=1e12, dt_floor=1e-3,
-                            max_steps=10_000)
+    # from dt = 1e300 every solve's right-hand side leaves the float range and
+    # the step is rejected; the floor is reached before a solve succeeds
+    policy = SteppingPolicy(dt_init=1e300, curvature_dt_coeff=1e300,
+                            dt_floor=1e200, max_steps=10_000)
     records, report = run_flow(make_icosphere(2, 1.0), FlowParams(2.0, 0.0),
                                policy)
     assert report.reason == "dt_collapse"
@@ -181,9 +179,8 @@ def test_checkpoint_restore_bit_exact(tmp_path):
     params = FlowParams(-1.0, 0.0)
     policy = SteppingPolicy(max_steps=50)
     state = init_state(mesh, params, policy)
-    solver = fl.ImplicitSolver()
     for _ in range(10):
-        state = step(state, params, policy, solver=solver)
+        state = step(state, params, policy)
 
     prefix = str(tmp_path / "ckpt")
     files = checkpoint(state, params, prefix)
@@ -198,8 +195,8 @@ def test_checkpoint_restore_bit_exact(tmp_path):
     # continued and restored trajectories agree exactly for 10 more steps
     a, b = state, restored
     for _ in range(10):
-        a = step(a, params, policy, solver=fl.ImplicitSolver())
-        b = step(b, params, policy, solver=fl.ImplicitSolver())
+        a = step(a, params, policy)
+        b = step(b, params, policy)
         assert a.cache.penalized == b.cache.penalized
         assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
 
@@ -278,10 +275,10 @@ def test_willmore_bound_along_flow():
 
 
 def test_overflowing_trial_step_is_rejected():
-    # dt = 1e300 moves vertices to ~1e300: the trial geometry cannot be
-    # assembled, which must count as a rejection, not end the run
-    policy = SteppingPolicy(mode="explicit", cfl_coefficient=1e300,
-                            dt_init=1e300, max_steps=5)
+    # at dt = 1e300 the solve's right-hand side leaves the float range,
+    # which must count as a rejection, not end the run
+    policy = SteppingPolicy(curvature_dt_coeff=1e300, dt_init=1e300,
+                            max_steps=5)
     params = FlowParams(-1.0)
     state = init_state(make_icosphere(1), params, policy)
     new = step(state, params, policy)
@@ -325,18 +322,14 @@ def _log_uniform(lo_exp, hi_exp):
 
 
 @settings(max_examples=30, deadline=None)
-@given(mode=st.sampled_from(("explicit", "semi_implicit")),
-       dt_init=_log_uniform(-12, 300),
+@given(dt_init=_log_uniform(-12, 300),
        dt_growth=_log_uniform(-6, 6).map(lambda x: 1.0 + x),
        dt_shrink=_log_uniform(-12, -0.01),
-       cfl_coefficient=_log_uniform(-12, 300),
        curvature_dt_coeff=_log_uniform(-12, 300))
 def test_any_policy_ends_with_a_reason_or_typed_error(
-        mode, dt_init, dt_growth, dt_shrink, cfl_coefficient,
-        curvature_dt_coeff):
-    policy = SteppingPolicy(mode=mode, dt_init=dt_init, dt_growth=dt_growth,
+        dt_init, dt_growth, dt_shrink, curvature_dt_coeff):
+    policy = SteppingPolicy(dt_init=dt_init, dt_growth=dt_growth,
                             dt_shrink=dt_shrink,
-                            cfl_coefficient=cfl_coefficient,
                             curvature_dt_coeff=curvature_dt_coeff,
                             max_steps=10)
     try:
@@ -349,8 +342,7 @@ def test_any_policy_ends_with_a_reason_or_typed_error(
 def test_step_budget_counts_rejected_steps():
     # from dt = 1e300 a shrink factor of 0.97 takes ~2e4 rejections to reach
     # dt_floor; the budget must end the run first
-    policy = SteppingPolicy(mode="explicit", dt_init=1e300,
-                            cfl_coefficient=1e300, curvature_dt_coeff=1e300,
+    policy = SteppingPolicy(dt_init=1e300, curvature_dt_coeff=1e300,
                             dt_growth=1.000001, dt_shrink=0.97, max_steps=10)
     _, report = run_flow(make_icosphere(1), FlowParams(-1.0), policy)
     assert report.reason == "step_budget"
