@@ -427,10 +427,13 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
                 break
             continue
 
-        if policy.remesh_enabled and _needs_remesh(state, policy, target_edge0,
-                                                   area0):
+        # Scale-adaptive target keeps resolution relative to sqrt(area); for
+        # a uniformly shrinking surface the ratio never drifts and no remesh
+        # fires.
+        target = target_edge0 * np.sqrt(max(state.cache.area / area0, 1e-300))
+        if policy.remesh_enabled and _needs_remesh(state, policy, target):
             before = state
-            state = _apply_remesh(state, params, target_edge0, area0, policy)
+            state = _apply_remesh(state, params, target, policy)
             remeshes.append({
                 "step": state.step_index,
                 "t": state.t,
@@ -467,21 +470,17 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
 
 
 def _needs_remesh(state: FlowState, policy: SteppingPolicy,
-                  target_edge0: float, area0: float) -> bool:
-    # Scale-adaptive target keeps resolution relative to sqrt(area); for a
-    # uniformly shrinking surface the ratio never drifts and no remesh fires.
-    target = target_edge0 * np.sqrt(max(state.cache.area / area0, 1e-300))
+                  target: float) -> bool:
     drift = policy.remesh_edge_drift
     if not (target / drift <= state.cache.mean_edge <= target * drift):
         return True
     return state.cache.min_angle < policy.remesh_min_angle
 
 
-def _apply_remesh(state: FlowState, params: FlowParams, target_edge0: float,
-                  area0: float, policy: SteppingPolicy) -> FlowState:
+def _apply_remesh(state: FlowState, params: FlowParams, target: float,
+                  policy: SteppingPolicy) -> FlowState:
     from .remesh import remesh
 
-    target = target_edge0 * np.sqrt(max(state.cache.area / area0, 1e-300))
     logger.info("remeshing at t=%.6g (target edge %.4g)", state.t, target)
     new_mesh = remesh(state.mesh, target,
                       min_angle=policy.remesh_min_angle)

@@ -1,35 +1,36 @@
 """Quality-driven isotropic remeshing with back-projection to the input surface.
 
-Classic split / collapse / flip / tangential-smooth passes toward a target
-edge length.  Refinement is always curvature-adaptive: a vertex's target t
-shrinks to ``ADAPT_CONSTANT / |A|`` where ``t * |A|`` exceeds that constant,
-but not below ``ADAPT_MIN_FACTOR * t``.  Topology (component count and Euler
+Split / collapse / flip / tangential-smooth passes toward a target edge
+length, as in Botsch & Kobbelt's isotropic remesher.  Refinement is always
+curvature-adaptive: a vertex's target t shrinks to ``ADAPT_CONSTANT / |A|``
+where ``t * |A|`` exceeds that constant, but not below
+``ADAPT_MIN_FACTOR * t``.  Topology (component count and Euler
 characteristic) is preserved or the operation aborts, and the result is
 checked against the input by a sampled Hausdorff distance, which is logged.
 
-The passes edit a dict-based scratch mesh one edge at a time, so their cost is
-Python overhead per edge: valences are counted once per flip pass and updated
-per flip, and the per-edge 3-vector arithmetic avoids numpy's small-array
-dispatch while computing the same bits.  Closest-point projection (smoothing
-and the Hausdorff check) is vectorized over all query points.  The output
-depends only on the input mesh and the arguments.
+The passes work on plain arrays: positions ``v``, faces ``f`` and a target
+length per vertex ``t``.  Each round of a pass builds one :class:`Topology`
+of ``f``, reads every edge's two faces and opposite vertices from it, picks
+the qualifying edges whose edits touch disjoint faces (ties go to the lower
+index, so the choice is ordered), applies them all at once and repeats
+until no edge qualifies.  Vertex indices stay fixed until one compaction at
+the end.  The output depends only on the input mesh and the arguments.
 """
 
 import logging
-import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .geometry import build_cache
-from .mesh import DegenerateFaceError, MeshError, TriangleMesh
+from .mesh import DegenerateFaceError, MeshError, Topology, TriangleMesh
 
 logger = logging.getLogger(__name__)
 
 # Split long edges above 4/3 of the local target.  Collapse below 0.6 (not
-# the classic 4/5): split children land near 2/3, and meshes that already
-# satisfy the contract band [0.5, 1.5] (icospheres have min/mean ~ 0.77)
-# must pass through untouched.
+# the classic 4/5): split children land near 2/3, and icospheres (min/mean
+# edge ~ 0.77) must pass through untouched when remeshed to their own mean.
 SPLIT_RATIO = 4.0 / 3.0
 COLLAPSE_RATIO = 0.6
 
@@ -175,285 +176,231 @@ def hausdorff_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
 
 
 # ---------------------------------------------------------------------------
-# editable mesh scratchpad
+# remeshing passes over (positions, faces, per-vertex targets)
 # ---------------------------------------------------------------------------
 
 
-class _EditMesh:
-    """Mutable face/vertex soup used inside one remeshing pass."""
-
-    def __init__(self, mesh: TriangleMesh):
-        self.v = [p for p in np.asarray(mesh.vertices)]
-        self.faces = {i: tuple(f) for i, f in enumerate(np.asarray(mesh.faces))}
-        self._next_face = len(self.faces)
-        self._rebuild_maps()
-
-    def _rebuild_maps(self):
-        self.edge_faces: dict[tuple[int, int], list[int]] = {}
-        self.vertex_faces: dict[int, set[int]] = {}
-        for fi, (a, b, c) in self.faces.items():
-            for u, w in ((a, b), (b, c), (c, a)):
-                self.edge_faces.setdefault(_ekey(u, w), []).append(fi)
-            for u in (a, b, c):
-                self.vertex_faces.setdefault(u, set()).add(fi)
-
-    def add_vertex(self, pos) -> int:
-        self.v.append(np.asarray(pos, dtype=np.float64))
-        self.vertex_faces[len(self.v) - 1] = set()
-        return len(self.v) - 1
-
-    def remove_face(self, fi: int):
-        a, b, c = self.faces.pop(fi)
-        for u, w in ((a, b), (b, c), (c, a)):
-            key = _ekey(u, w)
-            self.edge_faces[key].remove(fi)
-            if not self.edge_faces[key]:
-                del self.edge_faces[key]
-        for u in (a, b, c):
-            self.vertex_faces[u].discard(fi)
-
-    def add_face(self, a: int, b: int, c: int) -> int:
-        fi = self._next_face
-        self._next_face += 1
-        self.faces[fi] = (a, b, c)
-        for u, w in ((a, b), (b, c), (c, a)):
-            self.edge_faces.setdefault(_ekey(u, w), []).append(fi)
-        for u in (a, b, c):
-            self.vertex_faces.setdefault(u, set()).add(fi)
-        return fi
-
-    def vertex_ring(self, u: int) -> set[int]:
-        ring = set()
-        for fi in self.vertex_faces.get(u, ()):
-            ring.update(self.faces[fi])
-        ring.discard(u)
-        return ring
-
-    def to_mesh(self) -> TriangleMesh:
-        used = sorted({i for f in self.faces.values() for i in f})
-        remap = {old: new for new, old in enumerate(used)}
-        verts = np.array([self.v[i] for i in used])
-        faces = np.array([[remap[i] for i in f] for f in self.faces.values()],
-                         dtype=np.int64)
-        return TriangleMesh(verts, faces, validate=True)
+def _edge_corners(f: np.ndarray):
+    """Topology of ``f`` and, per edge, its two corners (corner-major, as in
+    :class:`Topology`): the corner opposite the edge in each of its faces."""
+    topo = Topology(f)
+    if topo.n_nonmanifold_edges or topo.n_boundary_edges:
+        raise RemeshError("remeshing produced a non-manifold or open edge")
+    return topo, np.argsort(topo.corner_edge, kind="stable").reshape(-1, 2)
 
 
-def _ekey(u: int, w: int) -> tuple[int, int]:
-    return (u, w) if u < w else (w, u)
+def _adjacency(edges: np.ndarray, n: int) -> csr_matrix:
+    """Symmetric 0/1 vertex adjacency of ``edges``; row degrees are valences."""
+    i, j = edges.T
+    return csr_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])),
+                      shape=(n, n))
 
 
-# ---------------------------------------------------------------------------
-# remeshing passes
-# ---------------------------------------------------------------------------
+def _independent(rank: np.ndarray, n: int, claims, checks=None) -> np.ndarray:
+    """Mask of the candidates such that no candidate of lower rank claims an
+    item (of ``n``) that they check.  ``claims`` and ``checks`` (default:
+    ``claims``) are ``(owner, item)`` pairs: candidate ``owner[j]`` claims
+    or checks item ``item[j]``."""
+    (c_owner, c_item), (owner, item) = claims, checks or claims
+    best = np.full(n, len(rank))
+    np.minimum.at(best, c_item, rank[c_owner])
+    lost = best[item] < rank[owner]
+    return np.bincount(owner[lost], minlength=len(rank)) == 0
 
 
-def _local_targets(em: _EditMesh, target: float, asq: dict):
-    """Per-vertex edge-length targets, shrunk where ``asq`` (|A|^2 by vertex)
-    demands; vertices not in ``asq`` keep the full target."""
-    out = {}
-    for i in em.vertex_faces:
-        curv = np.sqrt(max(asq.get(i, 0.0), 0.0))
-        factor = 1.0 if curv * target <= ADAPT_CONSTANT else max(
-            ADAPT_CONSTANT / (curv * target), ADAPT_MIN_FACTOR
-        )
-        out[i] = target * factor
-    return out
+def _split_pass(v: np.ndarray, f: np.ndarray, t: np.ndarray):
+    """Split every edge longer than ``SPLIT_RATIO`` times its endpoints'
+    smaller target at its midpoint.
 
-
-def _split_pass(em: _EditMesh, targets) -> int:
-    count = 0
-    for key in list(em.edge_faces.keys()):
-        fs = em.edge_faces.get(key)
-        if not fs or len(fs) != 2:
-            continue
-        u, w = key
-        length = _norm(em.v[u] - em.v[w])
-        if length <= SPLIT_RATIO * min(targets.get(u, np.inf),
-                                       targets.get(w, np.inf)):
-            continue
-        mid = em.add_vertex(0.5 * (em.v[u] + em.v[w]))
-        targets[mid] = min(targets.get(u, np.inf), targets.get(w, np.inf))
-        for fi in list(fs):
-            a, b, c = em.faces[fi]
-            em.remove_face(fi)
-            # rotate so the split edge is (a, b)
-            for _ in range(3):
-                if _ekey(a, b) == key:
-                    break
-                a, b, c = b, c, a
-            em.add_face(a, mid, c)
-            em.add_face(mid, b, c)
-        count += 1
-    return count
-
-
-def _collapse_pass(em: _EditMesh, targets) -> int:
-    count = 0
-    for key in sorted(em.edge_faces.keys()):
-        fs = em.edge_faces.get(key)
-        if not fs or len(fs) != 2:
-            continue
-        u, w = key
-        if u not in em.vertex_faces or w not in em.vertex_faces:
-            continue
-        local = min(targets.get(u, np.inf), targets.get(w, np.inf))
-        length = _norm(em.v[u] - em.v[w])
-        if length >= COLLAPSE_RATIO * local:
-            continue
-        opposite = {next(iter(set(em.faces[fi]) - {u, w})) for fi in fs}
-        ring_u, ring_w = em.vertex_ring(u), em.vertex_ring(w)
-        if ring_u & ring_w != opposite:
-            continue  # link condition: collapse would pinch the surface
-        mid = 0.5 * (em.v[u] + em.v[w])
-        ring = (ring_u | ring_w) - {u, w}
-        if any(_norm(mid - em.v[r]) > SPLIT_RATIO * local for r in ring):
-            continue  # would immediately re-trigger splitting
-        # rewire: move u to the midpoint, delete w and the two shared faces
-        em.v[u] = mid
-        for fi in list(fs):
-            em.remove_face(fi)
-        for fi in list(em.vertex_faces.get(w, ())):
-            a, b, c = em.faces[fi]
-            em.remove_face(fi)
-            tri = tuple(u if x == w else x for x in (a, b, c))
-            if len(set(tri)) == 3:
-                em.add_face(*tri)
-        em.vertex_faces.pop(w, None)
-        count += 1
-    return count
-
-
-def _flip_pass(em: _EditMesh) -> tuple[int, dict[int, int]]:
-    """Flip edges that bring the four vertices' valences closer to 6.
-
-    Valences are counted once; a flip removes the edge (u, w), whose two
-    faces are the ones replaced, and adds (c, d), checked to be new, so it
-    moves them by exactly -1, -1, +1, +1.  Returns the flip count and the
-    running valence of every vertex.
+    Only edges between vertices that existed when the pass began split, so
+    the pass ends.  A round splits each long edge that is the lowest-index
+    long edge of both its faces; face ``(a, b, c)`` with ``c`` opposite
+    becomes ``(a, mid, c)`` and ``(mid, b, c)``, and the midpoint takes the
+    smaller target.  Returns ``(v, f, t, splits)``.
     """
-    valence = {i: len(em.vertex_ring(i)) for i in em.vertex_faces}
-    count = 0
-    for key in list(em.edge_faces.keys()):
-        fs = em.edge_faces.get(key)
-        if not fs or len(fs) != 2:
-            continue
-        u, w = key
-        f0, f1 = fs
-        c = next(iter(set(em.faces[f0]) - {u, w}))
-        d = next(iter(set(em.faces[f1]) - {u, w}))
-        if c == d or _ekey(c, d) in em.edge_faces:
-            continue
-        before = sum((valence[x] - 6) ** 2 for x in (u, w, c, d))
-        after = ((valence[u] - 1 - 6) ** 2 + (valence[w] - 1 - 6) ** 2
-                 + (valence[c] + 1 - 6) ** 2 + (valence[d] + 1 - 6) ** 2)
-        if after >= before:
-            continue
-        if not _flip_is_safe(em, u, w, c, d):
-            continue
-        # preserve orientation: f0 traverses the edge in some direction (u', w')
-        a0, b0, c0 = em.faces[f0]
-        ordered = [(a0, b0), (b0, c0), (c0, a0)]
-        uw = next(p for p in ordered if set(p) == {u, w})
-        em.remove_face(f0)
-        em.remove_face(f1)
-        em.add_face(uw[0], d, c)
-        em.add_face(d, uw[1], c)
-        valence[u] -= 1
-        valence[w] -= 1
-        valence[c] += 1
-        valence[d] += 1
-        count += 1
-    return count, valence
+    n0, count = len(v), 0
+    while True:
+        topo, corners = _edge_corners(f)
+        e, m = topo.edges, len(f)
+        lengths = np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
+        long = np.flatnonzero((lengths > SPLIT_RATIO * t[e].min(axis=1))
+                              & (e[:, 1] < n0))
+        win = long[_independent(np.arange(len(long)), m, (
+            np.repeat(np.arange(len(long)), 2), corners[long].ravel() % m))]
+        if not len(win):
+            return v, f, t, count
+        a, b = e[win].T
+        mid = np.repeat(len(v) + np.arange(len(win)), 2)
+        v = np.vstack([v, 0.5 * (v[a] + v[b])])
+        t = np.append(t, np.minimum(t[a], t[b]))
+        c = corners[win].ravel()
+        fi, k = c % m, c // m
+        p, q, r = f[fi, (k + 1) % 3], f[fi, (k + 2) % 3], f[fi, k]
+        f = np.vstack([f, np.column_stack([mid, q, r])])
+        f[fi] = np.column_stack([p, mid, r])
+        count += len(win)
 
 
-def _flip_is_safe(em: _EditMesh, u, w, c, d) -> bool:
-    """Reject flips creating degenerate or folded triangles.
+def _collapse_pass(v: np.ndarray, f: np.ndarray, t: np.ndarray):
+    """Collapse every edge shorter than ``COLLAPSE_RATIO`` times its
+    endpoints' smaller target to its midpoint, where that is safe.
 
-    The normals are formed in Python floats with ``np.cross``'s operations
-    (same bits, without its dispatch); lengths and dot products then go
-    through ``ndarray.dot``, the call ``np.linalg.norm`` makes.
+    An edge ``(a, b)``, ``a < b``, may collapse if its endpoints have
+    exactly two common neighbours (the link condition: anything else would
+    pinch the surface), both vertices opposite it have valence above 3 (so
+    no two faces end up back to back), and no vertex of its ring would be
+    farther from the midpoint than the split length (it would split again).
+    A round collapses every candidate whose ring (its endpoints and their
+    neighbours) holds no endpoint or opposite vertex of a shorter candidate
+    (ties to the lower index), so no two of its collapses interact: ``a``
+    moves to the midpoint and ``b`` leaves the faces.  Returns
+    ``(v, f, collapses)``.
     """
-    pu, pw, pc, pd = (em.v[i].tolist() for i in (u, w, c, d))
-    a = _cross(_sub(pw, pu), _sub(pc, pu))
-    b = _cross(_sub(pu, pw), _sub(pd, pw))
-    n_old, n1, n2 = np.array([[x + y for x, y in zip(a, b)],
-                              _cross(_sub(pd, pu), _sub(pc, pu)),
-                              _cross(_sub(pw, pd), _sub(pc, pd))])
-    if _norm(n1) < 1e-14 or _norm(n2) < 1e-14 or _norm(n_old) < 1e-14:
-        return False
-    if n1.dot(n_old) <= 0 or n2.dot(n_old) <= 0:
-        return False
-    return n1.dot(n2) > 0
+    v, count = v.copy(), 0
+    while True:
+        topo, corners = _edge_corners(f)
+        e = topo.edges
+        adj = _adjacency(e, len(v))
+        valence = np.diff(adj.indptr)
+        local = t[e].min(axis=1)
+        lengths = np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
+        cand = np.flatnonzero(lengths < COLLAPSE_RATIO * local)
+        a, b = e[cand].T
+        # (owner, ring): each candidate's endpoints and their neighbours;
+        # shared counts 2 for a common neighbour of both endpoints
+        rings = (adj[a] + adj[b]).tocoo()
+        owner, ring, shared = rings.row, rings.col, rings.data
+        opposite = topo.corner_vertex[corners[cand]]
+        mid = 0.5 * (v[a] + v[b])
+        far = (np.linalg.norm(mid[owner] - v[ring], axis=1)
+               > SPLIT_RATIO * local[cand][owner])
+        ok = ((np.bincount(owner, weights=shared == 2, minlength=len(cand)) == 2)
+              & (valence[opposite] > 3).all(axis=1)
+              & (np.bincount(owner[far], minlength=len(cand)) == 0))
+        rank = np.empty(len(cand), dtype=np.int64)
+        rank[np.lexsort((cand, lengths[cand]))] = np.arange(len(cand))
+        rank[~ok] = len(cand)       # an unsafe candidate never wins a vertex
+        claims = (np.tile(np.arange(len(cand)), 4),
+                  np.r_[a, b, opposite.T.ravel()])
+        win = ok & _independent(rank, len(v), claims, (owner, ring))
+        if not win.any():
+            return v, f, count
+        v[a[win]] = mid[win]
+        relabel = np.arange(len(v))
+        relabel[b[win]] = a[win]
+        f = relabel[np.delete(f, corners[cand[win]].ravel() % len(f), axis=0)]
+        count += int(win.sum())
 
 
-def _sub(p, q):
-    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+def _flip_pass(v: np.ndarray, f: np.ndarray):
+    """Flip edges where that lowers the sum of (valence - 6)^2.
+
+    Edge ``(p, q)`` of face ``(p, q, c)`` and face ``(q, p, d)`` becomes
+    ``(c, d)`` with faces ``(p, d, c)`` and ``(d, q, c)``, if ``(c, d)`` is
+    not an edge yet and both new faces have nonzero area and normals that
+    agree with each other and with the old pair's.  A round flips the
+    candidate of largest gain, ties to the lower index, among candidates
+    that share a vertex, so every flip changes four valences by exactly
+    -1, -1, +1, +1.  Returns ``(f, flips)``.
+    """
+    f, count = f.copy(), 0
+    while True:
+        topo, corners = _edge_corners(f)
+        e, m, n = topo.edges, len(f), len(v)
+        fi, k = corners % m, corners // m
+        p = f[fi[:, 0], (k[:, 0] + 1) % 3]
+        q = f[fi[:, 0], (k[:, 0] + 2) % 3]
+        c, d = topo.corner_vertex[corners].T
+        dev = np.bincount(e.ravel(), minlength=n) - 6
+        # sum of squares of (dev[p], dev[q], dev[c], dev[d]) minus that of
+        # (dev[p] - 1, dev[q] - 1, dev[c] + 1, dev[d] + 1)
+        gain = 2 * (dev[p] + dev[q] - dev[c] - dev[d]) - 4
+        keys = e[:, 0].astype(np.int64) * n + e[:, 1]
+        new = np.minimum(c, d).astype(np.int64) * n + np.maximum(c, d)
+        found = keys[np.minimum(np.searchsorted(keys, new), len(keys) - 1)]
+        cand = np.flatnonzero((gain > 0) & (c != d) & (found != new))
+        P, Q, C, D = (v[x[cand]] for x in (p, q, c, d))
+        # normals of (p, d, c), (d, q, c) and of the old pair, summed
+        nrm = np.stack([np.cross(D - P, C - P), np.cross(Q - D, C - D),
+                        np.cross(Q - P, C - P) + np.cross(P - Q, D - Q)])
+        safe = ((np.linalg.norm(nrm, axis=2) >= 1e-14).all(axis=0)
+                & (np.einsum("kij,kij->ki", nrm[[0, 1, 0]], nrm[[2, 2, 1]]) > 0)
+                .all(axis=0))
+        cand = cand[safe]
+        rank = np.empty(len(cand), dtype=np.int64)
+        rank[np.lexsort((cand, -gain[cand]))] = np.arange(len(cand))
+        win = cand[_independent(rank, n, (
+            np.tile(np.arange(len(cand)), 4),
+            np.concatenate([x[cand] for x in (p, q, c, d)])))]
+        if not len(win):
+            return f, count
+        f[fi[win, 0]] = np.column_stack([p[win], d[win], c[win]])
+        f[fi[win, 1]] = np.column_stack([d[win], q[win], c[win]])
+        count += len(win)
 
 
-def _cross(p, q):
-    return (p[1] * q[2] - p[2] * q[1],
-            p[2] * q[0] - p[0] * q[2],
-            p[0] * q[1] - p[1] * q[0])
+def _smooth(v: np.ndarray, f: np.ndarray, projector: MeshProjector,
+            relaxation: float = 0.5) -> np.ndarray:
+    """Move every used vertex ``relaxation`` of the way to its neighbours'
+    centroid, then onto the reference surface."""
+    adj = _adjacency(Topology(f).edges, len(v))
+    degree = np.diff(adj.indptr)
+    used = np.flatnonzero(degree)
+    moved = v[used] + relaxation * (adj[used] @ v / degree[used, None] - v[used])
+    v = v.copy()
+    v[used] = projector.project(moved)[0]
+    return v
 
 
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm`` of a 1-D array: the same ``sqrt(x.dot(x))``."""
-    return math.sqrt(x.dot(x))
-
-
-def _smooth_and_project(em: _EditMesh, projector: MeshProjector,
-                        relaxation: float = 0.5):
-    idx = sorted(em.vertex_faces.keys())
-    pos = {i: em.v[i] for i in idx}
-    new_pos = {}
-    for i in idx:
-        ring = em.vertex_ring(i)
-        if not ring:
-            new_pos[i] = pos[i]
-            continue
-        centroid = np.mean([pos[r] for r in ring], axis=0)
-        new_pos[i] = pos[i] + relaxation * (centroid - pos[i])
-    pts = np.array([new_pos[i] for i in idx])
-    projected = projector.project(pts)[0]
-    for j, i in enumerate(idx):
-        em.v[i] = projected[j]
+def _compact(v: np.ndarray, f: np.ndarray):
+    """Drop the vertices no face uses and renumber the faces."""
+    used, inverse = np.unique(f, return_inverse=True)
+    return v[used], inverse.reshape(-1, 3)
 
 
 def remesh(mesh: TriangleMesh, target_edge: float,
            min_angle: float = np.deg2rad(15.0), iterations: int = 5) -> TriangleMesh:
     """Isotropically remesh toward ``target_edge``.
 
-    The output keeps the input's genus and component count and stays within
-    ``HAUSDORFF_FRACTION * target_edge`` of the input surface (enforced).
-    Edge lengths land in ``[0.5, 1.5] * target_edge`` except where the
-    curvature-adaptive local target is smaller.
+    Enforced: the output keeps the input's Euler characteristic and
+    component count, and its sampled Hausdorff distance to the input is at
+    most ``HAUSDORFF_FRACTION * target_edge``; otherwise ``RemeshError``.
+    The passes aim for edge lengths in ``[0.5, 1.5] * target_edge`` (less
+    where the curvature-adaptive local target is smaller) and for angles
+    above ``min_angle``, but do not enforce either: an angle below
+    ``min_angle`` is only logged.
     """
     if target_edge <= 0:
         raise RemeshError("target_edge must be positive")
     projector = MeshProjector(mesh)
-    asq_by_vertex = dict(enumerate(build_cache(mesh).Asq))
+    curv = np.sqrt(np.maximum(build_cache(mesh).Asq, 0.0)) * target_edge
+    adapted = target_edge * np.maximum(
+        ADAPT_CONSTANT / np.maximum(curv, ADAPT_CONSTANT), ADAPT_MIN_FACTOR)
 
-    em = _EditMesh(mesh)
+    def targets(n):
+        # vertices added by earlier passes take the full target
+        return np.r_[adapted, np.full(n - len(adapted), target_edge)]
+
+    v, f = mesh.vertices, mesh.faces
     for it in range(iterations):
-        targets = _local_targets(em, target_edge, asq_by_vertex)
-        splits = _split_pass(em, targets)
-        collapses = _collapse_pass(em, targets)
-        flips, _ = _flip_pass(em)
+        v, f, t, splits = _split_pass(v, f, targets(len(v)))
+        v, f, collapses = _collapse_pass(v, f, t)
+        f, flips = _flip_pass(v, f)
         logger.debug("remesh pass %d: %d splits, %d collapses, %d flips",
                      it, splits, collapses, flips)
         if splits == 0 and collapses == 0 and flips == 0:
             # already at target (e.g. remeshing to the current edge length):
             # skip smoothing so the surface is left untouched
             break
-        _smooth_and_project(em, projector)
+        v = _smooth(v, f, projector)
     else:
         # cap any edges the last smoothing stretched past the band
-        targets = _local_targets(em, target_edge, asq_by_vertex)
-        if _split_pass(em, targets):
-            _smooth_and_project(em, projector, relaxation=0.0)
+        v, f, _, splits = _split_pass(v, f, targets(len(v)))
+        if splits:
+            v = _smooth(v, f, projector, relaxation=0.0)
 
     try:
-        out = em.to_mesh()
+        out = TriangleMesh(*_compact(v, f), validate=True)
     except (MeshError, DegenerateFaceError) as exc:
         raise RemeshError(f"remeshing produced an invalid mesh: {exc}") from exc
 

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from helflow.geometry import build_cache
-from helflow.mesh import TriangleMesh, make_icosphere, make_torus, \
-    orient_for_positive_volume, quality_report
-from helflow.remesh import (MeshProjector, RemeshError, _collapse_pass,
-                            _EditMesh, _flip_pass, _split_pass, closest_point_on_triangles,
+from helflow.mesh import TriangleMesh, make_icosphere, make_tetrahedron, \
+    make_torus, orient_for_positive_volume, quality_report
+from helflow.remesh import (MeshProjector, RemeshError, _collapse_pass, _compact,
+                            _flip_pass, _split_pass, closest_point_on_triangles,
                             hausdorff_distance, remesh)
 from helflow.validate import perturbed_sphere
 
@@ -159,20 +159,26 @@ def test_projector_matches_per_query_loop(make_mesh):
         assert g.tobytes() == e.tobytes()
 
 
+def _valence_deviation(v, f):
+    valence = np.bincount(TriangleMesh(*_compact(v, f), validate=False).edges.ravel())
+    return int(np.sum((valence - 6) ** 2))
+
+
 @pytest.mark.parametrize("make_mesh,factor", [
     (lambda: make_icosphere(3, 1.0), 0.5),
     (lambda: perturbed_sphere(2, 3, 0.2), 1.3),
     (lambda: make_torus(1.0, 0.4, 36, 18), 0.7),
 ], ids=["ico3-refine", "perturbed-coarsen", "torus"])
-def test_flip_pass_valence_stays_exact(make_mesh, factor):
+def test_flip_pass_lowers_valence_deviation(make_mesh, factor):
     mesh = make_mesh()
-    em = _EditMesh(mesh)
-    targets = dict.fromkeys(em.vertex_faces, factor * mesh.mean_edge_length())
-    _split_pass(em, targets)
-    _collapse_pass(em, targets)
-    flips, valence = _flip_pass(em)
+    targets = np.full(mesh.n_vertices, factor * mesh.mean_edge_length())
+    v, f, t, _ = _split_pass(mesh.vertices, mesh.faces, targets)
+    v, f, _ = _collapse_pass(v, f, t)
+    flipped, flips = _flip_pass(v, f)
     assert flips > 0
-    assert valence == {i: len(em.vertex_ring(i)) for i in em.vertex_faces}
+    out = TriangleMesh(*_compact(v, flipped), validate=True)
+    assert out.euler_characteristic == mesh.euler_characteristic
+    assert _valence_deviation(v, flipped) < _valence_deviation(v, f)
 
 
 @settings(max_examples=20, deadline=None)
@@ -188,6 +194,34 @@ def test_remesh_keeps_topology_and_surface_or_raises(seed, amplitude, factor):
     assert out.euler_characteristic == mesh.euler_characteristic
     assert out.n_components == mesh.n_components
     assert hausdorff_distance(mesh, out) <= 0.5 * target
+    assert np.bincount(out.edges.ravel()).min() >= 3
+
+
+@pytest.mark.parametrize("factor", [10.0, 100.0])
+@pytest.mark.parametrize("make_mesh", [
+    make_tetrahedron, lambda: make_icosphere(0), lambda: make_icosphere(1),
+], ids=["tetrahedron", "ico0", "ico1"])
+def test_coarse_remesh_never_makes_a_pillow(make_mesh, factor):
+    # collapsing toward a target far above the mesh size must stop before
+    # two triangles lie back to back on three vertices
+    mesh = make_mesh()
+    try:
+        out = remesh(mesh, factor * mesh.mean_edge_length())
+    except RemeshError:
+        return
+    out = TriangleMesh(out.vertices, out.faces, validate=True)
+    assert out.n_vertices >= 4
+    assert np.bincount(out.edges.ravel()).min() >= 3
+
+
+def test_remesh_is_deterministic(ellipsoid):
+    first = remesh(ellipsoid, 0.15)
+    again = remesh(ellipsoid, 0.15)
+    rebuilt = remesh(TriangleMesh(np.array(ellipsoid.vertices),
+                                  np.array(ellipsoid.faces)), 0.15)
+    for out in (again, rebuilt):
+        assert out.vertices.tobytes() == first.vertices.tobytes()
+        assert out.faces.tobytes() == first.faces.tobytes()
 
 
 def test_identity_remesh_near_noop(ico4):
