@@ -77,49 +77,93 @@ class Topology:
 
     Corner maps are corner-major: corner ``k * m + f`` is corner ``k`` of
     face ``f``.  ``corner_vertex`` is the vertex at each corner and
-    ``corner_edge`` the edge opposite it.  One sort of the edge incidences
-    gives ``corner_edge``, the edges, the edge-face pairs and the edge
-    multiplicities.  Built on first use: the face components, the padded
-    vertex -> face table and the Laplacian's CSR layout
-    (:class:`LaplacianPattern`).  Meshes that only move vertices share one
-    instance, so a flow computes connectivity once per remesh, not once per
-    step.  Indices are int32; the face table is intp, like face indices.
+    ``corner_edge`` the edge opposite it.  One sort of the corners by their
+    opposite edge gives the edges, the edge multiplicities and
+    ``edge_corners``, which the remesher reads once per round.  Built on
+    first use: ``corner_edge``, the edge-face pairs and their directions,
+    the face components, the padded vertex -> face table and the
+    Laplacian's CSR layout (:class:`LaplacianPattern`).  Meshes that only
+    move vertices share one instance, so a flow computes connectivity once
+    per remesh, not once per step.  Indices are int32; the face table is
+    intp, like face indices.
     """
 
     def __init__(self, faces: np.ndarray):
         self.faces = faces
         m = len(faces)
         #: Vertex of every corner, corner-major.
-        self.corner_vertex = faces.T.astype(np.int32).ravel()
-        # incidence j * m + f is the directed edge from corner j of face f
-        # to corner j + 1, opposite corner j + 2.  One lexicographic sort of
-        # the undirected incidences gives the unique edges (first of each
-        # run), the face pairs (neighbours within a run), each edge's
-        # multiplicity (run length) and each incidence's edge (run number).
-        src, dst = self.corner_vertex, np.roll(self.corner_vertex, -m)
-        e = np.column_stack([np.minimum(src, dst), np.maximum(src, dst)])
-        fidx = np.tile(np.arange(m, dtype=np.int32), 3)
-        order = np.lexsort((e[:, 1], e[:, 0]))
-        e, fidx, forward = e[order], fidx[order], (src < dst)[order]
-        same = np.all(e[1:] == e[:-1], axis=1)
-        first = np.ones(len(e), dtype=bool)
-        first[1:] = ~same
+        self.corner_vertex = cv = faces.T.astype(np.int32).ravel()
+        # corner k * m + f faces the edge between corners k + 1 and k + 2 of
+        # face f.  Sorting the corners by (edge, corner) gives the unique
+        # edges (first of each run), each edge's multiplicity (run length),
+        # each corner's edge (run number) and each edge's corners (the run).
+        a, b = np.roll(cv, -m), np.roll(cv, -2 * m)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        n3 = len(cv)
+        base = int(cv.min(initial=0))
+        span = int(cv.max(initial=0)) - base + 1
+        shift = n3.bit_length()
+        if span * span << shift <= 2**63:
+            # (edge, corner) packed in one int64, so a plain sort is stable
+            order = np.sort(((lo - np.int64(base)) * span + (hi - base)) << shift
+                            | np.arange(n3)) & ((1 << shift) - 1)
+        else:
+            order = np.lexsort((hi, lo))
+        order = order.astype(np.int32)
+        lo, hi = lo[order], hi[order]
+        first = np.ones(n3, dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         #: Unique undirected edges as an (E, 2) array of sorted index pairs.
-        self.edges = e[first]
-        #: (k, 2) array of face-index pairs sharing an edge.
-        self.edge_face_pairs = np.column_stack([fidx[:-1][same], fidx[1:][same]])
-        multiplicity = np.diff(np.append(np.flatnonzero(first), len(e)))
+        self.edges = np.column_stack([lo[first], hi[first]])
+        #: Corners grouped by their opposite edge, edges ascending and each
+        #: edge's corners ascending: ``argsort(corner_edge, kind="stable")``.
+        #: On a closed manifold, ``edge_corners.reshape(-1, 2)`` holds each
+        #: edge's two corners.
+        self.edge_corners = order
+        self._first = first
+        multiplicity = np.diff(np.append(np.flatnonzero(first), n3))
         #: Number of edges shared by more than two faces.
         self.n_nonmanifold_edges = int(np.count_nonzero(multiplicity > 2))
         #: Number of edges that belong to a single face.
         self.n_boundary_edges = int(np.count_nonzero(multiplicity < 2))
-        #: Per edge-face pair: both faces traverse the edge in one direction.
-        self.same_direction = forward[:-1][same] == forward[1:][same]
-        edge_of = np.empty(len(e), dtype=np.int32)
-        edge_of[order] = np.cumsum(first, dtype=np.int32) - 1
-        #: Edge opposite every corner (an index into ``edges``), corner-major.
-        self.corner_edge = np.roll(edge_of, -m)
         self._laplacian_pattern = None
+
+    @cached_property
+    def corner_edge(self) -> np.ndarray:
+        """Edge opposite every corner (an index into ``edges``), corner-major."""
+        edge = np.empty(len(self.edge_corners), dtype=np.int32)
+        edge[self.edge_corners] = np.cumsum(self._first, dtype=np.int32) - 1
+        return edge
+
+    @cached_property
+    def _edge_incidences(self):
+        """Per edge-face pair: the two faces and whether both traverse the
+        edge in one direction.
+
+        Incidence ``j * m + f`` is the directed edge from corner ``j`` of face
+        ``f`` to corner ``j + 1``, opposite corner ``j + 2``; pairs are
+        neighbours in the incidences sorted by (edge, incidence).
+        """
+        m = len(self.faces)
+        src, dst = self.corner_vertex, np.roll(self.corner_vertex, -m)
+        edge = np.roll(self.corner_edge, m)          # edge of each incidence
+        order = np.argsort(edge, kind="stable")
+        edge = edge[order]
+        same = edge[1:] == edge[:-1]
+        face = (order % max(m, 1)).astype(np.int32)
+        forward = (src < dst)[order]
+        return (np.column_stack([face[:-1][same], face[1:][same]]),
+                forward[:-1][same] == forward[1:][same])
+
+    @property
+    def edge_face_pairs(self) -> np.ndarray:
+        """(k, 2) array of face-index pairs sharing an edge."""
+        return self._edge_incidences[0]
+
+    @property
+    def same_direction(self) -> np.ndarray:
+        """Per edge-face pair: both faces traverse the edge in one direction."""
+        return self._edge_incidences[1]
 
     @property
     def consistent_winding(self) -> bool:

@@ -10,11 +10,19 @@ checked against the input by a sampled Hausdorff distance, which is logged.
 
 The passes work on plain arrays: positions ``v``, faces ``f`` and a target
 length per vertex ``t``.  Each round of a pass builds one :class:`Topology`
-of ``f``, reads every edge's two faces and opposite vertices from it, picks
-the qualifying edges whose edits touch disjoint faces (ties go to the lower
-index, so the choice is ordered), applies them all at once and repeats
-until no edge qualifies.  Vertex indices stay fixed until one compaction at
-the end.  The output depends only on the input mesh and the arguments.
+of ``f``, reads every edge's two faces and opposite vertices from its
+``edge_corners``, picks the qualifying edges whose edits touch disjoint
+faces (ties go to the lower index, so the choice is ordered), applies them
+all at once and repeats until no edge qualifies.  Vertex indices stay fixed
+until one compaction at the end.  The output depends only on the input mesh
+and the arguments.
+
+Closest points and the Hausdorff check skip work that cannot change their
+result, so they return the floats a full evaluation would: the projector
+evaluates only the candidate faces whose bounding sphere could hold a point
+closer than the query's star (:class:`MeshProjector`), and the Hausdorff
+check projects only the samples whose star distance could raise the
+maximum (:meth:`MeshProjector.max_distance`).
 """
 
 import logging
@@ -39,6 +47,8 @@ ADAPT_CONSTANT = 0.5
 ADAPT_MIN_FACTOR = 0.25
 HAUSDORFF_FRACTION = 0.5    # see remesh()
 K_NEAREST = 10              # see MeshProjector
+PRUNE_SLACK = 2.0**-20      # see MeshProjector
+MAX_DISTANCE_BATCH = 64     # see MeshProjector.max_distance
 
 
 class RemeshError(MeshError):
@@ -112,6 +122,19 @@ class MeshProjector:
     ``n_faces``), so gathering the candidates of every query is one fancy
     index, one sort per row and one mask, and the closest candidate is read
     from the same padded rows: no Python loop over the queries.
+
+    Most candidates are too far away to win, and only the survivors of an
+    exact pruning are evaluated.  The faces around the query's nearest
+    vertex (its star) are evaluated first; their closest distance ``u``
+    bounds the query's.  A candidate whose bounding sphere (centroid ``g``,
+    radius ``r``) lies farther than ``u``, that is ``|q - g| - r > u +
+    margin``, cannot be closest, and dropping it leaves the result bit for
+    bit as if it had been evaluated.  The margin covers the rounding of the
+    bound and of the computed closest point, whose barycentric weights lose
+    accuracy with the square of the face's aspect ratio: it is
+    ``PRUNE_SLACK * aspect**2 * (|q - g| + r + |g|)``, many orders of
+    magnitude above that rounding and far below the gaps that pruning
+    exploits, and infinite (never pruned) for a face of zero area.
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -119,6 +142,16 @@ class MeshProjector:
         self.k_nearest = min(K_NEAREST, mesh.n_vertices)
         self._tree = cKDTree(mesh.vertices)
         self._vertex_faces = mesh.topology.vertex_faces
+        a, b, c = mesh.face_corners()
+        self._centroid = (a + b + c) / 3.0
+        self._radius = np.linalg.norm(
+            np.stack([a, b, c]) - self._centroid, axis=2).max(axis=0)
+        longest = np.max([np.einsum("ij,ij->i", x, x)
+                          for x in (b - a, c - b, a - c)], axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            aspect = longest / np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        self._slack = PRUNE_SLACK * aspect**2
+        self._reach = self._radius + np.linalg.norm(self._centroid, axis=1)
 
     def _candidate_faces(self, nearest_vertices: np.ndarray):
         """Candidate faces of each query, one row per query.
@@ -133,6 +166,50 @@ class MeshProjector:
         keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
         return cand, keep
 
+    def _closest(self, points: np.ndarray, faces: np.ndarray):
+        """Closest points of ``points`` on ``faces`` (row by row) and their
+        distances."""
+        tri = self.mesh.faces[faces]
+        v = self.mesh.vertices
+        cp = closest_point_on_triangles(
+            points, *(np.take(v, tri[:, k], axis=0) for k in range(3)))
+        return cp, np.linalg.norm(cp - points, axis=1)
+
+    def _near(self, points: np.ndarray):
+        """Each query's nearest vertices and its star distance: the distance
+        to the closest face around the nearest vertex (NaN if every such
+        distance is NaN), an upper bound of its projected distance."""
+        _, near = self._tree.query(points, k=self.k_nearest)
+        near = np.atleast_2d(near)
+        star = self._vertex_faces[near[:, 0]]
+        dist = np.full(star.shape, np.nan)
+        rows, cols = np.nonzero(star < self.mesh.n_faces)
+        dist[rows, cols] = self._closest(points[rows], star[rows, cols])[1]
+        return near, np.fmin.reduce(dist, axis=1)
+
+    def _project(self, points, near, bound):
+        """:meth:`project` for queries whose nearest vertices and star
+        distances :meth:`_near` has found."""
+        cand, keep = self._candidate_faces(near)
+        rows, faces = np.nonzero(keep)[0], cand[keep]
+        dq = np.linalg.norm(np.take(points, rows, axis=0)
+                            - np.take(self._centroid, faces, axis=0), axis=1)
+        keep[keep] = ~(dq - self._radius[faces] > bound[rows]
+                       + self._slack[faces] * (dq + self._reach[faces]))
+        faces = cand[keep]
+        queries = points[np.nonzero(keep)[0]]
+        cp, d = self._closest(queries, faces)
+        # first minimum per row; padding, repeats and pruned faces hold NaN,
+        # and a row's first entry is kept (it is padding only if none of the
+        # query's nearest vertices has a face; a row whose bound is NaN
+        # loses nothing to pruning)
+        dist = np.full(keep.shape, np.nan)
+        dist[keep] = d
+        col = np.argmax(dist == np.fmin.reduce(dist, axis=1)[:, None], axis=1)
+        rows = np.arange(len(points))
+        best = np.cumsum(keep).reshape(keep.shape)[rows, col] - 1
+        return cp[best], dist[rows, col], faces[best]
+
     def project(self, points: np.ndarray):
         """Return (closest points, distances, face indices) for each query.
 
@@ -140,28 +217,40 @@ class MeshProjector:
         distance ranks after every number.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        _, near = self._tree.query(points, k=self.k_nearest)
-        cand, keep = self._candidate_faces(np.atleast_2d(near))
-        faces = cand[keep]
-        queries = points[np.nonzero(keep)[0]]
-        tri = self.mesh.faces[faces]
-        v = self.mesh.vertices
-        cp = closest_point_on_triangles(
-            queries, v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
-        )
-        # first minimum per row; padding and repeats hold NaN, and a row's
-        # first entry is kept (it is padding only if none of the query's
-        # nearest vertices has a face)
-        dist = np.full(keep.shape, np.nan)
-        dist[keep] = np.linalg.norm(cp - queries, axis=1)
-        col = np.argmax(dist == np.fmin.reduce(dist, axis=1)[:, None], axis=1)
-        rows = np.arange(len(points))
-        best = np.cumsum(keep).reshape(keep.shape)[rows, col] - 1
-        return cp[best], dist[rows, col], faces[best]
+        return self._project(points, *self._near(points))
+
+    def max_distance(self, points: np.ndarray) -> float:
+        """``project(points)[1].max()``, NaN included, projecting only the
+        queries that can raise it.
+
+        Queries go in batches of growing size, in descending order of star
+        distance (NaN first).  Once the largest distance so far reaches the
+        next query's star distance, no remaining query can exceed it.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        near, bound = self._near(points)
+        order = np.argsort(bound)[::-1]
+        best, start, size = -np.inf, 0, MAX_DISTANCE_BATCH
+        while start < len(order) and not bound[order[start]] <= best:
+            batch = order[start:start + size]
+            top = self._project(points[batch], near[batch], bound[batch])[1].max()
+            if np.isnan(top):   # the bits of a NaN maximum depend on the order
+                return self._project(points, near, bound)[1].max()
+            best, start, size = max(best, top), start + size, 2 * size
+        return best
 
 
-def hausdorff_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
-    """Symmetric sampled Hausdorff distance (vertices, edge midpoints, centroids)."""
+def hausdorff_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh,
+                       projector_a: MeshProjector | None = None) -> float:
+    """Symmetric sampled Hausdorff distance (vertices, edge midpoints,
+    centroids).
+
+    Only each side's maximum is needed, so :meth:`MeshProjector.max_distance`
+    projects only the samples whose star distance (an upper bound of their
+    distance) exceeds the largest distance found so far; the result is the
+    float that projecting every sample gives.  ``projector_a``, a projector
+    of ``mesh_a`` the caller already holds, saves building it again.
+    """
 
     def samples(m: TriangleMesh) -> np.ndarray:
         e = m.edges
@@ -170,8 +259,8 @@ def hausdorff_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
         cen = (v0 + v1 + v2) / 3.0
         return np.concatenate([m.vertices, mid, cen])
 
-    d_ab = MeshProjector(mesh_b).project(samples(mesh_a))[1].max()
-    d_ba = MeshProjector(mesh_a).project(samples(mesh_b))[1].max()
+    d_ab = MeshProjector(mesh_b).max_distance(samples(mesh_a))
+    d_ba = (projector_a or MeshProjector(mesh_a)).max_distance(samples(mesh_b))
     return float(max(d_ab, d_ba))
 
 
@@ -186,14 +275,45 @@ def _edge_corners(f: np.ndarray):
     topo = Topology(f)
     if topo.n_nonmanifold_edges or topo.n_boundary_edges:
         raise RemeshError("remeshing produced a non-manifold or open edge")
-    return topo, np.argsort(topo.corner_edge, kind="stable").reshape(-1, 2)
+    return topo, topo.edge_corners.reshape(-1, 2)
 
 
-def _adjacency(edges: np.ndarray, n: int) -> csr_matrix:
-    """Symmetric 0/1 vertex adjacency of ``edges``; row degrees are valences."""
-    i, j = edges.T
-    return csr_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])),
-                      shape=(n, n))
+def _lengths(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Length of every edge of ``e``."""
+    return np.linalg.norm(np.take(v, e[:, 0], axis=0)
+                          - np.take(v, e[:, 1], axis=0), axis=1)
+
+
+def _local(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Target of every edge of ``e``: its endpoints' smaller target."""
+    return np.minimum(t[e[:, 0]], t[e[:, 1]])
+
+
+def _neighbours(edges: np.ndarray, n: int):
+    """Every vertex's neighbours (both directions of ``edges``) as CSR
+    ``(indptr, indices)``, ascending within each row, and the sorted keys
+    ``i << 32 | j`` of the directed edges, so ``(i, j)`` is an edge iff its
+    key is found.  Row lengths are valences."""
+    i, j = edges.T.astype(np.int64)
+    keys = np.sort(np.concatenate([i << 32 | j, j << 32 | i]))
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32)
+    return indptr, keys & 0xFFFFFFFF, keys
+
+
+def _found(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` that occur in the nonempty ``sorted_keys``."""
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
+
+
+def _row_entries(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
+                 owners: np.ndarray):
+    """``(owner, index)`` pairs of the CSR entries of ``rows``, row ``rows[k]``
+    owned by ``owners[k]``."""
+    count = indptr[rows + 1] - indptr[rows]
+    start = indptr[rows] - np.cumsum(count) + count
+    return (np.repeat(owners, count),
+            indices[np.arange(count.sum()) + np.repeat(start, count)])
 
 
 def _independent(rank: np.ndarray, n: int, claims, checks=None) -> np.ndarray:
@@ -222,8 +342,7 @@ def _split_pass(v: np.ndarray, f: np.ndarray, t: np.ndarray):
     while True:
         topo, corners = _edge_corners(f)
         e, m = topo.edges, len(f)
-        lengths = np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
-        long = np.flatnonzero((lengths > SPLIT_RATIO * t[e].min(axis=1))
+        long = np.flatnonzero((_lengths(v, e) > SPLIT_RATIO * _local(t, e))
                               & (e[:, 1] < n0))
         win = long[_independent(np.arange(len(long)), m, (
             np.repeat(np.arange(len(long)), 2), corners[long].ravel() % m))]
@@ -260,21 +379,23 @@ def _collapse_pass(v: np.ndarray, f: np.ndarray, t: np.ndarray):
     while True:
         topo, corners = _edge_corners(f)
         e = topo.edges
-        adj = _adjacency(e, len(v))
-        valence = np.diff(adj.indptr)
-        local = t[e].min(axis=1)
-        lengths = np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
+        indptr, nbrs, keys = _neighbours(e, len(v))
+        valence = np.diff(indptr)
+        local, lengths = _local(t, e), _lengths(v, e)
         cand = np.flatnonzero(lengths < COLLAPSE_RATIO * local)
         a, b = e[cand].T
-        # (owner, ring): each candidate's endpoints and their neighbours;
-        # shared counts 2 for a common neighbour of both endpoints
-        rings = (adj[a] + adj[b]).tocoo()
-        owner, ring, shared = rings.row, rings.col, rings.data
+        # (owner, ring): each candidate's endpoints' neighbours, which
+        # include both endpoints; a common neighbour is one of a's that
+        # makes an edge with b
+        owner, ring = _row_entries(indptr, nbrs, np.r_[a, b],
+                                   np.tile(np.arange(len(cand)), 2))
+        of_a = slice(valence[a].sum())
+        common = _found(keys, b[owner[of_a]].astype(np.int64) << 32 | ring[of_a])
         opposite = topo.corner_vertex[corners[cand]]
         mid = 0.5 * (v[a] + v[b])
-        far = (np.linalg.norm(mid[owner] - v[ring], axis=1)
+        far = (np.linalg.norm(mid[owner] - np.take(v, ring, axis=0), axis=1)
                > SPLIT_RATIO * local[cand][owner])
-        ok = ((np.bincount(owner, weights=shared == 2, minlength=len(cand)) == 2)
+        ok = ((np.bincount(owner[of_a][common], minlength=len(cand)) == 2)
               & (valence[opposite] > 3).all(axis=1)
               & (np.bincount(owner[far], minlength=len(cand)) == 0))
         rank = np.empty(len(cand), dtype=np.int64)
@@ -317,9 +438,8 @@ def _flip_pass(v: np.ndarray, f: np.ndarray):
         gain = 2 * (dev[p] + dev[q] - dev[c] - dev[d]) - 4
         keys = e[:, 0].astype(np.int64) * n + e[:, 1]
         new = np.minimum(c, d).astype(np.int64) * n + np.maximum(c, d)
-        found = keys[np.minimum(np.searchsorted(keys, new), len(keys) - 1)]
-        cand = np.flatnonzero((gain > 0) & (c != d) & (found != new))
-        P, Q, C, D = (v[x[cand]] for x in (p, q, c, d))
+        cand = np.flatnonzero((gain > 0) & (c != d) & ~_found(keys, new))
+        P, Q, C, D = (np.take(v, x[cand], axis=0) for x in (p, q, c, d))
         # normals of (p, d, c), (d, q, c) and of the old pair, summed
         nrm = np.stack([np.cross(D - P, C - P), np.cross(Q - D, C - D),
                         np.cross(Q - P, C - P) + np.cross(P - Q, D - Q)])
@@ -343,10 +463,12 @@ def _smooth(v: np.ndarray, f: np.ndarray, projector: MeshProjector,
             relaxation: float = 0.5) -> np.ndarray:
     """Move every used vertex ``relaxation`` of the way to its neighbours'
     centroid, then onto the reference surface."""
-    adj = _adjacency(Topology(f).edges, len(v))
-    degree = np.diff(adj.indptr)
+    n = len(v)
+    indptr, nbrs, _ = _neighbours(Topology(f).edges, n)
+    degree = np.diff(indptr)
     used = np.flatnonzero(degree)
-    moved = v[used] + relaxation * (adj[used] @ v / degree[used, None] - v[used])
+    adj = csr_matrix((np.ones(len(nbrs)), nbrs, indptr), shape=(n, n))
+    moved = v[used] + relaxation * ((adj @ v)[used] / degree[used, None] - v[used])
     v = v.copy()
     v[used] = projector.project(moved)[0]
     return v
@@ -370,8 +492,9 @@ def remesh(mesh: TriangleMesh, target_edge: float,
     above ``min_angle``, but do not enforce either: an angle below
     ``min_angle`` is only logged.
     """
-    if target_edge <= 0:
-        raise RemeshError("target_edge must be positive")
+    if not 0 < target_edge < np.inf:
+        raise RemeshError(
+            f"target_edge must be positive and finite, got {target_edge}")
     projector = MeshProjector(mesh)
     curv = np.sqrt(np.maximum(build_cache(mesh).Asq, 0.0)) * target_edge
     adapted = target_edge * np.maximum(
@@ -411,7 +534,7 @@ def remesh(mesh: TriangleMesh, target_edge: float,
             f"(chi {mesh.euler_characteristic} -> {out.euler_characteristic}, "
             f"components {mesh.n_components} -> {out.n_components}); aborted"
         )
-    dist = hausdorff_distance(mesh, out)
+    dist = hausdorff_distance(mesh, out, projector)
     allowed = HAUSDORFF_FRACTION * target_edge
     logger.info("remesh: %d -> %d vertices, Hausdorff distance %.3e "
                 "(allowed %.3e)", mesh.n_vertices, out.n_vertices, dist, allowed)

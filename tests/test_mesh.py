@@ -355,6 +355,62 @@ def test_topology_matches_direct_computation(ico3, torus):
     assert torus.n_components == 1 and torus.genus == 1
 
 
+def _lexsort_topology(faces):
+    """Reference connectivity: one lexsort of the directed edge incidences
+    (incidence j * m + f runs from corner j of face f to corner j + 1)."""
+    m = len(faces)
+    src = faces.T.astype(np.int32).ravel()
+    dst = np.roll(src, -m)
+    e = np.column_stack([np.minimum(src, dst), np.maximum(src, dst)])
+    fidx = np.tile(np.arange(m, dtype=np.int32), 3)
+    order = np.lexsort((e[:, 1], e[:, 0]))
+    e, fidx, forward = e[order], fidx[order], (src < dst)[order]
+    same = np.all(e[1:] == e[:-1], axis=1)
+    first = np.r_[True, ~same]
+    edge_of = np.empty(len(e), dtype=np.int32)
+    edge_of[order] = np.cumsum(first, dtype=np.int32) - 1
+    return {"edges": e[first],
+            "edge_face_pairs": np.column_stack([fidx[:-1][same], fidx[1:][same]]),
+            "corner_edge": np.roll(edge_of, -m),
+            "same_direction": forward[:-1][same] == forward[1:][same]}
+
+
+def _remeshed_ellipsoid():
+    from helflow.remesh import remesh
+
+    base = hm.make_icosphere(3, 1.0)
+    return remesh(hm.TriangleMesh(base.vertices * [2.5, 1.0, 0.7], base.faces),
+                  0.15)
+
+
+def _with_fin(faces):
+    # a third face on the first edge of face 0: one non-manifold edge
+    a, b = faces[0, :2]
+    return np.vstack([faces, [[a, b, faces.max() + 1]]])
+
+
+@pytest.mark.parametrize("make_faces", [
+    lambda: hm.make_icosphere(3).faces,
+    lambda: hm.make_torus(1.0, 0.4, 48, 24).faces,
+    lambda: _remeshed_ellipsoid().faces,
+    lambda: _with_fin(hm.make_icosphere(2).faces),
+    # vertex indices too far apart to pack an edge and a corner in one int64
+    lambda: _with_fin(hm.make_icosphere(1).faces) * 2**24 + 2**30,
+], ids=["ico3", "torus", "ellipsoid", "non-manifold", "wide-indices"])
+def test_topology_matches_lexsort_reference(make_faces):
+    faces = make_faces()
+    topo, expected = hm.Topology(faces), _lexsort_topology(faces)
+    for name, want in expected.items():
+        got = getattr(topo, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    by_edge = np.argsort(topo.corner_edge, kind="stable")
+    assert np.array_equal(topo.edge_corners, by_edge)
+    if not (topo.n_nonmanifold_edges or topo.n_boundary_edges):
+        assert np.array_equal(topo.edge_corners.reshape(-1, 2),
+                              by_edge.reshape(-1, 2))
+
+
 @pytest.mark.parametrize("which", ["perturbed_ico4", "torus"])
 def test_cache_min_angle_matches_face_angles(which, torus):
     from helflow.validate import perturbed_sphere

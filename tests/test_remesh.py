@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +9,25 @@ from scipy.spatial import cKDTree
 from helflow.geometry import build_cache
 from helflow.mesh import TriangleMesh, make_icosphere, make_tetrahedron, \
     make_torus, orient_for_positive_volume, quality_report
-from helflow.remesh import (MeshProjector, RemeshError, _collapse_pass, _compact,
-                            _flip_pass, _split_pass, closest_point_on_triangles,
-                            hausdorff_distance, remesh)
+from helflow.remesh import (MAX_DISTANCE_BATCH, MeshProjector, RemeshError,
+                            _collapse_pass, _compact, _flip_pass, _split_pass,
+                            closest_point_on_triangles, hausdorff_distance,
+                            remesh)
 from helflow.validate import perturbed_sphere
+
+# the module (``helflow.remesh`` as an attribute is the function)
+helflow_remesh = importlib.import_module("helflow.remesh")
+
+
+def _ellipsoid():
+    base = make_icosphere(3, 1.0)
+    stretched = np.asarray(base.vertices) * np.array([2.5, 1.0, 0.7])
+    return orient_for_positive_volume(TriangleMesh(stretched, base.faces))
 
 
 @pytest.fixture(scope="module")
 def ellipsoid():
-    base = make_icosphere(3, 1.0)
-    stretched = np.asarray(base.vertices) * np.array([2.5, 1.0, 0.7])
-    return orient_for_positive_volume(TriangleMesh(stretched, base.faces))
+    return _ellipsoid()
 
 
 def test_closest_point_on_triangles_regions():
@@ -134,13 +144,27 @@ def _pinched_ico2():
     return TriangleMesh(v, base.faces, validate=False)
 
 
+def _ellipsoid6():
+    return TriangleMesh(np.asarray(make_icosphere(3, 1.0).vertices)
+                        * np.array([1.0, 1.0, 6.0]), make_icosphere(3).faces)
+
+
+def _samples(mesh):
+    """The Hausdorff samples: vertices, edge midpoints and centroids."""
+    v, e = mesh.vertices, mesh.edges
+    v0, v1, v2 = mesh.face_corners()
+    return np.concatenate([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]]),
+                           (v0 + v1 + v2) / 3.0])
+
+
 @pytest.mark.parametrize("make_mesh", [
     lambda: make_icosphere(3, 1.0),
     lambda: make_torus(1.0, 0.4, 48, 24),
-    lambda: TriangleMesh(np.asarray(make_icosphere(3, 1.0).vertices)
-                         * np.array([1.0, 1.0, 6.0]), make_icosphere(3).faces),
+    _ellipsoid6,
+    # sliver-heavy: minimum angle below 3 degrees
+    lambda: remesh(_ellipsoid6(), _ellipsoid6().mean_edge_length()),
     _pinched_ico2,
-], ids=["ico3", "torus", "ellipsoid6", "pinched-ico2"])
+], ids=["ico3", "torus", "ellipsoid6", "ellipsoid6-remeshed", "pinched-ico2"])
 def test_projector_matches_per_query_loop(make_mesh):
     mesh = make_mesh()
     rng = np.random.default_rng(7)
@@ -150,7 +174,7 @@ def test_projector_matches_per_query_loop(make_mesh):
         v * rng.uniform(0.7, 1.3, (len(v), 1)),          # off the surface
         v + 0.05 * rng.standard_normal(v.shape),
         rng.uniform(lo - 0.5, hi + 0.5, (500, 3)),       # anywhere nearby
-        v,                                               # ties: distance 0
+        _samples(mesh),      # ties at distance 0: vertices, edges, centroids
     ])
     expected = _loop_projection(mesh, points)
     got = MeshProjector(mesh).project(points)
@@ -263,9 +287,10 @@ def test_remesh_preserves_torus_topology():
     assert out.euler_characteristic == 0
 
 
-def test_remesh_rejects_bad_target(ico3):
+@pytest.mark.parametrize("target", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+def test_remesh_rejects_bad_target(ico3, target):
     with pytest.raises(RemeshError):
-        remesh(ico3, -1.0)
+        remesh(ico3, target)
 
 
 def test_remesh_preserves_components(ico3):
@@ -276,6 +301,48 @@ def test_remesh_preserves_components(ico3):
     )
     out = remesh(both, both.mean_edge_length())
     assert out.n_components == 2
+
+
+def _remeshed_torus():
+    torus = make_torus(1.0, 0.4, 36, 18)
+    return torus, remesh(torus, torus.mean_edge_length() * 1.3)
+
+
+@pytest.mark.parametrize("make_pair", [
+    lambda: (_ellipsoid(), remesh(_ellipsoid(), 0.15)),
+    _remeshed_torus,
+    lambda: (make_icosphere(3, 1.0),
+             make_icosphere(3, 1.0).translated((0.05, -0.02, 0.01))),
+    lambda: (_pinched_ico2(), make_icosphere(2, 1.0)),
+], ids=["ellipsoid", "torus", "translated-ico3", "pinched-ico2"])
+def test_hausdorff_matches_full_projection(make_pair, monkeypatch):
+    # only each side's maximum is computed, but it is the float that the
+    # full per-query projection of every sample gives; batches of one
+    # sample make the search go through several batches
+    mesh_a, mesh_b = make_pair()
+    for a, b in ((mesh_a, mesh_b), (mesh_b, mesh_a)):
+        d_ab = _loop_projection(b, _samples(a))[1].max()
+        d_ba = _loop_projection(a, _samples(b))[1].max()
+        expected = np.float64(max(d_ab, d_ba)).tobytes()
+        for batch in (MAX_DISTANCE_BATCH, 1):
+            monkeypatch.setattr(helflow_remesh, "MAX_DISTANCE_BATCH", batch)
+            assert np.float64(hausdorff_distance(a, b)).tobytes() == expected
+            assert np.float64(hausdorff_distance(
+                a, b, MeshProjector(a))).tobytes() == expected
+
+
+def test_max_distance_is_nan_like_the_projected_maximum():
+    # every face has two corners at the origin and one at (1, 0, 0): a query
+    # that projects between them gets NaN from every face
+    v = np.r_[np.zeros((6, 3)), np.tile([1.0, 0.0, 0.0], (6, 1))]
+    f = np.array([[i, (i + 1) % 6, 6 + i] for i in range(6)])
+    projector = MeshProjector(TriangleMesh(v, f, validate=False))
+    points = np.array([[3.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.5, 1.0, 0.0]])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for queries in (points, points[:2]):
+            expected = projector.project(queries)[1].max()
+            got = projector.max_distance(queries)
+            assert np.float64(got).tobytes() == expected.tobytes()
 
 
 def test_hausdorff_zero_for_identical(ico3):
