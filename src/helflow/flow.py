@@ -10,10 +10,10 @@ treated implicitly in stabilized (add-subtract) form,
 
 with M the diagonal mixed-area mass matrix and L the cotangent operator; all
 curvature (lower-order) terms stay explicit.  The update is the real part of
-one complex-shifted solve by COCG (:class:`ImplicitSolver`); a solve that
-fails rejects the step.  dt is capped by ``curvature_dt_coeff /
-(sup |A|^2)^2``, which tracks the physical r^4 stiffness scale, so shrinking
-surfaces remain time-accurate.
+one complex-shifted solve by COCG (:class:`ImplicitSolver`), one complex
+sparse product per iteration; a solve that fails rejects the step.  dt is
+capped by ``curvature_dt_coeff / (sup |A|^2)^2``, which tracks the physical
+r^4 stiffness scale, so shrinking surfaces remain time-accurate.
 
 Time has units length^4 (fourth-order scaling).
 """
@@ -187,12 +187,12 @@ class ImplicitSolver:
     so ``delta = Re[(M + i s L)^-1 b]``, a complex-symmetric system with
     about the square root of the condition number.  COCG (van der Vorst &
     Melissen, IEEE Trans. Magn. 26 (1990) 706), Jacobi-preconditioned by
-    ``1/(a + i s L_ii)``, solves it on the rows of a complex ``(3, n)`` array.
-    A row stops once the real residual ``Re r + s L M^-1 Im r`` of its
-    complex residual ``r`` is within ``CG_RTOL |b|``.  A breakdown,
-    ``CG_MAXITER`` or non-finite positions raise :class:`SolverError`.  The
-    solve is a pure function of the state; ``sqrt`` is exact under
-    parabolic rescaling by powers of two.
+    ``1/(a + i s L_ii)``, solves it on the rows of a complex ``(3, n)`` array,
+    one product with :func:`shifted_block` per iteration.  A row stops once
+    the real residual ``Re r + s L M^-1 Im r`` of its complex residual ``r``
+    is within ``CG_RTOL |b|``.  A breakdown, ``CG_MAXITER`` or non-finite
+    positions raise :class:`SolverError`.  The solve is a pure function of
+    the state; ``sqrt`` is exact under parabolic rescaling by powers of two.
     """
 
     def solve(self, vertices: np.ndarray, areas: np.ndarray,
@@ -211,14 +211,16 @@ class ImplicitSolver:
         return out
 
     def _cocg(self, apply, real_residual, diagonal, rhs):
-        """``Re[A^-1 rhs]`` for complex-symmetric ``A``, rows in lockstep."""
+        """``Re[A^-1 rhs]`` for complex-symmetric ``A``, rows in lockstep; the
+        iterates are updated in place, in buffers made once per solve."""
         inv_diag = 1.0 / diagonal
         tol_sq = (CG_RTOL ** 2) * np.einsum("ij,ij->i", rhs, rhs)
         check_sq = tol_sq.copy()    # negative once a row has stopped
         x = np.zeros(rhs.shape, dtype=np.complex128)
         r = rhs.astype(np.complex128)
         r_flat = r.view(np.float64)
-        p = z = inv_diag * r
+        z = inv_diag * r
+        p, scratch = z.copy(), np.empty_like(z)
         # per-row scalars are Python numbers, cheaper than numpy on three
         rho = np.einsum("ij,ij->i", r, z).tolist()
         for _ in range(CG_MAXITER):
@@ -241,32 +243,40 @@ class ImplicitSolver:
                 raise SolverError("COCG broke down")
             alpha = np.array([c / m if a else 0j
                               for a, m, c in zip(active, mu, rho)])[:, None]
-            x += alpha * p
-            r -= alpha * q
-            z = inv_diag * r
+            x += np.multiply(alpha, p, out=scratch)
+            r -= np.multiply(alpha, q, out=scratch)
+            np.multiply(inv_diag, r, out=z)
             rho_new = np.einsum("ij,ij->i", r, z).tolist()
-            p = z + np.array([c1 / c0 if a else 0j for a, c1, c0
-                              in zip(active, rho_new, rho)])[:, None] * p
+            p *= np.array([c1 / c0 if a else 0j for a, c1, c0
+                           in zip(active, rho_new, rho)])[:, None]
+            p += z
             rho = rho_new
         raise SolverError(f"COCG did not converge in {CG_MAXITER} iterations")
 
 
-def shifted_operator(areas: np.ndarray, laplacian: sparse.csr_matrix,
-                     s: float, pattern: LaplacianPattern):
-    """``A = M + i s L`` as ``P -> A P`` on complex C-ordered ``(3, n)``
-    arrays, one product of ``s diag(L, L, L)`` with the ``(3n, 2)`` float view
-    of ``P``; the real residual of a residual of ``A``; and ``diag(A)``."""
-    sl = pattern.block(s * laplacian.data)
+def shifted_block(areas, laplacian, s, pattern) -> sparse.csr_matrix:
+    """``diag(A, A, A)`` for ``A = M + i s L`` as one complex ``csr_matrix``:
+    ``i s L.data`` on ``pattern.block_layout``, the areas on its diagonal."""
+    data = np.multiply(1j * s, laplacian.data,
+                       out=np.empty((3, laplacian.nnz), dtype=np.complex128))
+    data[:, pattern.diagonal] += areas
+    return sparse.csr_matrix((data.ravel(), *pattern.block_layout),
+                             shape=(3 * len(areas),) * 2)
+
+
+def shifted_operator(areas, laplacian, s, pattern):
+    """``P -> A P`` on complex C-ordered ``(3, n)`` arrays, one product of
+    :func:`shifted_block` with the flattened ``P``; the real residual
+    ``Re r + s L M^-1 Im r`` of a residual ``r`` of ``A``; and ``diag(A)``."""
+    op = shifted_block(areas, laplacian, s, pattern)
 
     def apply(p):
-        slp = (sl @ p.view(np.float64).reshape(-1, 2)).view(
-            np.complex128).reshape(p.shape)
-        return areas * p + 1j * slp
+        return (op @ p.ravel()).reshape(p.shape)
 
     def real_residual(r):
-        return r.real + (sl @ (r.imag / areas).ravel()).reshape(r.shape)
+        return r.real + (op @ (r.imag / areas).ravel()).imag.reshape(r.shape)
 
-    return apply, real_residual, areas + 1j * (s * laplacian.diagonal())
+    return apply, real_residual, op.data[pattern.diagonal]
 
 
 # ---------------------------------------------------------------------------

@@ -208,10 +208,9 @@ class LaplacianPattern:
     ``i`` holds its lower neighbours, ``i`` itself and its upper neighbours,
     so columns are sorted; index arrays are int32.  ``term`` names, per CSR
     entry, its source in ``[lower edges, diagonal, upper edges]``, so
-    :meth:`fill` is two ``bincount`` passes and one gather.  The layout of
-    the block-diagonal ``diag(L, L, L)`` (:meth:`block`), which acts on the
-    three coordinate rows of a ``(3, n)`` array at once, is built on first
-    use, once per topology.
+    :meth:`fill` is two ``bincount`` passes and one gather; ``diagonal``
+    holds the CSR positions of the diagonal, row by row.  The layout of
+    ``diag(B, B, B)`` for any ``B`` on this pattern is built on first use.
     """
 
     def __init__(self, topology: Topology, n_vertices: int):
@@ -228,8 +227,9 @@ class LaplacianPattern:
         csr = coo_matrix((np.arange(1, len(rows) + 1), (rows, cols)),
                          shape=(n, n)).tocsr()
         self.term = (csr.data - 1).astype(np.int32)
+        self.diagonal = np.flatnonzero(np.isin(self.term, diag + len(lo)))
         self.indices, self.indptr = csr.indices, csr.indptr
-        for a in (self.term, self.indices, self.indptr):
+        for a in (self.term, self.diagonal, self.indices, self.indptr):
             a.setflags(write=False)
 
     def fill(self, w: np.ndarray):
@@ -247,25 +247,15 @@ class LaplacianPattern:
 
     @cached_property
     def block_layout(self):
-        """``(indices, indptr)`` of ``diag(L, L, L)``: block ``k`` repeats
+        """``(indices, indptr)`` of ``diag(B, B, B)``: block ``k`` repeats
         the layout of ``L`` shifted by ``k * n`` columns and ``k * nnz``
-        entries."""
+        entries, so its data is that of ``B`` tiled three times."""
         nnz, k = self.indptr[-1], np.arange(3, dtype=np.int32)[:, None]
         indices = (self.indices + k * self.n).ravel()
         indptr = np.append((self.indptr[:-1] + k * nnz).ravel(), 3 * nnz)
         for a in (indices, indptr):
             a.setflags(write=False)
         return indices, indptr
-
-    def block(self, values):
-        """``diag(L, L, L)`` (3n x 3n CSR) for the CSR ``values`` of a
-        Laplacian filled on this pattern, so that ``block @ P.ravel()``
-        applies ``L`` to every row of a C-ordered ``(3, n)`` array ``P``."""
-        from scipy.sparse import csr_matrix
-
-        n3 = 3 * self.n
-        return csr_matrix((np.tile(values, 3), *self.block_layout),
-                          shape=(n3, n3))
 
 
 class TriangleMesh:

@@ -518,8 +518,8 @@ def test_shifted_operator_matches_assembled_system(make_mesh, dt):
     cache = build_cache(mesh)
     a, L, s = cache.vertex_areas, cache.laplacian, np.sqrt(dt)
     shifted = (sparse.diags(a) + 1j * s * L).tocsr()
-    apply, real_residual, diagonal = fl.shifted_operator(
-        a, L, s, mesh.topology.laplacian_pattern(mesh.n_vertices))
+    pattern = mesh.topology.laplacian_pattern(mesh.n_vertices)
+    apply, real_residual, diagonal = fl.shifted_operator(a, L, s, pattern)
     # coordinate-major: one row per coordinate
     rng = np.random.default_rng(0)
     y = rng.standard_normal((3, len(a))) + 1j * rng.standard_normal((3, len(a)))
@@ -527,12 +527,49 @@ def test_shifted_operator_matches_assembled_system(make_mesh, dt):
     assert (np.linalg.norm(apply(y) - shifted_y)
             <= 1e-12 * np.linalg.norm(shifted_y))
     np.testing.assert_allclose(diagonal, shifted.diagonal(), rtol=1e-14, atol=0)
+    # one complex block diag(A, A, A), its three blocks bit-identical
+    block, n = fl.shifted_block(a, L, s, pattern), len(a)
+    blocks = [block[k * n:(k + 1) * n, k * n:(k + 1) * n] for k in range(3)]
+    assert block.dtype == np.complex128 and block.nnz == 3 * blocks[0].nnz
+    for other in blocks[1:]:
+        for attr in ("indices", "indptr", "data"):
+            assert (getattr(other, attr).tobytes()
+                    == getattr(blocks[0], attr).tobytes())
+    assert np.array_equal(blocks[0].diagonal(), a + 1j * s * L.diagonal())
+    assert np.array_equal(diagonal, a + 1j * s * L.diagonal())
     # a residual of the complex system gives that of the real one at Re y
     b = rng.standard_normal((3, len(a)))
     real_y = (_assembled_system(a, L, dt) @ y.real.T).T
     scale = np.linalg.norm(b) + np.linalg.norm(real_y)
     assert (np.linalg.norm(real_residual(b - shifted_y) - (b - real_y))
             <= 1e-12 * scale)
+
+
+def test_cocg_product_counts_are_pinned(monkeypatch):
+    # a cheaper iteration that needs more iterations is no speedup, so the
+    # products with the shifted operator per solve are pinned
+    counts = []
+    shifted_operator = fl.shifted_operator
+
+    def counting(*args):
+        apply, real_residual, diagonal = shifted_operator(*args)
+        counts.append(0)
+
+        def counted(p):
+            counts[-1] += 1
+            return apply(p)
+
+        return counted, real_residual, diagonal
+
+    monkeypatch.setattr(fl, "shifted_operator", counting)
+    mesh, params = perturbed_sphere(1, 3, 0.05), FlowParams(1.0, 0.5)
+    cache = build_cache(mesh, params)
+    velocity = flow_velocity(cache, params)[:, None] * cache.normals
+    pattern = mesh.topology.laplacian_pattern(mesh.n_vertices)
+    for dt in (1e-5, 1e-4, 1e-3, 5e-3, 1e-2):
+        fl.ImplicitSolver().solve(mesh.vertices, cache.vertex_areas,
+                                  cache.laplacian, dt, velocity, pattern)
+    assert counts == [14, 26, 46, 66, 72]
 
 
 def test_complex_shift_identity():
