@@ -2,10 +2,14 @@
 
 The concentration function ``kappa(t, r) = sup_x integral_{B_r(x)} |A|^2 dmu``
 is evaluated with the sup restricted to vertex positions (the maximizing ball
-can be recentered onto the surface at an O(h) radius cost).  Blow-up frames
-recenter and rescale a snapshot by ``(f - x_j) / r_j``, transforming the flow
-parameters to ``(r_j c0, r_j^2 lam)``; the energy identity between the two is
-exact and is asserted on every extracted frame.
+can be recentered onto the surface at an O(h) radius cost).  The reported
+center is the lowest-index vertex among those whose ball sum lies within
+``n eps sum(w)`` of the maximum (n vertices with weights ``w = |A|^2 dmu``),
+so centers that tie up to roundoff do not depend on the order in which the
+sums were formed.  Blow-up frames recenter and rescale a snapshot by
+``(f - x_j) / r_j``, transforming the flow parameters to
+``(r_j c0, r_j^2 lam)``; the energy identity between the two is exact and is
+asserted on every extracted frame.
 """
 
 import logging
@@ -27,7 +31,7 @@ ROUND_FIT_RESIDUAL_MAX = 0.02
 ROUND_WILLMORE_REL_TOL = 0.05
 WILLMORE_TREND_SLACK = 1e-3 * FOUR_PI
 
-KAPPA_SCAN_CHUNK = 512     # centers per pass of the scan; bounds its memory
+KAPPA_BLOCK = 256          # vertices per side of a distance block of the scan
 RADII_GRID_POINTS = 24     # of default_radii_grid
 
 
@@ -76,46 +80,96 @@ class SingularityClassification:
 # ---------------------------------------------------------------------------
 
 
+def _distance_blocks(vertices: np.ndarray):
+    """Squared distances in square blocks ``(I, J, d_sq)``, only for J >= I.
+
+    ``d_sq = |v_I|^2 + |v_J|^2 - 2 v_I v_J^T`` is symmetric, so the blocks
+    above the diagonal stand for their transposes as well.
+    """
+    n = len(vertices)
+    v_sq = np.einsum("ij,ij->i", vertices, vertices)
+    for i0 in range(0, n, KAPPA_BLOCK):
+        I = slice(i0, min(i0 + KAPPA_BLOCK, n))
+        for j0 in range(i0, n, KAPPA_BLOCK):
+            J = slice(j0, min(j0 + KAPPA_BLOCK, n))
+            d_sq = (v_sq[I, None] + v_sq[None, J]
+                    - 2.0 * (vertices[I] @ vertices[J].T))
+            yield I, J, d_sq
+
+
+def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
+               r_sq: np.ndarray) -> np.ndarray:
+    """Weight sums over the open ball of every squared radius at every
+    vertex, shape ``(n, len(r_sq))``.
+
+    One radius is a masked product per block.  A grid digitizes each block's
+    distances once and fills a weighted histogram per center, whose cumsum
+    gives every radius at once; within one center it is a cumulative sum of
+    non-negative weights, so monotonicity in r is exact.  An off-diagonal
+    block adds to its rows with the column weights and to its columns with
+    the row weights.
+    """
+    n, n_r = len(vertices), len(r_sq)
+    if n_r == 1:
+        vals = np.zeros(n)
+        for I, J, d_sq in _distance_blocks(vertices):
+            inside = d_sq < r_sq[0]
+            vals[I] += inside @ weights[J]
+            if I != J:
+                vals[J] += weights[I] @ inside
+        return vals[:, None]
+    stride = n_r + 1
+    acc = np.zeros((n, stride))
+    # non-negative doubles order like their bit patterns and negative ones
+    # view as negative integers, so integer compares give the same bins
+    r_key = r_sq.view(np.int64)
+    for I, J, d_sq in _distance_blocks(vertices):
+        # bin b: strictly inside radius k for all k >= b (strict d < r)
+        bins = np.searchsorted(r_key, d_sq.view(np.int64), side="right")
+        m_i, m_j = bins.shape
+        # key a * stride + b is bin b of row a; then the same for columns
+        row_off = np.arange(0, m_i * stride, stride)[:, None]
+        bins += row_off
+        acc[I] += np.bincount(bins.ravel(), weights=np.tile(weights[J], m_i),
+                              minlength=m_i * stride).reshape(m_i, stride)
+        if I != J:
+            bins -= row_off
+            bins += np.arange(0, m_j * stride, stride)
+            acc[J] += np.bincount(
+                bins.ravel(), weights=np.repeat(weights[I], m_j),
+                minlength=m_j * stride).reshape(m_j, stride)
+    return np.cumsum(acc[:, :n_r], axis=1)
+
+
+def _pick_centers(vals: np.ndarray, total: float):
+    """Per column: the maximum, and the lowest row within ``n eps total`` of it.
+
+    ``n eps total`` bounds the roundoff of a sum of n non-negative weights
+    that add up to ``total``, so centers whose ball sums differ only by
+    roundoff count as tied, and the lowest vertex index among them wins.  The
+    order in which the sums were formed then cannot choose the center.
+    """
+    best = vals.max(axis=0)
+    tol = len(vals) * np.finfo(np.float64).eps * total
+    return best, np.argmax(vals >= best - tol, axis=0)
+
+
 def _kappa_scan(vertices: np.ndarray, weights: np.ndarray, radii: np.ndarray):
     """Max over vertex-centered balls of the weight sums inside, per radius.
 
-    Each chunk of centers is handled in one pass: squared distances are
-    digitized into the radius grid and a weighted histogram cumsum yields the
-    values for every radius simultaneously.  Within one center the result is
-    a cumulative sum of non-negative weights, so monotonicity in r is exact.
-    Ties resolve to the lowest center index (chunks scanned in order, strict
-    improvement required).
+    Returns the maxima and one center index per radius.  The center is the
+    lowest vertex index among the centers whose sum lies within
+    ``n eps sum(weights)`` of the maximum (``_pick_centers``).
     """
     r_sq = np.asarray(radii, dtype=np.float64) ** 2
-    n_r = len(r_sq)
-    best = np.full(n_r, -np.inf)
-    best_center = np.zeros(n_r, dtype=np.int64)
-    v_sq = np.einsum("ij,ij->i", vertices, vertices)
-    for start in range(0, len(vertices), KAPPA_SCAN_CHUNK):
-        c = vertices[start: start + KAPPA_SCAN_CHUNK]
-        m = len(c)
-        d_sq = (np.einsum("ij,ij->i", c, c)[:, None] + v_sq[None, :]
-                - 2.0 * (c @ vertices.T))
-        # bin b: strictly inside radius k for all k >= b (strict d < r)
-        bins = np.searchsorted(r_sq, d_sq, side="right")
-        del d_sq
-        # center i's bins are i * (n_r + 1) + b in one histogram
-        bins += np.arange(0, m * (n_r + 1), n_r + 1)[:, None]
-        acc = np.bincount(bins.ravel(), weights=np.tile(weights, m),
-                          minlength=m * (n_r + 1)).reshape(m, n_r + 1)
-        vals = np.cumsum(acc[:, :n_r], axis=1)
-        for k in range(n_r):
-            i = int(np.argmax(vals[:, k]))
-            if vals[i, k] > best[k]:
-                best[k] = vals[i, k]
-                best_center[k] = start + i
-    return best, best_center
+    vals = _ball_sums(vertices, weights, r_sq)
+    return _pick_centers(vals, float(np.sum(weights)))
 
 
 def kappa(mesh: TriangleMesh, cache: GeometryCache, r: float):
     """Concentration of curvature at radius r: value and argmax center."""
-    if r <= 0:
-        raise DiagnosticsError("radius must be positive")
+    if not (np.isfinite(r) and r > 0):
+        raise DiagnosticsError("radius must be finite and positive")
     weights = cache.Asq * cache.vertex_areas
     vals, idx = _kappa_scan(mesh.vertices, weights, np.array([r]))
     return float(vals[0]), np.array(mesh.vertices[idx[0]])
@@ -131,8 +185,8 @@ def kappa_profile(mesh: TriangleMesh, cache: GeometryCache, radii,
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or len(radii) < 1 or np.any(np.diff(radii) <= 0):
         raise DiagnosticsError("radii must be a strictly increasing grid")
-    if radii[0] <= 0:
-        raise DiagnosticsError("radii must be positive")
+    if not (np.all(np.isfinite(radii)) and radii[0] > 0):
+        raise DiagnosticsError("radii must be finite and positive")
     weights = cache.Asq * cache.vertex_areas
     vals, idx = _kappa_scan(mesh.vertices, weights, radii)
     slack = 1e-12 * max(float(vals[-1]), 1.0)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helflow.diagnostics import (KAPPA_SCAN_CHUNK, BlowUpFrame,
-                                 DiagnosticsError, FrameSink, _kappa_scan,
+from helflow.diagnostics import (KAPPA_BLOCK, BlowUpFrame, DiagnosticsError,
+                                 FrameSink, _kappa_scan,
                                  classify_singularity, default_radii_grid,
                                  extract_blowup_frame, hypothesis_monitors,
                                  kappa, kappa_profile, select_blowup_radius,
@@ -79,44 +81,115 @@ def test_kappa_no_double_counting(ico3):
     assert k_both == pytest.approx(k_one, rel=1e-12)
 
 
-def _kappa_scan_reference(vertices, weights, radii):
-    """The scan with a row array and a flat key array per chunk."""
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kappa_rejects_non_finite_radius(bad):
+    mesh = make_icosphere(2, 1.0)
+    cache = build_cache(mesh)
+    with pytest.raises(DiagnosticsError):
+        kappa(mesh, cache, bad)
+    for grid in ([0.5, bad, 1.0], [0.5, 1.0, bad]):
+        with pytest.raises(DiagnosticsError):
+            kappa_profile(mesh, cache, grid)
+
+
+def _ball_sums_reference(vertices, weights, radii):
+    """Per-center ball sums, row by row, with the scan's squared-distance
+    formula and no use of symmetry: shape (n, len(radii))."""
     r_sq = np.asarray(radii, dtype=np.float64) ** 2
-    n_r = len(r_sq)
-    best = np.full(n_r, -np.inf)
-    best_center = np.zeros(n_r, dtype=np.int64)
     v_sq = np.einsum("ij,ij->i", vertices, vertices)
-    for start in range(0, len(vertices), KAPPA_SCAN_CHUNK):
-        c = vertices[start: start + KAPPA_SCAN_CHUNK]
-        m = len(c)
-        d_sq = (np.einsum("ij,ij->i", c, c)[:, None] + v_sq[None, :]
-                - 2.0 * (c @ vertices.T))
-        bins = np.searchsorted(r_sq, d_sq.ravel(), side="right")
-        rows = np.repeat(np.arange(m), len(vertices))
-        acc = np.bincount(rows * (n_r + 1) + bins,
-                          weights=np.broadcast_to(weights, d_sq.shape).ravel(),
-                          minlength=m * (n_r + 1)).reshape(m, n_r + 1)
-        vals = np.cumsum(acc[:, :n_r], axis=1)
-        for k in range(n_r):
-            i = int(np.argmax(vals[:, k]))
-            if vals[i, k] > best[k]:
-                best[k] = vals[i, k]
-                best_center[k] = start + i
-    return best, best_center
+    vals = np.empty((len(vertices), len(r_sq)))
+    for i in range(len(vertices)):
+        d_sq = v_sq[i] + v_sq - 2.0 * (vertices @ vertices[i])
+        bins = np.searchsorted(r_sq, d_sq, side="right")
+        vals[i] = np.cumsum(np.bincount(bins, weights=weights,
+                                        minlength=len(r_sq) + 1)[:-1])
+    return vals
 
 
-@pytest.mark.parametrize("level", [3, 4])
+def _two_spheres():
+    """The two-component mesh of test_kappa_no_double_counting."""
+    ico3 = make_icosphere(3, 1.0)
+    far = ico3.translated((10.0, 0.0, 0.0))
+    return TriangleMesh(
+        np.vstack([ico3.vertices, far.vertices]),
+        np.vstack([ico3.faces, far.faces + ico3.n_vertices]),
+    )
+
+
+POINT_CLOUD_SIZES = {"half_block": KAPPA_BLOCK // 2,
+                     "two_blocks": 2 * KAPPA_BLOCK,
+                     "two_blocks_plus_one": 2 * KAPPA_BLOCK + 1}
+
+
+def _scan_input(case):
+    """(vertices, weights) of a perturbed sphere at subdivision level
+    ``case``, of the two spheres, or of random points on the unit sphere with
+    random weights."""
+    if case in POINT_CLOUD_SIZES:
+        n = POINT_CLOUD_SIZES[case]
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal((n, 3))
+        return v / np.linalg.norm(v, axis=1)[:, None], rng.random(n)
+    mesh = _two_spheres() if case == "two_spheres" else perturbed_sphere(5, case, 0.05)
+    cache = build_cache(mesh)
+    return mesh.vertices, cache.Asq * cache.vertex_areas
+
+
+@pytest.mark.parametrize("case", [3, 4, *POINT_CLOUD_SIZES, "two_spheres"])
 @pytest.mark.parametrize("radii", [[0.3], [0.05, 0.2, 0.7, 1.5, 2.5],
                                    np.geomspace(1e-3, 3.0, 40)],
                          ids=["one", "five", "geom40"])
-def test_kappa_scan_matches_reference(level, radii):
-    mesh = perturbed_sphere(5, level, 0.05)
+def test_kappa_scan_matches_reference(case, radii):
+    vertices, weights = _scan_input(case)
+    got, got_center = _kappa_scan(vertices, weights, np.asarray(radii))
+    ref = _ball_sums_reference(vertices, weights, radii)
+    best = ref.max(axis=0)
+    tol = len(vertices) * np.finfo(np.float64).eps * weights.sum()
+    assert np.all(np.abs(got - best) <= tol)
+    # tie rule: the lowest index among the centers within tol of the maximum
+    expected = [int(np.flatnonzero(ref[:, k] >= best[k] - tol)[0])
+                for k in range(len(best))]
+    assert got_center.tolist() == expected
+
+
+def _vertex_index(mesh, point):
+    return int(np.argmin(np.linalg.norm(mesh.vertices - point, axis=1)))
+
+
+def test_centers_survive_roundoff_jitter():
+    # the icosphere's symmetric centers tie up to roundoff; a 1e-13 jitter
+    # must not move the chosen centers of either scan or the frame's x
+    mesh = make_icosphere(4, 1.0)
+    rng = np.random.default_rng(0)
+    jittered = TriangleMesh(
+        mesh.vertices + 1e-13 * rng.standard_normal(mesh.vertices.shape),
+        mesh.faces)
+    params = FlowParams(-1.0, 0.0)
+    picks = []
+    for m in (mesh, jittered):
+        state = init_state(m, params, SteppingPolicy())
+        prof = kappa_profile(m, state.cache, default_radii_grid(m))
+        frame = extract_blowup_frame(state, params, profile=prof)
+        picks.append((
+            [_vertex_index(m, c) for c in prof.centers],
+            [_vertex_index(m, kappa(m, state.cache, r)[1]) for r in prof.radii],
+            _vertex_index(m, frame.x),
+        ))
+    assert picks[0] == picks[1]
+
+
+def test_kappa_profile_memory_peak():
+    # the block walk keeps the scan's transient to a few 256 x 256 blocks
+    mesh = perturbed_sphere(1, 4, 0.02)
     cache = build_cache(mesh)
-    weights = cache.Asq * cache.vertex_areas
-    got = _kappa_scan(mesh.vertices, weights, np.asarray(radii))
-    expected = _kappa_scan_reference(mesh.vertices, weights, np.asarray(radii))
-    for g, e in zip(got, expected):
-        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+    grid = default_radii_grid(mesh)
+    tracemalloc.start()
+    try:
+        kappa_profile(mesh, cache, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_select_blowup_radius(sphere5):
