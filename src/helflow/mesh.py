@@ -192,13 +192,34 @@ class Topology:
     @cached_property
     def face_components(self) -> np.ndarray:
         """Connected-component label per face (edge connectivity)."""
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
+        return _components(len(self.faces), *self.edge_face_pairs.T)
 
-        pairs, m = self.edge_face_pairs, len(self.faces)
-        adj = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(m, m))
-        _, labels = connected_components(adj, directed=False)
-        return labels
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes joined by the edges
+    ``(a[i], b[i])``, components numbered in order of their lowest node (as
+    ``scipy.sparse.csgraph.connected_components`` numbers them).
+
+    Union-find over arrays: every edge whose ends have different roots hooks
+    the higher root to the lower, then pointers jump until each node points
+    at its root.  Pointers only go down, so a root is the lowest node of its
+    tree, and the rounds end when every edge joins one tree.
+    """
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[split],
+                      np.minimum(ra, rb)[split])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    root = parent == np.arange(n)
+    return (np.cumsum(root) - 1)[parent]
 
 
 class LaplacianPattern:
@@ -484,9 +505,6 @@ def repair_winding(faces: np.ndarray) -> np.ndarray:
     consistent orientations.  The lowest-index face of each component keeps
     its winding.  Raises :class:`OrientationError` for non-orientable input.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     faces = np.array(faces, dtype=np.int64)
     topo = Topology(faces)
     if topo.n_nonmanifold_edges:
@@ -500,11 +518,8 @@ def repair_winding(faces: np.ndarray) -> np.ndarray:
     # shared edge in one direction need opposite states
     f, g = 2 * topo.edge_face_pairs.T
     same = topo.same_direction
-    rows = np.concatenate([f, f + 1])
-    cols = np.concatenate([g + same, g + ~same])
-    m2 = 2 * len(faces)
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(m2, m2))
-    _, labels = connected_components(graph, directed=False)
+    labels = _components(2 * len(faces), np.concatenate([f, f + 1]),
+                         np.concatenate([g + same, g + ~same]))
     if np.any(labels[0::2] == labels[1::2]):
         raise OrientationError("mesh is not orientable")
     # a class holds its component's lowest face as given iff its lowest

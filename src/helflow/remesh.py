@@ -19,10 +19,14 @@ and the arguments.
 
 Closest points and the Hausdorff check skip work that cannot change their
 result, so they return the floats a full evaluation would: the projector
-evaluates only the candidate faces whose bounding sphere could hold a point
-closer than the query's star (:class:`MeshProjector`), and the Hausdorff
+evaluates each face around a query's nearest vertex (its star) once, and
+of the other candidate faces only those whose bounding sphere could hold a
+point closer than the star's best (:class:`MeshProjector`); the Hausdorff
 check projects only the samples whose star distance could raise the
-maximum (:meth:`MeshProjector.max_distance`).
+maximum (:meth:`MeshProjector.max_distance`).  Queries go in fixed batches
+of ``QUERY_BATCH``, so the memory they take is bounded by the batch, not by
+the number of queries: the check holds a few per-sample arrays and one
+batch's candidates, whatever the mesh size.
 """
 
 import logging
@@ -49,6 +53,7 @@ HAUSDORFF_FRACTION = 0.5    # see remesh()
 K_NEAREST = 10              # see MeshProjector
 PRUNE_SLACK = 2.0**-20      # see MeshProjector
 MAX_DISTANCE_BATCH = 64     # see MeshProjector.max_distance
+QUERY_BATCH = 512           # see MeshProjector
 
 
 class RemeshError(MeshError):
@@ -113,28 +118,59 @@ def closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
+def _batches(n: int) -> list[slice]:
+    """Slices that cover ``range(n)`` in steps of ``QUERY_BATCH``."""
+    return [slice(s, s + QUERY_BATCH) for s in range(0, n, QUERY_BATCH)]
+
+
+def _first_min(keep: np.ndarray, d: np.ndarray):
+    """Per row of the mask ``keep``, whose rows list faces in ascending
+    order, the first smallest of the distances ``d`` of its kept entries
+    (row-major); a NaN distance ranks after every number.
+
+    Returns, per row, that distance, its column, whether the row keeps any
+    entry (if not, the distance is NaN and the column 0) and its position
+    in ``d``.
+    """
+    dist = np.full(keep.shape, np.nan)
+    dist[keep] = d
+    low = np.fmin.reduce(dist, axis=1)[:, None]
+    col = np.argmax((dist == low) | (np.isnan(low) & keep), axis=1)
+    rows = np.arange(len(keep))
+    at = np.cumsum(keep).reshape(keep.shape)[rows, col] - 1
+    return dist[rows, col], col, keep[rows, col], at
+
+
 class MeshProjector:
     """Closest-point queries against a fixed reference mesh.
 
     A query's candidate faces are the faces around its ``K_NEAREST`` nearest
     reference vertices.  The vertex -> face incidence is the mesh topology's
     padded table (one row per vertex, faces in face order, padded with
-    ``n_faces``), so gathering the candidates of every query is one fancy
-    index, one sort per row and one mask, and the closest candidate is read
-    from the same padded rows: no Python loop over the queries.
+    ``n_faces``), so gathering the candidates of a batch of queries is one
+    fancy index, one sort per row and one mask, and the closest candidate is
+    read from the same padded rows: no Python loop over the queries.
+
+    Queries go in batches of ``QUERY_BATCH``.  A query's result depends only
+    on that query, so batching leaves every result unchanged, and it bounds
+    the working memory: between batches only per-query arrays live (the
+    nearest vertices and the star's result), never one of queries times
+    candidates.
 
     Most candidates are too far away to win, and only the survivors of an
     exact pruning are evaluated.  The faces around the query's nearest
-    vertex (its star) are evaluated first; their closest distance ``u``
-    bounds the query's.  A candidate whose bounding sphere (centroid ``g``,
-    radius ``r``) lies farther than ``u``, that is ``|q - g| - r > u +
-    margin``, cannot be closest, and dropping it leaves the result bit for
-    bit as if it had been evaluated.  The margin covers the rounding of the
-    bound and of the computed closest point, whose barycentric weights lose
-    accuracy with the square of the face's aspect ratio: it is
-    ``PRUNE_SLACK * aspect**2 * (|q - g| + r + |g|)``, many orders of
-    magnitude above that rounding and far below the gaps that pruning
-    exploits, and infinite (never pruned) for a face of zero area.
+    vertex (its star) are evaluated first, and only once: their best
+    closest point is kept, and its distance ``u`` bounds the query's.  A
+    candidate outside the star whose bounding sphere (centroid ``g``, radius
+    ``r``) lies farther than ``u``, that is ``|q - g| - r > u + margin``,
+    cannot be closest, and dropping it leaves the result bit for bit as if
+    it had been evaluated.  The margin covers the rounding of the bound and
+    of the computed closest point, whose barycentric weights lose accuracy
+    with the square of the face's aspect ratio: it is ``PRUNE_SLACK *
+    aspect**2 * (|q - g| + r + |g|)``, many orders of magnitude above that
+    rounding and far below the gaps that pruning exploits, and infinite
+    (never pruned) for a face of zero area.  The best surviving candidate
+    and the star's best then meet under the rule of :meth:`project`.
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -154,15 +190,19 @@ class MeshProjector:
         self._reach = self._radius + np.linalg.norm(self._centroid, axis=1)
 
     def _candidate_faces(self, nearest_vertices: np.ndarray):
-        """Candidate faces of each query, one row per query.
+        """Candidate faces of each query outside its star, one row per query.
 
         Returns the gathered faces sorted along each row and the mask of the
-        entries that are neither padding nor repeats; read row by row, the
-        kept faces are ascending and unique.
+        entries that are neither padding, repeats nor star faces; read row
+        by row, the kept faces are ascending and unique.
         """
-        cand = np.sort(self._vertex_faces[nearest_vertices].reshape(
-            len(nearest_vertices), -1), axis=1)
-        keep = cand < self.mesh.n_faces
+        # face f sorts as 2f + 1, or as 2f around the nearest vertex, so a
+        # star face's first entry is even
+        key = 2 * self._vertex_faces[nearest_vertices] + 1
+        key[:, 0] -= 1
+        key = np.sort(key.reshape(len(nearest_vertices), -1), axis=1)
+        cand = key >> 1
+        keep = (cand < self.mesh.n_faces) & (key & 1 == 1)
         keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
         return cand, keep
 
@@ -176,39 +216,61 @@ class MeshProjector:
         return cp, np.linalg.norm(cp - points, axis=1)
 
     def _near(self, points: np.ndarray):
-        """Each query's nearest vertices and its star distance: the distance
-        to the closest face around the nearest vertex (NaN if every such
-        distance is NaN), an upper bound of its projected distance."""
-        _, near = self._tree.query(points, k=self.k_nearest)
-        near = np.atleast_2d(near)
-        star = self._vertex_faces[near[:, 0]]
-        dist = np.full(star.shape, np.nan)
-        rows, cols = np.nonzero(star < self.mesh.n_faces)
-        dist[rows, cols] = self._closest(points[rows], star[rows, cols])[1]
-        return near, np.fmin.reduce(dist, axis=1)
+        """Each query's nearest vertices and its star's best: the closest
+        point, distance and face that :meth:`project` picks among the faces
+        around the nearest vertex.  The distance bounds the query's; it is
+        NaN if every star distance is (the face is then the star's lowest,
+        and ``n_faces`` if the star is empty)."""
+        n = len(points)
+        near = np.empty((n, self.k_nearest), dtype=np.intp)
+        cp, dist = np.full((n, 3), np.nan), np.empty(n)
+        face = np.empty(n, dtype=np.intp)
+        for b in _batches(n):
+            q = points[b]
+            near[b] = self._tree.query(q, k=self.k_nearest)[1].reshape(len(q), -1)
+            star = self._vertex_faces[near[b, 0]]
+            has = star < self.mesh.n_faces
+            star_cp, d = self._closest(np.repeat(q, has.sum(axis=1), axis=0),
+                                       star[has])
+            dist[b], col, found, at = _first_min(has, d)
+            face[b] = star[np.arange(len(q)), col]
+            cp[b][found] = star_cp[at[found]]
+        return near, (cp, dist, face)
 
-    def _project(self, points, near, bound):
-        """:meth:`project` for queries whose nearest vertices and star
-        distances :meth:`_near` has found."""
+    def _project(self, points, near, star):
+        """:meth:`project` for one batch of queries whose nearest vertices
+        and star results :meth:`_near` has found."""
         cand, keep = self._candidate_faces(near)
+        star_cp, bound, star_face = star
         rows, faces = np.nonzero(keep)[0], cand[keep]
         dq = np.linalg.norm(np.take(points, rows, axis=0)
                             - np.take(self._centroid, faces, axis=0), axis=1)
         keep[keep] = ~(dq - self._radius[faces] > bound[rows]
                        + self._slack[faces] * (dq + self._reach[faces]))
-        faces = cand[keep]
-        queries = points[np.nonzero(keep)[0]]
-        cp, d = self._closest(queries, faces)
-        # first minimum per row; padding, repeats and pruned faces hold NaN,
-        # and a row's first entry is kept (it is padding only if none of the
-        # query's nearest vertices has a face; a row whose bound is NaN
-        # loses nothing to pruning)
-        dist = np.full(keep.shape, np.nan)
-        dist[keep] = d
-        col = np.argmax(dist == np.fmin.reduce(dist, axis=1)[:, None], axis=1)
-        rows = np.arange(len(points))
-        best = np.cumsum(keep).reshape(keep.shape)[rows, col] - 1
-        return cp[best], dist[rows, col], faces[best]
+        cp, d = self._closest(points[np.nonzero(keep)[0]], cand[keep])
+        dist, col, found, at = _first_min(keep, d)
+        face = np.where(found, cand[np.arange(len(cand)), col],
+                        self.mesh.n_faces)
+        # the candidate wins if it ranks first: by distance, NaN last, then
+        # by face; a row without candidates never wins
+        tie = (dist == bound) | (np.isnan(dist) & np.isnan(bound))
+        win = ((dist < bound) | (np.isnan(bound) & ~np.isnan(dist))
+               | (tie & (face < star_face)))
+        out = star_cp.copy(), bound.copy(), star_face.copy()
+        out[0][win], out[1][win], out[2][win] = cp[at[win]], dist[win], face[win]
+        return out
+
+    def _project_rows(self, points, near, star, rows):
+        """:meth:`project` of the queries ``rows``, ``QUERY_BATCH`` at a
+        time."""
+        n = len(rows)
+        out = np.empty((n, 3)), np.empty(n), np.empty(n, dtype=np.intp)
+        for b in _batches(n):
+            r = rows[b]
+            for whole, part in zip(out, self._project(
+                    points[r], near[r], tuple(s[r] for s in star))):
+                whole[b] = part
+        return out
 
     def project(self, points: np.ndarray):
         """Return (closest points, distances, face indices) for each query.
@@ -217,7 +279,8 @@ class MeshProjector:
         distance ranks after every number.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return self._project(points, *self._near(points))
+        return self._project_rows(points, *self._near(points),
+                                  np.arange(len(points)))
 
     def max_distance(self, points: np.ndarray) -> float:
         """``project(points)[1].max()``, NaN included, projecting only the
@@ -228,14 +291,16 @@ class MeshProjector:
         next query's star distance, no remaining query can exceed it.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        near, bound = self._near(points)
+        near, star = self._near(points)
+        bound = star[1]
         order = np.argsort(bound)[::-1]
         best, start, size = -np.inf, 0, MAX_DISTANCE_BATCH
         while start < len(order) and not bound[order[start]] <= best:
-            batch = order[start:start + size]
-            top = self._project(points[batch], near[batch], bound[batch])[1].max()
+            top = self._project_rows(points, near, star,
+                                     order[start:start + size])[1].max()
             if np.isnan(top):   # the bits of a NaN maximum depend on the order
-                return self._project(points, near, bound)[1].max()
+                return self._project_rows(points, near, star,
+                                          np.arange(len(points)))[1].max()
             best, start, size = max(best, top), start + size, 2 * size
         return best
 
@@ -249,8 +314,11 @@ def hausdorff_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh,
     projects only the samples whose star distance (an upper bound of their
     distance) exceeds the largest distance found so far; the result is the
     float that projecting every sample gives.  ``projector_a``, a projector
-    of ``mesh_a`` the caller already holds, saves building it again.
+    of ``mesh_a`` the caller already holds, saves building it again; a
+    projector of any other mesh raises ``ValueError``.
     """
+    if projector_a is not None and projector_a.mesh is not mesh_a:
+        raise ValueError("projector_a was built for another mesh than mesh_a")
 
     def samples(m: TriangleMesh) -> np.ndarray:
         e = m.edges

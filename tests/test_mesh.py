@@ -218,6 +218,60 @@ def test_repair_winding_matches_dict_walk(faces, seed):
                         validate=False).topology.consistent_winding
 
 
+def test_repair_winding_keeps_a_reversed_component(ico3):
+    # each component is consistent on its own, so each keeps the winding of
+    # its lowest face; only the volume orientation flips the reversed one
+    far = ico3.translated((10.0, 0.0, 0.0))
+    faces = np.vstack([ico3.faces, far.faces[:, [0, 2, 1]] + ico3.n_vertices])
+    faces = faces[np.random.default_rng(5).permutation(len(faces))]
+    repaired = repair_winding(faces)
+    assert np.array_equal(repaired, faces)
+    assert np.array_equal(repaired, _dict_walk_repair(faces))
+    mesh = TriangleMesh(np.vstack([ico3.vertices, far.vertices]), repaired)
+    assert mesh.n_components == 2
+    assert np.sign(component_signed_volumes(mesh)).tolist() in ([1, -1], [-1, 1])
+    assert (component_signed_volumes(orient_for_positive_volume(mesh)) > 0).all()
+
+
+def _csgraph_labels(n, a, b):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def _random_graph(seed):
+    # fewer edges than nodes, so some nodes are isolated; then self-loops,
+    # repeated edges and a shuffled path that needs several hooking rounds
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    a, b = rng.integers(0, n, (2, int(rng.integers(1, n))))
+    path = rng.permutation(n)[:n // 3]
+    loops = rng.integers(0, n, 5)
+    return n, np.r_[a, a[:10], path[:-1], loops], np.r_[b, b[:10], path[1:], loops]
+
+
+def _face_graph(faces):
+    return len(faces), *hm.Topology(np.asarray(faces)).edge_face_pairs.T
+
+
+@pytest.mark.parametrize("graph", [
+    *(lambda s=s: _random_graph(s) for s in range(8)),
+    lambda: (1, np.array([0]), np.array([0])),
+    lambda: (1, np.array([], dtype=int), np.array([], dtype=int)),
+    lambda: (40, np.array([], dtype=int), np.array([], dtype=int)),
+    lambda: _face_graph(_two_spheres()),
+    lambda: _face_graph(make_torus(1.0, 0.4, 12, 8).faces),
+], ids=[*(f"random{s}" for s in range(8)), "one-node", "one-node-no-edges",
+        "no-edges", "two-spheres", "torus"])
+def test_components_match_csgraph(graph):
+    n, a, b = graph()
+    expected = _csgraph_labels(n, a, b)
+    assert np.array_equal(hm._components(n, a, b), expected)
+    assert np.array_equal(hm._components(n, b, a), expected)
+
+
 def test_repair_winding_rejects_projective_plane():
     # a closed non-orientable surface: every edge has two faces
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),

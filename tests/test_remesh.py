@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import helflow
 from helflow.geometry import build_cache
 from helflow.mesh import TriangleMesh, make_icosphere, make_tetrahedron, \
-    make_torus, orient_for_positive_volume, quality_report
-from helflow.remesh import (MAX_DISTANCE_BATCH, MeshProjector, RemeshError,
-                            _collapse_pass, _compact, _flip_pass, _split_pass,
-                            closest_point_on_triangles, hausdorff_distance,
-                            remesh)
+    make_torus, orient_for_positive_volume, quality_report, save_mesh
+from helflow.remesh import (MAX_DISTANCE_BATCH, QUERY_BATCH, MeshProjector,
+                            RemeshError, _collapse_pass, _compact, _flip_pass,
+                            _split_pass, closest_point_on_triangles,
+                            hausdorff_distance, remesh)
 from helflow.validate import perturbed_sphere
 
 # the module (``helflow.remesh`` as an attribute is the function)
@@ -165,7 +170,9 @@ def _samples(mesh):
     lambda: remesh(_ellipsoid6(), _ellipsoid6().mean_edge_length()),
     _pinched_ico2,
 ], ids=["ico3", "torus", "ellipsoid6", "ellipsoid6-remeshed", "pinched-ico2"])
-def test_projector_matches_per_query_loop(make_mesh):
+def test_projector_matches_per_query_loop(make_mesh, monkeypatch):
+    # batches of one and of seven queries split the points differently, and
+    # each query's result must not depend on its batch
     mesh = make_mesh()
     rng = np.random.default_rng(7)
     v = np.asarray(mesh.vertices)
@@ -177,10 +184,35 @@ def test_projector_matches_per_query_loop(make_mesh):
         _samples(mesh),      # ties at distance 0: vertices, edges, centroids
     ])
     expected = _loop_projection(mesh, points)
-    got = MeshProjector(mesh).project(points)
-    for e, g in zip(expected, got):
-        assert g.dtype == e.dtype and g.shape == e.shape
-        assert g.tobytes() == e.tobytes()
+    for query_batch in (QUERY_BATCH, 1, 7):
+        monkeypatch.setattr(helflow_remesh, "QUERY_BATCH", query_batch)
+        got = MeshProjector(mesh).project(points)
+        for e, g in zip(expected, got):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("with_plane", [False, True], ids=["fan", "fan-and-plane"])
+def test_projector_ranks_nan_after_every_number(with_plane, monkeypatch):
+    # three faces with two corners at the origin and one at (1, 0, 0) give
+    # NaN to a query between those points, so that query's whole star is
+    # NaN; a wide triangle in the plane y = 1.5, whose corners are far from
+    # the query, must then win, and with no such face the lowest face does
+    v = np.r_[np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0], (3, 1))]
+    f = [[i, (i + 1) % 3, 3 + i] for i in range(3)]
+    if with_plane:
+        v = np.r_[v, [[-5.0, 1.5, -5.0], [5.0, 1.5, -5.0], [0.0, 1.5, 5.0]]]
+        f.append([6, 7, 8])
+    mesh = TriangleMesh(v, np.array(f), validate=False)
+    points = np.array([[0.5, 1.0, 0.0], [0.5, 2.0, 0.0], [0.5, 1.2, 0.1]])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        expected = _loop_projection(mesh, points)
+        for query_batch in (QUERY_BATCH, 1):
+            monkeypatch.setattr(helflow_remesh, "QUERY_BATCH", query_batch)
+            got = MeshProjector(mesh).project(points)
+            for e, g in zip(expected, got):
+                assert g.tobytes() == e.tobytes()
+    assert got[2].tolist() == ([3, 3, 3] if with_plane else [0, 0, 0])
 
 
 def _valence_deviation(v, f):
@@ -318,7 +350,8 @@ def _remeshed_torus():
 def test_hausdorff_matches_full_projection(make_pair, monkeypatch):
     # only each side's maximum is computed, but it is the float that the
     # full per-query projection of every sample gives; batches of one
-    # sample make the search go through several batches
+    # sample make the search go through several batches, and query
+    # batches of one and of seven split every projection
     mesh_a, mesh_b = make_pair()
     for a, b in ((mesh_a, mesh_b), (mesh_b, mesh_a)):
         d_ab = _loop_projection(b, _samples(a))[1].max()
@@ -329,20 +362,74 @@ def test_hausdorff_matches_full_projection(make_pair, monkeypatch):
             assert np.float64(hausdorff_distance(a, b)).tobytes() == expected
             assert np.float64(hausdorff_distance(
                 a, b, MeshProjector(a))).tobytes() == expected
+        for query_batch, batch in ((1, MAX_DISTANCE_BATCH), (7, 1)):
+            monkeypatch.setattr(helflow_remesh, "QUERY_BATCH", query_batch)
+            monkeypatch.setattr(helflow_remesh, "MAX_DISTANCE_BATCH", batch)
+            assert np.float64(hausdorff_distance(
+                a, b, MeshProjector(a))).tobytes() == expected
+        monkeypatch.setattr(helflow_remesh, "QUERY_BATCH", QUERY_BATCH)
 
 
-def test_max_distance_is_nan_like_the_projected_maximum():
+def test_max_distance_is_nan_like_the_projected_maximum(monkeypatch):
     # every face has two corners at the origin and one at (1, 0, 0): a query
-    # that projects between them gets NaN from every face
+    # that projects between them gets NaN from every face; with query
+    # batches of one, the NaN query is projected in the last batch
     v = np.r_[np.zeros((6, 3)), np.tile([1.0, 0.0, 0.0], (6, 1))]
     f = np.array([[i, (i + 1) % 6, 6 + i] for i in range(6)])
     projector = MeshProjector(TriangleMesh(v, f, validate=False))
     points = np.array([[3.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.5, 1.0, 0.0]])
     with np.errstate(invalid="ignore", divide="ignore"):
-        for queries in (points, points[:2]):
-            expected = projector.project(queries)[1].max()
-            got = projector.max_distance(queries)
-            assert np.float64(got).tobytes() == expected.tobytes()
+        for query_batch in (QUERY_BATCH, 1, 7):
+            monkeypatch.setattr(helflow_remesh, "QUERY_BATCH", query_batch)
+            for queries in (points, points[:2]):
+                expected = projector.project(queries)[1].max()
+                got = projector.max_distance(queries)
+                assert np.float64(got).tobytes() == expected.tobytes()
+
+
+def test_hausdorff_memory_is_bounded_by_the_batch():
+    # the samples are projected a batch at a time: the check holds per-sample
+    # arrays, not one of samples times candidate faces
+    ico = make_icosphere(4)
+    a = TriangleMesh(np.asarray(ico.vertices) * np.array([1.0, 1.0, 3.0]),
+                     ico.faces)
+    b = a.scaled(1.01)
+    tracemalloc.start()
+    try:
+        hausdorff_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_hausdorff_rejects_a_projector_of_another_mesh(ico3):
+    shifted = ico3.translated((0.05, 0.0, 0.0))
+    expected = hausdorff_distance(ico3, shifted)
+    assert hausdorff_distance(ico3, shifted, MeshProjector(ico3)) == expected
+    for wrong in (shifted, ico3.translated((0.0, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="another mesh"):
+            hausdorff_distance(ico3, shifted, MeshProjector(wrong))
+
+
+def test_mesh_and_remesh_leave_csgraph_unloaded(tmp_path):
+    # component labels come from a numpy union-find, so no workload pays
+    # for importing scipy.sparse.csgraph
+    path = tmp_path / "ico3.off"
+    save_mesh(make_icosphere(3), path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(helflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, helflow\n"
+            "from helflow.mesh import load_mesh, make_icosphere\n"
+            "from helflow.remesh import remesh\n"
+            "make_icosphere(3)\n"
+            f"mesh = load_mesh({str(path)!r})\n"
+            "out = remesh(mesh, 1.5 * mesh.mean_edge_length())\n"
+            "print(out.n_components, 'scipy.sparse.csgraph' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1", "False"]
 
 
 def test_hausdorff_zero_for_identical(ico3):
