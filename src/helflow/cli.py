@@ -1,16 +1,16 @@
-"""Command-line front end: run orchestration, structured outputs, validation.
+"""Command-line front end: run orchestration and structured outputs.
 
-Subcommands: ``flow``, ``ode``, ``energy``, ``rescale``, ``validate``.
+Subcommands: ``flow``, ``ode``, ``energy``, ``rescale``.
 Runs are configured by a flat ``key = value`` text file (schema in the
 README) plus repeatable ``--override KEY=VALUE`` flags, so one artifact
 captures a reproducible run.
 
 Exit codes: 0 clean termination (converged / horizon), 2 singular termination
 (a scientific outcome, not a failure), 3 inconclusive termination
-(dt collapse / step budget), 10 configuration errors, 11 IO errors,
-12 solver failures (a remesh that fails, a starting geometry that cannot be
-assembled, also in ``energy`` and ``rescale``, or blow-up diagnostics that
-fail during a run).  ``validate`` exits 1 when a check fails.
+(dt collapse / step budget), 10 configuration errors (command-line usage
+errors included), 11 IO errors, 12 solver failures (a remesh that fails, a
+starting geometry that cannot be assembled, also in ``energy`` and
+``rescale``, or blow-up diagnostics that fail during a run).
 """
 
 import argparse
@@ -34,7 +34,6 @@ from .mesh import MeshError, TriangleMesh, load_mesh, make_icosphere, save_mesh
 from .remesh import RemeshError
 from .sphere_ode import (MIN_RTOL, extinction_time_closed_form,
                          integrate_sphere_ode, theory_bounds)
-from .validate import SUITES, run_suite
 
 logger = logging.getLogger(__name__)
 
@@ -501,25 +500,22 @@ def cmd_rescale(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    all_ok = True
-    for name in names:
-        results = run_suite(name, fast=not args.full)
-        for res in results:
-            print(f"{name}: {res}")
-            all_ok &= res.passed
-    print("validation:", "PASS" if all_ok else "FAIL")
-    return EXIT_OK if all_ok else 1
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error; argparse's own exit
+    status 2 is ``EXIT_SINGULAR`` here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="helflow",
         description="Numerical laboratory for locally area-constrained "
                     "bending flows of closed triangulated surfaces.",
@@ -561,17 +557,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, default=0.0, dest="lambda")
     p.add_argument("--out", default=None, help="output mesh path")
     p.set_defaults(func=cmd_rescale)
-
-    p = sub.add_parser("validate", help="run a validation suite")
-    p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--full", action="store_true",
-                   help="full-resolution variants (slower)")
-    p.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

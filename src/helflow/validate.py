@@ -1,42 +1,18 @@
-"""Validation suites: exact identities, gradient oracles, rescaling, ODE checks.
+"""Test geometry shared by the test suite and the benchmark.
 
-Each suite returns a list of :class:`CheckResult`; ``helflow validate``
-prints them as a pass/fail report and exits 1 if any check fails.  Suites are
-deterministic (their seeds are fixed) and sized to run in seconds in fast
-mode.  They are the installed, pytest-free counterpart of
-``tests/test_acceptance.py``: some checks re-run acceptance criteria at other
-seeds or resolutions, and that file stays the fixed contract.
+Seeded perturbed spheres, random flow parameters, smooth variation fields and
+the convergence order of the first-variation finite-difference sweep.  The
+checks that use them live in ``tests/``; ``tests/test_acceptance.py`` is the
+fixed contract.
 """
-
-import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow as flow_mod
-from .diagnostics import FrameSink, extract_blowup_frame
-from .geometry import (FlowParams, build_cache, discrete_gradient_fd,
-                       first_variation_check, flow_velocity,
-                       penalized_energy, willmore_bound_residual)
-from .mesh import (TriangleMesh, make_icosphere, make_tetrahedron, make_torus,
-                   signed_volume)
-from .sphere_ode import (extinction_time_closed_form, integrate_sphere_ode,
-                         sphere_energy, theory_bounds)
-
-logger = logging.getLogger(__name__)
+from .geometry import FlowParams, first_variation_check
+from .mesh import TriangleMesh, make_icosphere
 
 # Relative finite-difference steps of the convergence-order sweep.
 FD_ORDER_STEPS = (1e-3, 1e-4, 1e-5)
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def __str__(self):
-        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
 def perturbed_sphere(seed: int, subdivisions: int = 3, amplitude: float = 0.05,
@@ -57,97 +33,6 @@ def perturbed_sphere(seed: int, subdivisions: int = 3, amplitude: float = 0.05,
 
 def random_params(rng) -> FlowParams:
     return FlowParams(float(rng.uniform(-2, 2)), float(rng.uniform(0.1, 2.0)))
-
-
-# ---------------------------------------------------------------------------
-# identities
-# ---------------------------------------------------------------------------
-
-
-def suite_identities() -> list[CheckResult]:
-    out = []
-    meshes = {"tetrahedron": make_tetrahedron(), "torus": make_torus()}
-    for lvl in range(6):
-        meshes[f"icosphere{lvl}"] = make_icosphere(lvl, 1.0)
-
-    worst_gb = 0.0
-    worst_pw = 0.0
-    worst_area = 0.0
-    for name, mesh in meshes.items():
-        cache = build_cache(mesh)
-        chi = mesh.euler_characteristic
-        worst_gb = max(worst_gb, abs(float(np.sum(cache.K * cache.vertex_areas))
-                                     - 2 * np.pi * chi))
-        # by-construction identity: must hold bitwise against the same spelling
-        worst_pw = max(worst_pw, float(np.abs(cache.Asq - (cache.A0sq
-                                              + 0.5 * cache.H * cache.H)).max()))
-        worst_area = max(worst_area, abs(np.sum(cache.vertex_areas) - cache.area)
-                         / cache.area)
-    out.append(CheckResult("gauss_bonnet_exact", worst_gb <= 1e-10,
-                           f"worst |sum K a - 2 pi chi| = {worst_gb:.2e}"))
-    out.append(CheckResult("pointwise_Asq_identity", worst_pw == 0.0,
-                           f"worst |Asq - A0sq - H^2/2| = {worst_pw:.2e}"))
-    out.append(CheckResult("mixed_areas_tile_surface", worst_area <= 1e-12,
-                           f"worst rel |sum a_i - area| = {worst_area:.2e}"))
-
-    # parabolic rescaling energy identity on random meshes
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for k in range(20):
-        mesh = perturbed_sphere(k, subdivisions=2,
-                                amplitude=float(rng.uniform(0.0, 0.08)))
-        params = random_params(rng)
-        e = penalized_energy(build_cache(mesh), params)
-        for r in (0.5, 1.0, 2.0, 5.0):
-            e_r = penalized_energy(build_cache(mesh.scaled(1.0 / r)),
-                                   params.rescaled(r))
-            worst = max(worst, abs(e_r - e) / abs(e))
-    out.append(CheckResult("parabolic_rescaling_energy_identity", worst <= 1e-12,
-                           f"worst rel dev = {worst:.2e} over 20 meshes x 4 scales"))
-
-    # scaling equivariance of the cache quantities
-    mesh = perturbed_sphere(100, subdivisions=2, amplitude=0.05)
-    c1 = build_cache(mesh)
-    s = 1.7
-    c2 = build_cache(mesh.scaled(s))
-    checks = [
-        ("H", np.abs(c2.H - c1.H / s).max() / np.abs(c1.H).max()),
-        ("K", np.abs(c2.K - c1.K / s ** 2).max() / np.abs(c1.K).max()),
-        ("area", abs(c2.area - c1.area * s ** 2) / (c1.area * s ** 2)),
-        ("volume", abs(c2.signed_volume - c1.signed_volume * s ** 3)
-         / abs(c1.signed_volume * s ** 3)),
-        ("willmore", abs(c2.willmore - c1.willmore) / c1.willmore),
-    ]
-    worst_name, worst_dev = max(checks, key=lambda kv: kv[1])
-    out.append(CheckResult("scaling_equivariance", worst_dev <= 1e-12,
-                           f"worst: {worst_name} rel dev {worst_dev:.2e}"))
-
-    # translation invariance of the signed volume
-    vol0 = signed_volume(meshes["icosphere3"])
-    vol1 = signed_volume(meshes["icosphere3"].translated((10.0, 0.0, 0.0)))
-    dev = abs(vol1 - vol0) / abs(vol0)
-    out.append(CheckResult("volume_translation_invariance", dev <= 1e-10,
-                           f"rel dev = {dev:.2e}"))
-
-    # Willmore-control inequality on random perturbed spheres
-    rng = np.random.default_rng(1)
-    worst_res = np.inf
-    for k in range(100):
-        mesh = perturbed_sphere(200 + k, subdivisions=2,
-                                amplitude=float(rng.uniform(0.0, 0.05)))
-        params = FlowParams(float(rng.uniform(-2, 2)),
-                            float(rng.uniform(0.05, 2.0)))
-        cache = build_cache(mesh)
-        worst_res = min(worst_res,
-                        willmore_bound_residual(cache, params) / cache.willmore)
-    out.append(CheckResult("willmore_control_inequality", worst_res >= -1e-6,
-                           f"min residual / W = {worst_res:.2e} over 100 samples"))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# gradients
-# ---------------------------------------------------------------------------
 
 
 def smooth_test_field(mesh: TriangleMesh, seed: int) -> np.ndarray:
@@ -182,234 +67,3 @@ def fd_order_estimate(mesh: TriangleMesh, params: FlowParams, phi: np.ndarray,
     if d1 / scale < 1e-9 or d2 == 0:
         return np.inf, values
     return float(np.log(d1 / d2) / np.log(steps[0] / steps[1])), values
-
-
-def suite_gradients(fast: bool = True) -> list[CheckResult]:
-    out = []
-    level = 3 if fast else 4
-    # radius 1 with these parameters is the flow equilibrium, where every
-    # variation vanishes; compare off-equilibrium so relative errors mean
-    # something, with a scale floor against sign-cancelling directions
-    mesh = make_icosphere(level, 1.0)
-    params = FlowParams(1.0, 0.3)
-    tol = 8e-3 if fast else 2.5e-3
-
-    worst_order = np.inf
-    worst_rel = 0.0
-    for k in range(5):
-        phi = smooth_test_field(mesh, k)
-        scale = float(np.sum(np.abs(phi)))
-        for functional in ("area", "volume", "helfrich", "penalized"):
-            analytic, fd = first_variation_check(mesh, params, phi, functional)
-            rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3 * scale)
-            worst_rel = max(worst_rel, rel)
-            order, _ = fd_order_estimate(mesh, params, phi, functional)
-            worst_order = min(worst_order, order)
-    out.append(CheckResult("first_variation_agreement", worst_rel <= tol,
-                           f"worst rel |analytic - FD| = {worst_rel:.2e}"))
-    out.append(CheckResult("fd_sweep_order", worst_order >= 1.9,
-                           f"min observed order = {worst_order:.2f}"))
-
-    # strong-form velocity vs exact discrete gradient (validation mode);
-    # the discrete gradient also carries a small tangential
-    # (reparametrization) component that the normal-speed form cannot see,
-    # so compare the normal projections
-    devs = []
-    params_off = FlowParams(1.0, 0.5)
-    for lvl in (2, 3):
-        m = make_icosphere(lvl, 1.3)
-        cache = build_cache(m)
-        xi = flow_velocity(cache, params_off)
-        grad = discrete_gradient_fd(m, params_off, "penalized")
-        grad_l2 = grad / cache.vertex_areas[:, None]
-        normal_part = np.einsum("ij,ij->i", grad_l2, cache.normals)
-        num = np.sqrt(np.sum((xi + 2.0 * normal_part) ** 2 * cache.vertex_areas))
-        den = np.sqrt(np.sum((2.0 * normal_part) ** 2 * cache.vertex_areas))
-        devs.append(num / max(den, 1e-300))
-    out.append(CheckResult(
-        "strong_form_vs_discrete_gradient",
-        devs[1] < devs[0] and devs[1] <= 0.1,
-        f"L2 rel deviation {devs[0]:.3f} -> {devs[1]:.3f} under refinement",
-    ))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-# ---------------------------------------------------------------------------
-
-
-def suite_rescaling() -> list[CheckResult]:
-    out = []
-    params = FlowParams(-1.0, 0.0)
-    policy = flow_mod.SteppingPolicy(max_steps=100)
-    mesh = make_icosphere(3, 1.0)
-
-    states1, states2 = [], []
-    flow_mod.run_flow(mesh, params, policy,
-                      sinks=[lambda s, r: states1.append(s.mesh.vertices)])
-    twin_policy = flow_mod.SteppingPolicy(max_steps=100,
-                                          dt_init=policy.dt_init / 16.0)
-    flow_mod.run_flow(mesh.scaled(0.5), FlowParams(-2.0, 0.0), twin_policy,
-                      sinks=[lambda s, r: states2.append(s.mesh.vertices)])
-    worst = max(
-        float(np.abs(a / 2.0 - b).max() / max(np.abs(a).max(), 1e-300))
-        for a, b in zip(states1, states2)
-    )
-    out.append(CheckResult("trajectory_rescaling_equivariance", worst <= 1e-6,
-                           f"worst rel position dev = {worst:.2e} "
-                           f"({min(len(states1), len(states2))} checkpoints)"))
-
-    # translation equivariance
-    shift = np.array([10.0, -3.0, 4.0])
-    states3, states4 = [], []
-    short = flow_mod.SteppingPolicy(max_steps=30)
-    flow_mod.run_flow(mesh, params, short,
-                      sinks=[lambda s, r: states3.append(s.mesh.vertices)])
-    flow_mod.run_flow(mesh.translated(shift), params, short,
-                      sinks=[lambda s, r: states4.append(s.mesh.vertices)])
-    worst_t = max(float(np.abs(a + shift - b).max()) for a, b in zip(states3, states4))
-    out.append(CheckResult("trajectory_translation_equivariance", worst_t <= 1e-9,
-                           f"worst abs dev = {worst_t:.2e}"))
-
-    # blow-up frame energy identity
-    state = flow_mod.init_state(perturbed_sphere(0, 3, 0.05), params,
-                                flow_mod.SteppingPolicy())
-    frame = extract_blowup_frame(state, params)
-    out.append(CheckResult("blowup_frame_energy_identity", True,
-                           f"r = {frame.r:.3f}; identity verified to 1e-12 "
-                           "inside extraction"))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# ODE oracle
-# ---------------------------------------------------------------------------
-
-
-def suite_ode_oracle() -> list[CheckResult]:
-    out = []
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(50):
-        r0 = float(rng.uniform(0.1, 3.0))
-        params = FlowParams(float(rng.uniform(-3.0, -0.1)),
-                            float(rng.uniform(0.0, 2.0)))
-        t_closed = extinction_time_closed_form(r0, params)
-        sol = integrate_sphere_ode(r0, params, horizon=10.0 * t_closed + 1.0)
-        worst = max(worst, abs(sol.extinction_time - t_closed) / t_closed)
-    out.append(CheckResult("extinction_closed_form_vs_integration",
-                           worst <= 1e-8,
-                           f"worst rel dev = {worst:.2e} over 50 cases"))
-
-    # stationarity of the sphere energy at the attracting radius
-    worst_crit = 0.0
-    worst_val = 0.0
-    for c0 in np.linspace(0.2, 3.0, 8):
-        for lam in np.linspace(0.1, 2.0, 8):
-            params = FlowParams(float(c0), float(lam))
-            bounds = theory_bounds(params)
-            r_star = bounds.r_star
-            h = 1e-6 * r_star
-            deriv = (sphere_energy(r_star + h, params)
-                     - sphere_energy(r_star - h, params)) / (2 * h)
-            worst_crit = max(worst_crit, abs(deriv) * r_star
-                             / sphere_energy(r_star, params))
-            worst_val = max(worst_val, abs(sphere_energy(r_star, params)
-                                           - bounds.beta_upper)
-                            / bounds.beta_upper)
-    out.append(CheckResult("sphere_energy_critical_at_r_star",
-                           worst_crit <= 1e-8 and worst_val <= 1e-10,
-                           f"|E'(r*)| rel {worst_crit:.2e}; "
-                           f"|E(r*) - beta| rel {worst_val:.2e}"))
-
-    # energy decreases along the ODE flow
-    params = FlowParams(1.0, 0.5)
-    sol = integrate_sphere_ode(1.8, params, horizon=20.0)
-    ts = np.linspace(0.0, min(sol.times[-1], 20.0), 200)
-    es = np.array([sphere_energy(max(sol.radius_at(t), 1e-12), params)
-                   for t in ts])
-    increase = float(np.max(np.diff(es)))
-    out.append(CheckResult("ode_energy_monotone", increase <= 1e-9,
-                           f"max energy increase along flow = {increase:.2e}"))
-
-    # parabolic rescaling of the ODE trajectory
-    r0, tau, s = 1.4, 0.02, 2.0
-    p1 = FlowParams(-1.0, 0.3)
-    p2 = FlowParams(-1.0 * s, 0.3 * s * s)
-    sol1 = integrate_sphere_ode(r0, p1, horizon=tau)
-    sol2 = integrate_sphere_ode(r0 / s, p2, horizon=tau / s ** 4)
-    dev = abs(sol1.radius_at(tau) / s - sol2.radius_at(tau / s ** 4)) / (r0 / s)
-    out.append(CheckResult("ode_parabolic_rescaling", dev <= 1e-10,
-                           f"rel dev = {dev:.2e}"))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# flow scenarios (fast variants of the acceptance runs)
-# ---------------------------------------------------------------------------
-
-
-def suite_shrinker(fast: bool = True) -> list[CheckResult]:
-    from .diagnostics import classify_singularity
-    level = 3 if fast else 4
-    tol = 0.15 if fast else 0.10
-    params = FlowParams(-1.0, 0.0)
-    mesh = make_icosphere(level, 1.0)
-    collector = FrameSink(params)
-    records, report = flow_mod.run_flow(mesh, params,
-                                        flow_mod.SteppingPolicy(max_steps=50_000),
-                                        sinks=[collector])
-    t_exact = extinction_time_closed_form(1.0, params)
-    rel = abs(report.final_time - t_exact) / t_exact
-    out = [
-        CheckResult("shrinker_terminates_by_area_collapse",
-                    report.reason == "singular_area_collapse",
-                    f"reason = {report.reason}"),
-        CheckResult("shrinker_extinction_time", rel <= tol,
-                    f"T = {report.final_time:.6f} vs {t_exact:.6f} "
-                    f"(rel dev {rel:.2%}, tol {tol:.0%})"),
-    ]
-    cls = classify_singularity(collector.frames, report.reason)
-    out.append(CheckResult("shrinker_classified_round", cls.verdict == "round_shrinker",
-                           f"verdict = {cls.verdict}, fit residual = "
-                           f"{cls.fit_residual:.4f}"))
-    return out
-
-
-def suite_equilibrium(fast: bool = True) -> list[CheckResult]:
-    level = 3 if fast else 4
-    params = FlowParams(1.0, 0.5)
-    policy = flow_mod.SteppingPolicy(gradient_tol=2e-2, time_horizon=50.0,
-                                     max_steps=50_000)
-    out = []
-    for r0 in (0.6, 1.5):
-        holder = {}
-        records, report = flow_mod.run_flow(
-            make_icosphere(level, r0), params, policy,
-            sinks=[lambda s, r: holder.update(state=s)],
-        )
-        state = holder["state"]
-        center = state.mesh.vertices.mean(axis=0)
-        mean_r = float(np.linalg.norm(state.mesh.vertices - center, axis=1).mean())
-        ok = report.reason == "converged" and abs(mean_r - 1.0) <= 0.03
-        out.append(CheckResult(f"equilibrium_from_r0_{r0}", ok,
-                               f"reason = {report.reason}, mean radius = "
-                               f"{mean_r:.4f} (target 1.0)"))
-    return out
-
-
-SUITES = {
-    "identities": lambda fast: suite_identities(),
-    "gradients": lambda fast: suite_gradients(fast=fast),
-    "rescaling": lambda fast: suite_rescaling(),
-    "ode_oracle": lambda fast: suite_ode_oracle(),
-    "shrinker": lambda fast: suite_shrinker(fast=fast),
-    "equilibrium": lambda fast: suite_equilibrium(fast=fast),
-}
-
-
-def run_suite(name: str, fast: bool = True) -> list[CheckResult]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](fast)

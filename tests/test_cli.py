@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import signal
@@ -11,7 +12,7 @@ import helflow.cli as cli
 import helflow.flow
 from helflow.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_OK,
                          EXIT_SINGULAR, EXIT_SOLVER, ConfigError,
-                         build_run_config, load_run_config, main,
+                         build_parser, build_run_config, load_run_config, main,
                          parse_config_text)
 from helflow.diagnostics import DiagnosticsError, SingularityClassification
 from helflow.flow import (CSV_COLUMNS, SteppingPolicy, TerminationReport,
@@ -160,6 +161,9 @@ def test_flow_command_bad_config(tmp_path):
     "rescale {mesh} --r 2 --x nan 0 0 --c0 1",
     "ode --c0 -1 --r0 nan --horizon 1 --out {out}",
     "ode --c0 -1 --r0 1 --horizon inf --out {out}",
+    "ode --c0 x --r0 1 --horizon 1 --out {out}",
+    "ode --c0 -1 --horizon 1 --out {out}",
+    "validate identities",
     *(f"ode --c0 -1 --r0 1 --horizon 1 --rtol {value} --out {{out}}"
       for value in ("nan", "0", "-1", "1", "10", "1e-20", "1e-15")),
     "flow --config {cfg} --out {out} --override policy.checkpoint_every=-1",
@@ -404,5 +408,21 @@ def test_rescale_rejects_nonpositive_r(tmp_path):
                  "--c0", "1"]) == EXIT_CONFIG
 
 
-def test_validate_command_runs():
-    assert main(["--quiet", "validate", "identities"]) == EXIT_OK
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: helflow" in capsys.readouterr().out
+
+
+def test_readme_command_block_matches_parser():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [next(word for word in line.split()[1:]
+                       if not word.startswith(("[", "-")))
+                  for line in block.splitlines() if line.startswith("helflow ")]
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert documented == list(subparsers.choices)

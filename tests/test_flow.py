@@ -254,6 +254,24 @@ def test_translation_equivariance():
     assert worst <= 1e-9
 
 
+def test_trajectory_rescaling_equivariance():
+    # x -> x/2 maps the flow of (c0, lam) to that of (2 c0, 4 lam) with
+    # t -> t/16; powers of two keep every accepted state exact in floating
+    # point, so the twin runs agree position by position
+    mesh = make_icosphere(3, 1.0)
+    policy = SteppingPolicy(max_steps=100)
+    twin_policy = SteppingPolicy(max_steps=100, dt_init=policy.dt_init / 16.0)
+    out1, out2 = [], []
+    run_flow(mesh, FlowParams(-1.0, 0.0), policy,
+             sinks=[lambda s, r: out1.append(s.mesh.vertices)])
+    run_flow(mesh.scaled(0.5), FlowParams(-2.0, 0.0), twin_policy,
+             sinks=[lambda s, r: out2.append(s.mesh.vertices)])
+    assert len(out1) == len(out2) > 1
+    worst = max(np.abs(a / 2.0 - b).max() / np.abs(a).max()
+                for a, b in zip(out1, out2))
+    assert worst <= 1e-6
+
+
 def test_remesh_hook_fires_and_flow_continues():
     # hair-trigger angle floor: the icosphere's ~54 degree minimum trips the
     # trigger every step; the run must keep stepping through remeshes

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helflow.geometry import (FlowParams, GeometryError, build_cache,
-                              first_variation_check, flow_velocity,
-                              gauss_bonnet_residual, helfrich_energy,
-                              mean_curvature_integral, penalized_energy,
-                              willmore_bound_residual)
-from helflow.mesh import TriangleMesh, make_icosphere, orient_for_positive_volume
-from helflow.validate import perturbed_sphere
+                              discrete_gradient_fd, first_variation_check,
+                              flow_velocity, gauss_bonnet_residual,
+                              helfrich_energy, mean_curvature_integral,
+                              penalized_energy, willmore_bound_residual)
+from helflow.mesh import (TriangleMesh, make_icosphere, make_torus,
+                          orient_for_positive_volume)
+from helflow.validate import (fd_order_estimate, perturbed_sphere,
+                              smooth_test_field)
 
 FOUR_PI = 4 * np.pi
 
@@ -63,12 +65,15 @@ def test_gauss_bonnet_all_meshes(tetra, ico3, torus):
                                       abs=1e-10)
 
 
-def test_cache_invariants(ico4_cache):
-    c = ico4_cache
-    assert np.sum(c.vertex_areas) == pytest.approx(c.area, rel=1e-12)
-    assert np.array_equal(c.Asq, c.A0sq + 0.5 * c.H * c.H)
-    assert c.willmore >= 0 and c.w0 >= 0
-    assert c.sup_Asq == c.Asq.max()
+def test_cache_invariants(tetra):
+    # the mixed areas tile the surface on every reference mesh
+    for mesh in (tetra, make_torus(), *(make_icosphere(lvl, 1.0)
+                                        for lvl in range(6))):
+        c = build_cache(mesh)
+        assert abs(np.sum(c.vertex_areas) - c.area) <= 1e-12 * c.area
+        assert np.array_equal(c.Asq, c.A0sq + 0.5 * c.H * c.H)
+        assert c.willmore >= 0 and c.w0 >= 0
+        assert c.sup_Asq == c.Asq.max()
 
 
 def test_degenerate_triangle_names_face(tetra):
@@ -118,7 +123,7 @@ def test_willmore_bound_residual_closed_forms(ico4_cache):
 
 def test_willmore_bound_property_random_spheres():
     rng = np.random.default_rng(11)
-    for k in range(20):
+    for k in range(100):
         mesh = perturbed_sphere(500 + k, 2, float(rng.uniform(0, 0.05)))
         params = FlowParams(float(rng.uniform(-2, 2)), float(rng.uniform(0.05, 2)))
         cache = build_cache(mesh)
@@ -228,6 +233,40 @@ def test_first_variation_helfrich_critical(ico4):
                                          "helfrich")
     assert abs(analytic) < 1e-3   # discrete critical point
     assert abs(analytic - fd) < 1e-3
+
+
+def test_first_variation_penalized_random_fields():
+    # radius 1 is the equilibrium of (1, 0.5), where every variation
+    # vanishes; lam = 0.3 keeps relative errors meaningful, and the scale
+    # floor guards sign-cancelling directions
+    mesh = make_icosphere(3, 1.0)
+    params = FlowParams(1.0, 0.3)
+    for k in range(5):
+        phi = smooth_test_field(mesh, k)
+        floor = 1e-3 * float(np.sum(np.abs(phi)))
+        analytic, fd = first_variation_check(mesh, params, phi, "penalized")
+        assert abs(analytic - fd) / max(abs(analytic), abs(fd), floor) <= 8e-3
+        order, _ = fd_order_estimate(mesh, params, phi, "penalized")
+        assert order >= 1.9
+
+
+def test_strong_form_matches_discrete_gradient_under_refinement():
+    # the discrete gradient also has a tangential (reparametrization) part
+    # that the normal speed cannot see, so compare normal projections
+    params = FlowParams(1.0, 0.5)
+    devs = []
+    for lvl in (2, 3):
+        mesh = make_icosphere(lvl, 1.3)
+        cache = build_cache(mesh)
+        xi = flow_velocity(cache, params)
+        grad = discrete_gradient_fd(mesh, params, "penalized")
+        normal = np.einsum("ij,ij->i", grad / cache.vertex_areas[:, None],
+                           cache.normals)
+        num = np.sum((xi + 2.0 * normal) ** 2 * cache.vertex_areas)
+        den = np.sum((2.0 * normal) ** 2 * cache.vertex_areas)
+        devs.append(float(np.sqrt(num / den)))
+    assert devs[1] < devs[0]
+    assert devs[1] <= 0.1
 
 
 def test_first_variation_errors(ico3):

@@ -121,12 +121,25 @@ def test_theory_bounds_inconsistent_e0():
 
 
 def test_energy_critical_point_matches_beta():
-    for c0 in (0.5, 1.0, 2.5):
-        for lam in (0.1, 0.5, 1.5):
-            params = FlowParams(c0, lam)
+    for c0 in np.union1d(np.linspace(0.2, 3.0, 8), (0.5, 1.0, 2.5)):
+        for lam in np.union1d(np.linspace(0.1, 2.0, 8), (0.1, 0.5, 1.5)):
+            params = FlowParams(float(c0), float(lam))
             b = theory_bounds(params)
-            assert sphere_energy(b.r_star, params) == \
-                pytest.approx(b.beta_upper, rel=1e-10)
+            e_star = sphere_energy(b.r_star, params)
+            assert e_star == pytest.approx(b.beta_upper, rel=1e-10)
+            # E'(r*) = 0, by a central difference relative to E(r*) / r*
+            h = 1e-6 * b.r_star
+            slope = (sphere_energy(b.r_star + h, params)
+                     - sphere_energy(b.r_star - h, params)) / (2 * h)
+            assert abs(slope) * b.r_star <= 1e-8 * e_star
+
+
+def test_energy_non_increasing_along_ode_flow():
+    params = FlowParams(1.0, 0.5)
+    sol = integrate_sphere_ode(1.8, params, horizon=20.0)
+    ts = np.linspace(0.0, min(sol.times[-1], 20.0), 200)
+    energies = [sphere_energy(sol.radius_at(t), params) for t in ts]
+    assert np.max(np.diff(energies)) <= 1e-9
 
 
 def test_closed_form_vs_integration_samples():

@@ -1,18 +1,4 @@
-import pytest
-
-from helflow.validate import perturbed_sphere, run_suite
-
-
-@pytest.mark.parametrize("suite", ["identities", "gradients", "ode_oracle"])
-def test_fast_suites_pass(suite):
-    results = run_suite(suite, fast=True)
-    failures = [str(r) for r in results if not r.passed]
-    assert not failures, "\n".join(failures)
-
-
-def test_unknown_suite_rejected():
-    with pytest.raises(ValueError):
-        run_suite("nope")
+from helflow.validate import perturbed_sphere
 
 
 def test_perturbed_sphere_is_valid_geometry():
