@@ -7,10 +7,10 @@ captures a reproducible run.
 
 Exit codes: 0 clean termination (converged / horizon), 2 singular termination
 (a scientific outcome, not a failure), 3 inconclusive termination
-(dt collapse / step budget), 10 configuration errors (command-line usage
-errors included), 11 IO errors, 12 solver failures (a remesh that fails, a
-starting geometry that cannot be assembled, also in ``energy`` and
-``rescale``, or blow-up diagnostics that fail during a run).
+(dt collapse / step budget), 10 configuration errors (usage errors and values
+out of the float range included), 11 IO errors, 12 solver failures (a remesh,
+a starting geometry in any command, blow-up diagnostics during a run, or a
+sphere ODE integration that fails).
 """
 
 import argparse
@@ -23,17 +23,17 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .diagnostics import (DiagnosticsError, FrameSink, classify_singularity,
-                          hypothesis_monitors)
-from .flow import (CSV_COLUMNS, FlowError, SteppingPolicy, TimeSeriesRecord,
-                   run_flow)
+from .diagnostics import (KAPPA_TARGET_FRACTION, DiagnosticsError, FrameSink,
+                          classify_singularity, hypothesis_monitors)
+from .flow import (CSV_COLUMNS, SINGULAR_REASONS, FlowError, SteppingPolicy,
+                   TimeSeriesRecord, run_flow)
 from .geometry import (FlowParams, GeometryError, build_cache,
                        gauss_bonnet_residual, mean_curvature_integral,
                        penalized_energy, willmore_bound_residual)
 from .mesh import MeshError, TriangleMesh, load_mesh, make_icosphere, save_mesh
 from .remesh import RemeshError
-from .sphere_ode import (MIN_RTOL, extinction_time_closed_form,
-                         integrate_sphere_ode, theory_bounds)
+from .sphere_ode import (MIN_RTOL, SphereOdeError, extinction_time_closed_form,
+                         integrate_sphere_ode, sphere_energy, theory_bounds)
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +45,6 @@ EXIT_IO = 11
 EXIT_SOLVER = 12
 
 _CLEAN_REASONS = ("converged", "horizon_reached")
-_SINGULAR_REASONS = ("singular_area_collapse", "singular_curvature_blowup")
 
 
 class ConfigError(Exception):
@@ -62,7 +61,7 @@ class RunConfig:
     icosphere_subdivisions: int | None = None
     icosphere_radius: float = 1.0
     icosphere_center: tuple = (0.0, 0.0, 0.0)
-    kappa_target_fraction: float = 0.25
+    kappa_target_fraction: float = KAPPA_TARGET_FRACTION
     frames_enabled: bool = True
     out_dir: str = "out"
     seed: int = 0
@@ -194,7 +193,7 @@ def _run_config_from(raw: dict, config_dir: str) -> RunConfig:
         icosphere_radius=float(raw.pop("mesh.icosphere.radius", 1.0)),
         icosphere_center=_parse_vec3(raw.pop("mesh.icosphere.center", "0,0,0")),
         kappa_target_fraction=float(
-            raw.pop("diagnostics.kappa_target_fraction", 0.25)),
+            raw.pop("diagnostics.kappa_target_fraction", KAPPA_TARGET_FRACTION)),
         frames_enabled=_parse_bool(raw.pop("diagnostics.frames", "on")),
         out_dir=raw.pop("output.dir", "out"),
         seed=int(raw.pop("seed", 0)),
@@ -328,7 +327,7 @@ def cmd_flow(args) -> int:
     finally:
         csv_sink.close()
 
-    singular = report.reason in _SINGULAR_REASONS
+    singular = report.reason in SINGULAR_REASONS
     classification = None
     if frame_sink is not None and frame_sink.profiles:
         _write_kappa_profiles(frame_sink.profiles,
@@ -397,11 +396,13 @@ def cmd_ode(args) -> int:
     if not MIN_RTOL <= args.rtol < 1:
         logger.error("rtol must lie in [%.3g, 1)", MIN_RTOL)
         return EXIT_CONFIG
-    sol = integrate_sphere_ode(args.r0, params, horizon=args.horizon,
-                               rtol=args.rtol)
-    bounds = theory_bounds(params,
-                           e0=float(np.pi * (2 - params.c0 * args.r0) ** 2
-                                    + 2 * np.pi * params.lam * args.r0 ** 2))
+    bounds = theory_bounds(params, e0=sphere_energy(args.r0, params))
+    try:
+        sol = integrate_sphere_ode(args.r0, params, horizon=args.horizon,
+                                   rtol=args.rtol)
+    except SphereOdeError as exc:
+        logger.error("solver failure: %s", exc)
+        return EXIT_SOLVER
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "ode_series.csv"), "w",
               encoding="utf-8") as fh:
@@ -480,8 +481,12 @@ def cmd_rescale(args) -> int:
     if params is None:
         return EXIT_CONFIG
     x = np.asarray(args.x, dtype=np.float64)
-    rescaled = mesh.translated(-x).scaled(1.0 / args.r)
-    new_params = params.rescaled(args.r)
+    try:
+        rescaled = mesh.translated(-x).scaled(1.0 / args.r)
+        new_params = params.rescaled(args.r)
+    except (ValueError, MeshError) as exc:
+        logger.error("rescaling leaves the float range: %s", exc)
+        return EXIT_CONFIG
     try:
         e_orig = penalized_energy(build_cache(mesh), params)
         e_new = penalized_energy(build_cache(rescaled), new_params)
@@ -575,6 +580,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         logger.error("IO failure: %s", exc)
         return EXIT_IO
+    except OverflowError as exc:   # from float **, where * would give inf
+        logger.error("a value derived from the inputs is out of range: %s", exc)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -17,16 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowState
+from .flow import SINGULAR_REASONS, FlowState
 from .geometry import (FlowParams, GeometryCache, build_cache,
                        mean_curvature_integral, penalized_energy)
 from .mesh import TriangleMesh
-from .sphere_ode import theory_bounds
+from .sphere_ode import FOUR_PI, theory_bounds
 
 logger = logging.getLogger(__name__)
 
-FOUR_PI = 4.0 * np.pi
-
+KAPPA_TARGET_FRACTION = 0.25   # default blow-up radius: kappa reaches this share
 ROUND_FIT_RESIDUAL_MAX = 0.02
 ROUND_WILLMORE_REL_TOL = 0.05
 WILLMORE_TREND_SLACK = 1e-3 * FOUR_PI
@@ -236,24 +235,24 @@ def extract_blowup_frame(state: FlowState, params: FlowParams,
                          profile: KappaProfile | None = None) -> BlowUpFrame:
     """Select (r_j, x_j) from the concentration profile and rescale.
 
-    ``kappa_target`` defaults to 25% of the current total curvature energy;
-    flows normally freeze the t=0 total and pass that.  A precomputed
-    ``profile`` for this state may be supplied to avoid a second scan.  The
-    exact discrete energy identity between the snapshot and the rescaled
-    frame is verified to 1e-12 relative before returning.
+    ``kappa_target`` defaults to ``KAPPA_TARGET_FRACTION`` of the current
+    total curvature energy; flows normally freeze the t=0 total and pass
+    that.  A precomputed ``profile`` for this state may be supplied to avoid
+    a second scan.  The exact discrete energy identity between the snapshot
+    (its energy for ``params``) and the rescaled frame is verified to 1e-12
+    relative before returning.
     """
     mesh, cache = state.mesh, state.cache
     if profile is None:
         profile = kappa_profile(mesh, cache, default_radii_grid(mesh), t=state.t)
     if kappa_target is None:
-        kappa_target = 0.25 * profile.total
+        kappa_target = KAPPA_TARGET_FRACTION * profile.total
     r = select_blowup_radius(profile, kappa_target)
     _, x = kappa(mesh, cache, r)
     rescaled_mesh = mesh.translated(-x).scaled(1.0 / r)
     rescaled_params = params.rescaled(r)
     rescaled_cache = build_cache(rescaled_mesh, rescaled_params)
-    original = (cache.penalized if cache.penalized is not None
-                else penalized_energy(cache, params))
+    original = penalized_energy(cache, params)
     identity_err = abs(rescaled_cache.penalized - original) / max(abs(original), 1e-300)
     if identity_err > 1e-12:
         raise DiagnosticsError(
@@ -274,7 +273,8 @@ class FrameSink:
     The concentration profiles behind the frames are kept for export.
     """
 
-    def __init__(self, params: FlowParams, kappa_target_fraction: float = 0.25):
+    def __init__(self, params: FlowParams,
+                 kappa_target_fraction: float = KAPPA_TARGET_FRACTION):
         self.params = params
         self.kappa_target_fraction = kappa_target_fraction
         self.frames: list[BlowUpFrame] = []
@@ -344,8 +344,7 @@ def classify_singularity(frames, reason: str) -> SingularityClassification:
     5% of 4 pi without trending away from it; otherwise
     ``non_round_concentration``.
     """
-    singular = reason in ("singular_area_collapse", "singular_curvature_blowup")
-    if not singular:
+    if reason not in SINGULAR_REASONS:
         return SingularityClassification("none", None, [], [])
     frames = list(frames)
     if len(frames) < 3:

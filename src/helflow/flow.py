@@ -30,7 +30,7 @@ from scipy import sparse
 from .geometry import (FlowParams, GeometryCache, GeometryError, build_cache,
                        flow_velocity, mean_curvature_integral)
 from .mesh import (LaplacianPattern, MeshError, TriangleMesh, load_mesh,
-                   save_mesh, signed_volume)
+                   orientation_tolerance, save_mesh)
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +42,7 @@ TERMINATION_REASONS = (
     "horizon_reached",
     "step_budget",
 )
+SINGULAR_REASONS = ("singular_area_collapse", "singular_curvature_blowup")
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -287,13 +288,12 @@ def shifted_operator(areas, laplacian, s, pattern):
 def init_state(mesh: TriangleMesh, params: FlowParams,
                policy: SteppingPolicy) -> FlowState:
     """Build the starting state; the mesh must be oriented for volume >= 0."""
-    vol = signed_volume(mesh)
-    if vol < -1e-12 * mesh.bbox_diagonal() ** 3:
-        raise FlowError(
-            f"initial mesh has negative signed volume {vol:.3e}; apply "
-            "orient_for_positive_volume first"
-        )
     cache = build_cache(mesh, params)
+    if cache.signed_volume < -orientation_tolerance(mesh):
+        raise FlowError(
+            f"initial mesh has negative signed volume {cache.signed_volume:.3e}; "
+            "apply orient_for_positive_volume first"
+        )
     return FlowState(
         t=0.0, mesh=mesh, cache=cache, dt=policy.dt_init,
         energy0=cache.penalized,
@@ -395,7 +395,7 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
     """
     state = init_state(initial, params, policy)
     area0 = state.cache.area
-    target_edge0 = initial.mean_edge_length()
+    target_edge0 = state.cache.mean_edge
     records: list[TimeSeriesRecord] = []
     remeshes: list[dict] = []
     below_tol_streak = 0

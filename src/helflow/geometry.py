@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .mesh import TriangleMesh, corner_signed_volume, signed_volume
+from .mesh import FaceGeometry, TriangleMesh, signed_volume
 
 __all__ = [
     "FlowParams", "GeometryCache", "GeometryError", "build_cache",
@@ -43,7 +43,8 @@ class FlowParams:
 
     c0 : spontaneous curvature, unit 1/length.
     lam : local area penalty, unit 1/length^2; non-negative unless
-        ``allow_negative_lam`` is set explicitly.
+        ``allow_negative_lam`` is set explicitly.  ``c0^2 + 2 lam`` (the
+        round-sphere ODE's rate) must be finite too.
     """
 
     c0: float
@@ -51,8 +52,9 @@ class FlowParams:
     allow_negative_lam: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.c0) and np.isfinite(self.lam)):
-            raise ValueError("flow parameters must be finite")
+        c0 = float(self.c0)   # the sum is inf or NaN if c0 or lam is
+        if not np.isfinite(c0 * c0 + 2.0 * float(self.lam)):
+            raise ValueError("flow parameters and c0^2 + 2 lam must be finite")
         if self.lam < 0 and not self.allow_negative_lam:
             raise ValueError(
                 "lam < 0 requires allow_negative_lam=True (all standard "
@@ -101,44 +103,25 @@ class GeometryCache:
     params: FlowParams | None = field(default=None, repr=False)
 
 
-class _FaceData:
-    """Shared per-face quantities computed in one pass over the mesh."""
-
-    __slots__ = ("cross", "cross_norm", "dots", "cots", "angles", "edge_sq",
-                 "signed_volume")
-
-    def __init__(self, mesh: TriangleMesh):
-        v, f = mesh.vertices, mesh.faces
-        v0, v1, v2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-        e0 = v2 - v1  # edge opposite corner 0
-        e1 = v0 - v2
-        e2 = v1 - v0
-        self.cross = np.cross(e2, -e1)  # (v1-v0) x (v2-v0); |.| = 2 * area
-        self.cross_norm = np.linalg.norm(self.cross, axis=1)
-        # interior-angle dot products; all three corners share |a x b|
-        self.dots = np.stack([-np.einsum("ij,ij->i", p, q)
-                              for p, q in ((e2, e1), (e0, e2), (e1, e0))], axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.cots = self.dots / self.cross_norm[:, None]
-        bad = ~np.isfinite(self.cots) | (np.abs(self.cots) > COT_OVERFLOW)
-        if np.any(bad):
-            face = int(np.nonzero(np.any(bad, axis=1))[0][0])
-            raise GeometryError(
-                f"cotangent weight overflow from degenerate triangle at face {face}"
-            )
-        self.angles = np.arctan2(self.cross_norm[:, None], self.dots)
-        self.edge_sq = np.stack([np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2)],
-                                axis=1)
-        self.signed_volume = corner_signed_volume(v0, v1, v2)
+def _cotangents(fg: FaceGeometry) -> np.ndarray:
+    """Corner cotangents like ``fg.dots``; raises GeometryError if degenerate."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cots = fg.dots / fg.cross_norm[:, None]
+    bad = ~np.isfinite(cots) | (np.abs(cots) > COT_OVERFLOW)
+    if np.any(bad):
+        face = int(np.nonzero(np.any(bad, axis=1))[0][0])
+        raise GeometryError(
+            f"cotangent weight overflow from degenerate triangle at face {face}"
+        )
+    return cots
 
 
-def _corner_areas(fd: _FaceData) -> np.ndarray:
+def _corner_areas(fg: FaceGeometry, cots: np.ndarray) -> np.ndarray:
     """Mixed-Voronoi area share of every corner, corner-major."""
-    cots, e_sq = fd.cots, fd.edge_sq
-    face_area = 0.5 * fd.cross_norm
+    face_area = 0.5 * fg.cross_norm
     # Voronoi part (valid for non-obtuse faces): corner k gets
     # (|e_{k+1}|^2 cot_{k+1} + |e_{k+2}|^2 cot_{k+2}) / 8.
-    weighted = e_sq * cots
+    weighted = fg.edge_sq * cots
     contrib = (np.roll(weighted, -1, axis=1) + np.roll(weighted, -2, axis=1)) / 8.0
     # obtuse faces: half the area at the obtuse corner, a quarter elsewhere
     obtuse = cots < 0
@@ -154,29 +137,29 @@ def _corner_areas(fd: _FaceData) -> np.ndarray:
 def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> GeometryCache:
     """Assemble all per-vertex curvature data and global energies for a mesh."""
     n, topo = mesh.n_vertices, mesh.topology
-    fd = _FaceData(mesh)
+    fg = mesh.face_geometry()
+    cots = _cotangents(fg)
 
     def to_vertices(per_corner):
         return np.bincount(topo.corner_vertex, weights=per_corner, minlength=n)
 
     # corner k's cotangent weight sits on the opposite edge
-    L = topo.laplacian_pattern(n).fill(0.5 * fd.cots.T.ravel())
-    a = to_vertices(_corner_areas(fd))
+    L = topo.laplacian_pattern(n).fill(0.5 * cots.T.ravel())
+    a = to_vertices(_corner_areas(fg, cots))
     if np.any(a <= 0):
         raise GeometryError("non-positive mixed Voronoi vertex area")
     # every corner of a face carries the face's area vector
-    nu = np.column_stack([to_vertices(np.tile(c, 3)) for c in fd.cross.T])
+    nu = np.column_stack([to_vertices(np.tile(c, 3)) for c in fg.cross.T])
     norms = np.linalg.norm(nu, axis=1)
     if np.any(norms == 0):
         raise GeometryError("zero area-weighted normal at a vertex")
     nu /= norms[:, None]
     H = np.einsum("ij,ij->i", L @ mesh.vertices, nu) / a
-    K = (2.0 * np.pi - to_vertices(fd.angles.T.ravel())) / a
+    K = (2.0 * np.pi - to_vertices(fg.angles.T.ravel())) / a
     raw = 0.5 * H * H - 2.0 * K
     A0sq = np.maximum(raw, 0.0)
     clamp_mass = float(np.sum(np.minimum(raw, 0.0) * -a))
     Asq = A0sq + 0.5 * H * H
-    total_area = float(0.5 * np.sum(fd.cross_norm))
     cache = GeometryCache(
         vertex_areas=a,
         normals=nu,
@@ -185,14 +168,14 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
         A0sq=A0sq,
         Asq=Asq,
         laplacian=L,
-        area=total_area,
-        signed_volume=fd.signed_volume,
+        area=float(0.5 * np.sum(fg.cross_norm)),
+        signed_volume=fg.signed_volume,
         willmore=0.25 * float(np.sum(H * H * a)),
         w0=float(np.sum(A0sq * a)),
         clamp_mass=clamp_mass,
         sup_Asq=float(Asq.max()),
-        min_angle=float(fd.angles.min()),
-        mean_edge=float(np.sqrt(fd.edge_sq).mean()),   # 2 sides per edge
+        min_angle=float(fg.angles.min()),
+        mean_edge=float(np.sqrt(fg.edge_sq).mean()),   # 2 sides per edge
     )
     if params is not None:
         cache.params = params

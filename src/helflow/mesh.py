@@ -354,24 +354,16 @@ class TriangleMesh:
         v, f = self.vertices, self.faces
         return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
 
-    def face_cross(self) -> np.ndarray:
-        """Cross product (v1-v0) x (v2-v0) per face (twice the area vector)."""
-        v0, v1, v2 = self.face_corners()
-        return np.cross(v1 - v0, v2 - v0)
+    def face_geometry(self) -> "FaceGeometry":
+        """A new :class:`FaceGeometry` of this mesh (none is cached)."""
+        return FaceGeometry(self)
 
     def face_areas(self) -> np.ndarray:
-        return 0.5 * np.linalg.norm(self.face_cross(), axis=1)
+        return 0.5 * self.face_geometry().cross_norm
 
     def face_angles(self) -> np.ndarray:
         """(m, 3) interior angles, column k is the angle at faces[:, k]."""
-        v0, v1, v2 = self.face_corners()
-        out = np.empty((self.n_faces, 3))
-        for k, (p, q, r) in enumerate(((v0, v1, v2), (v1, v2, v0), (v2, v0, v1))):
-            a, b = q - p, r - p
-            cross = np.linalg.norm(np.cross(a, b), axis=1)
-            dot = np.einsum("ij,ij->i", a, b)
-            out[:, k] = np.arctan2(cross, dot)
-        return out
+        return self.face_geometry().angles
 
     def edge_lengths(self) -> np.ndarray:
         e = self.edges
@@ -396,8 +388,8 @@ class TriangleMesh:
         return self.with_vertices(self.vertices + np.asarray(offset, dtype=np.float64))
 
     def scaled(self, factor: float) -> "TriangleMesh":
-        if factor <= 0:
-            raise MeshError("scale factor must be positive")
+        if not 0 < factor < np.inf:
+            raise MeshError("scale factor must be positive and finite")
         return self.with_vertices(self.vertices * float(factor))
 
     # -- validation ----------------------------------------------------------
@@ -447,6 +439,30 @@ class TriangleMesh:
 # ---------------------------------------------------------------------------
 
 
+class FaceGeometry:
+    """Per-face quantities of one mesh state, computed in one pass.
+
+    ``cross`` is ``(v1 - v0) x (v2 - v0)``, twice the area vector.  Column k
+    of ``dots``, ``angles`` and ``edge_sq`` is corner k (vertex
+    ``faces[:, k]``): the dot product of its two sides, its interior angle and
+    its opposite side squared.  ``det_sixths`` is ``det(v0, v1, v2) / 6``.
+    """
+
+    def __init__(self, mesh: TriangleMesh):
+        v0, v1, v2 = mesh.face_corners()
+        e0, e1, e2 = v2 - v1, v0 - v2, v1 - v0  # side k is opposite corner k
+        self.cross = np.cross(e2, -e1)
+        self.cross_norm = np.linalg.norm(self.cross, axis=1)
+        # interior-angle dot products; all three corners share |cross|
+        self.dots = np.stack([-np.einsum("ij,ij->i", p, q)
+                              for p, q in ((e2, e1), (e0, e2), (e1, e0))], axis=1)
+        self.angles = np.arctan2(self.cross_norm[:, None], self.dots)
+        self.edge_sq = np.stack([np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2)],
+                                axis=1)
+        self.det_sixths = np.einsum("ij,ij->i", v0, np.cross(v1, v2)) / 6.0
+        self.signed_volume = float(np.sum(self.det_sixths) * -1.0)
+
+
 def signed_volume(mesh: TriangleMesh) -> float:
     """Signed volume ``-(1/3) * integral <f, nu> dmu`` of the discrete mesh.
 
@@ -454,23 +470,18 @@ def signed_volume(mesh: TriangleMesh) -> float:
     points inward (the preferred orientation).  Translation invariant for
     closed meshes.
     """
-    return corner_signed_volume(*mesh.face_corners())
-
-
-def corner_signed_volume(v0, v1, v2) -> float:
-    """:func:`signed_volume` from the per-face corner positions."""
-    return float(np.sum(_det_sixths(v0, v1, v2)) * -1.0)
-
-
-def _det_sixths(v0, v1, v2) -> np.ndarray:
-    return np.einsum("ij,ij->i", v0, np.cross(v1, v2)) / 6.0
+    return mesh.face_geometry().signed_volume
 
 
 def component_signed_volumes(mesh: TriangleMesh) -> np.ndarray:
     """Signed volume per connected component (same convention as above)."""
-    det = -_det_sixths(*mesh.face_corners())
-    labels = mesh.face_components
-    return np.bincount(labels, weights=det, minlength=mesh.n_components)
+    det = -mesh.face_geometry().det_sixths
+    return np.bincount(mesh.face_components, weights=det, minlength=mesh.n_components)
+
+
+def orientation_tolerance(mesh: TriangleMesh) -> float:
+    """Volumes within this of zero have no reliable sign: ``1e-12 diag^3``."""
+    return 1e-12 * mesh.bbox_diagonal() ** 3
 
 
 def orient_for_positive_volume(mesh: TriangleMesh) -> TriangleMesh:
@@ -480,8 +491,7 @@ def orient_for_positive_volume(mesh: TriangleMesh) -> TriangleMesh:
     unchanged.  Idempotent; a no-op input is returned as-is.
     """
     vols = component_signed_volumes(mesh)
-    tol = 1e-12 * mesh.bbox_diagonal() ** 3
-    ambiguous = np.abs(vols) <= tol
+    ambiguous = np.abs(vols) <= orientation_tolerance(mesh)
     if np.any(ambiguous):
         logger.warning(
             "orient_for_positive_volume: %d component(s) with ~zero enclosed "
@@ -655,22 +665,16 @@ class MeshQualityReport:
 
 
 def quality_report(mesh: TriangleMesh) -> MeshQualityReport:
-    lengths = mesh.edge_lengths()
-    angles = mesh.face_angles()
-    areas = mesh.face_areas()
-    v0, v1, v2 = mesh.face_corners()
-    e0 = np.linalg.norm(v1 - v0, axis=1)
-    e1 = np.linalg.norm(v2 - v1, axis=1)
-    e2 = np.linalg.norm(v0 - v2, axis=1)
-    s = 0.5 * (e0 + e1 + e2)
-    inradius = areas / s
-    aspect = np.max(np.stack([e0, e1, e2]), axis=0) / (2.0 * inradius)
+    fg = mesh.face_geometry()
+    sides = np.sqrt(fg.edge_sq)
+    # longest / (2 * inradius) with inradius = area / semiperimeter
+    aspect = sides.max(axis=1) * sides.sum(axis=1) / (2.0 * fg.cross_norm)
     counts, edges = np.histogram(aspect, bins=np.asarray(ASPECT_RATIO_BINS))
     return MeshQualityReport(
-        min_edge_length=float(lengths.min()),
-        max_edge_length=float(lengths.max()),
-        min_angle=float(angles.min()),
-        min_face_area=float(areas.min()),
+        min_edge_length=float(sides.min()),    # a closed mesh's edges are
+        max_edge_length=float(sides.max()),    # its faces' sides
+        min_angle=float(fg.angles.min()),
+        min_face_area=float(0.5 * fg.cross_norm.min()),
         aspect_ratio_counts=counts,
         aspect_ratio_bin_edges=edges,
     )

@@ -182,10 +182,9 @@ class MeshProjector:
         self._centroid = (a + b + c) / 3.0
         self._radius = np.linalg.norm(
             np.stack([a, b, c]) - self._centroid, axis=2).max(axis=0)
-        longest = np.max([np.einsum("ij,ij->i", x, x)
-                          for x in (b - a, c - b, a - c)], axis=0)
+        fg = mesh.face_geometry()
         with np.errstate(divide="ignore", invalid="ignore"):
-            aspect = longest / np.linalg.norm(np.cross(b - a, c - a), axis=1)
+            aspect = fg.edge_sq.max(axis=1) / fg.cross_norm
         self._slack = PRUNE_SLACK * aspect**2
         self._reach = self._radius + np.linalg.norm(self._centroid, axis=1)
 

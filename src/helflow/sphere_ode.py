@@ -18,9 +18,9 @@ import numpy as np
 from .geometry import FlowParams
 
 __all__ = [
-    "SphereOdeSolution", "TheoryBounds", "sphere_ode_rhs", "sphere_energy",
-    "equilibrium_radius", "extinction_time_closed_form", "integrate_sphere_ode",
-    "theory_bounds",
+    "SphereOdeError", "SphereOdeSolution", "TheoryBounds", "sphere_ode_rhs",
+    "sphere_energy", "equilibrium_radius", "extinction_time_closed_form",
+    "integrate_sphere_ode", "theory_bounds",
 ]
 
 # Below this fraction of r0 the ODE integration hands over to the closed-form
@@ -32,6 +32,10 @@ EXTINCTION_SWITCH_FRACTION = 1e-3
 MIN_RTOL = 100 * np.finfo(float).eps
 
 FOUR_PI = 4.0 * np.pi
+
+
+class SphereOdeError(RuntimeError):
+    """The radius ODE could not be integrated."""
 
 
 def sphere_ode_rhs(r: float, params: FlowParams) -> float:
@@ -189,15 +193,17 @@ def integrate_sphere_ode(r0: float, params: FlowParams, horizon: float,
         return SphereOdeSolution(times, np.array([r0, r0]), "horizon",
                                  params=params, _r_after=r0)
 
+    # only runs that go extinct switch; c0 > 0 ones may settle below switch
+    extinct = _goes_extinct(r0, params)
     switch = EXTINCTION_SWITCH_FRACTION * r0
     events = []
+    if extinct:
+        def hit_switch(t, y):
+            return y[0] - switch
 
-    def hit_switch(t, y):
-        return y[0] - switch
-
-    hit_switch.terminal = True
-    hit_switch.direction = -1
-    events.append(hit_switch)
+        hit_switch.terminal = True
+        hit_switch.direction = -1
+        events.append(hit_switch)
 
     if r_star is not None:
         def near_equilibrium(t, y):
@@ -208,33 +214,26 @@ def integrate_sphere_ode(r0: float, params: FlowParams, horizon: float,
         events.append(near_equilibrium)
 
     # trial RK stages may probe past the terminal event (even to r <= 0);
-    # clamp the evaluation point below half the switch radius so those trial
-    # values stay finite -- everything past the event is discarded anyway
-    r_floor = 0.5 * switch
+    # clamp the evaluation point below half the switch radius or r* so those
+    # trial values stay finite -- everything past the event is discarded
+    r_floor = 0.5 * (switch if r_star is None else min(switch, r_star))
 
     def rhs(t, y):
         return [sphere_ode_rhs(max(y[0], r_floor), params)]
 
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, horizon),
-        [r0],
-        method="RK45",
-        rtol=rtol,
-        atol=1e-14 * r0,
-        events=events,
-        dense_output=True,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):   # failing runs raise
+        sol = solve_ivp(rhs, (0.0, horizon), [r0], method="RK45", rtol=rtol,
+                        atol=1e-14 * r0, events=events, dense_output=True)
     if not sol.success:
-        raise RuntimeError(f"sphere ODE integration failed: {sol.message}")
+        raise SphereOdeError(f"sphere ODE integration failed: {sol.message}")
 
     times = sol.t
     radii = sol.y[0]
     t_end = times[-1]
-    if sol.status == 1:  # a terminal event fired
-        if len(sol.t_events[0]):
+    if sol.status == 1:  # the one terminal event fired
+        if extinct:
             t_sw = float(sol.t_events[0][0])
             tail = extinction_time_closed_form(switch, params)
             return SphereOdeSolution(

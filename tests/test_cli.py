@@ -164,6 +164,16 @@ def test_flow_command_bad_config(tmp_path):
     "ode --c0 x --r0 1 --horizon 1 --out {out}",
     "ode --c0 -1 --horizon 1 --out {out}",
     "validate identities",
+    # values the parameters (or a number derived from them) cannot hold
+    "ode --c0 1e200 --r0 1 --horizon 1 --out {out}",
+    "ode --c0 -1 --r0 1e300 --horizon 1 --out {out}",
+    "ode --c0 -1 --r0 1e100 --horizon 1 --out {out}",
+    "energy {mesh} --c0 1e200",
+    "energy {mesh} --c0 1e200 --lambda 1e300",
+    "energy {mesh} --c0 1 --lambda 1e308",
+    "rescale {mesh} --r 1e300 --c0 1",
+    "rescale {mesh} --r 1e-320 --c0 1",
+    "flow --config {cfg} --out {out} --override params.c0=1e200",
     *(f"ode --c0 -1 --r0 1 --horizon 1 --rtol {value} --out {{out}}"
       for value in ("nan", "0", "-1", "1", "10", "1e-20", "1e-15")),
     "flow --config {cfg} --out {out} --override policy.checkpoint_every=-1",
@@ -333,6 +343,13 @@ def test_unassemblable_geometry_exits_with_solver_error(tmp_path, capfd,
     argv = command.format(mesh=str(mesh_path),
                           out=str(tmp_path / "out.off")).split()
     assert main(["--quiet", *argv]) == EXIT_SOLVER
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_unintegrable_sphere_ode_exits_with_solver_error(tmp_path, capfd):
+    # at r0 = 1e-300 the needed step size falls below the float spacing
+    assert main(["--quiet", "ode", "--c0", "-1", "--r0", "1e-300",
+                 "--horizon", "1", "--out", str(tmp_path)]) == EXIT_SOLVER
     assert "Traceback" not in capfd.readouterr().err
 
 

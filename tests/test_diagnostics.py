@@ -9,8 +9,8 @@ from helflow.diagnostics import (KAPPA_BLOCK, BlowUpFrame, DiagnosticsError,
                                  extract_blowup_frame, hypothesis_monitors,
                                  kappa, kappa_profile, select_blowup_radius,
                                  sphere_fit)
-from helflow.flow import SteppingPolicy, init_state
-from helflow.geometry import FlowParams, build_cache
+from helflow.flow import FlowState, SteppingPolicy, init_state
+from helflow.geometry import FlowParams, build_cache, penalized_energy
 from helflow.mesh import TriangleMesh, make_icosphere, orient_for_positive_volume
 from helflow.validate import perturbed_sphere
 
@@ -218,6 +218,17 @@ def test_extract_blowup_frame_identity_scale(ico3):
     # identity rescale reproduces the input mesh
     manual = state.mesh.translated(-frame.x).scaled(1.0 / frame.r)
     assert np.array_equal(manual.vertices, frame.rescaled_mesh.vertices)
+
+
+def test_extract_blowup_frame_checks_the_energy_of_its_own_params(ico3):
+    # the state's cache holds energies for other parameters; the identity is
+    # checked against the energy for the parameters passed in
+    state = FlowState(t=0.0, mesh=ico3,
+                      cache=build_cache(ico3, FlowParams(1.0, 0.5)), dt=0.0)
+    params = FlowParams(-1.0, 0.0)
+    frame = extract_blowup_frame(state, params)
+    assert frame.penalized == pytest.approx(
+        penalized_energy(build_cache(ico3), params), rel=1e-12)
 
 
 def test_blowup_frame_mean_radius_order_one():

@@ -12,7 +12,7 @@ import helflow.mesh as hm
 from helflow.flow import (TERMINATION_REASONS, CheckpointError, FlowError,
                           SteppingPolicy, checkpoint, init_state, restore,
                           run_flow, step)
-from helflow.geometry import (FlowParams, GeometryError, _FaceData, build_cache,
+from helflow.geometry import (FlowParams, GeometryError, _cotangents, build_cache,
                               flow_velocity)
 from helflow.mesh import TriangleMesh, make_icosphere, make_torus
 from helflow.remesh import RemeshError, remesh
@@ -439,7 +439,7 @@ def _remeshed_sphere():
 def _coo_laplacian(mesh):
     """The cotangent Laplacian assembled by scipy's coo->csr."""
     f, n = mesh.faces, mesh.n_vertices
-    cots = _FaceData(mesh).cots
+    cots = _cotangents(mesh.face_geometry())
     i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
     j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
     w = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])

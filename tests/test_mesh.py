@@ -470,8 +470,41 @@ def test_cache_min_angle_matches_face_angles(which, torus):
     from helflow.validate import perturbed_sphere
 
     mesh = perturbed_sphere(3, 4, 0.05) if which == "perturbed_ico4" else torus
-    assert build_cache(mesh).min_angle == pytest.approx(
-        mesh.face_angles().min(), abs=1e-15)
+    assert build_cache(mesh).min_angle == mesh.face_angles().min()
+
+
+@pytest.mark.parametrize("which", ["perturbed_ico3", "torus"])
+def test_face_quantities_come_from_one_face_geometry(which, torus):
+    from helflow.validate import perturbed_sphere
+
+    mesh = perturbed_sphere(2, 3, 0.05) if which == "perturbed_ico3" else torus
+    fg = mesh.face_geometry()
+    cache = build_cache(mesh)
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and \
+            a.tobytes() == b.tobytes()
+
+    assert same(mesh.face_areas(), 0.5 * fg.cross_norm)
+    assert same(mesh.face_angles(), fg.angles)
+    assert same(signed_volume(mesh), fg.signed_volume)
+    assert same(component_signed_volumes(mesh),
+                np.bincount(mesh.face_components, weights=-fg.det_sixths))
+    assert same(cache.area, float(0.5 * np.sum(fg.cross_norm)))
+    assert same(cache.min_angle, float(fg.angles.min()))
+    assert same(cache.signed_volume, fg.signed_volume)
+
+
+def test_starting_a_flow_makes_one_face_geometry(monkeypatch, ico3):
+    from helflow.flow import SteppingPolicy, init_state
+    from helflow.geometry import FlowParams
+
+    made, original = [], hm.FaceGeometry
+    monkeypatch.setattr(hm, "FaceGeometry",
+                        lambda mesh: made.append(mesh) or original(mesh))
+    init_state(ico3, FlowParams(1.0, 0.5), SteppingPolicy())
+    assert made == [ico3]
 
 
 def _subdivide_midpoint_dict(verts, faces):

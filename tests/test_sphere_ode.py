@@ -7,7 +7,8 @@ import pytest
 
 import helflow
 from helflow.geometry import FlowParams
-from helflow.sphere_ode import (MIN_RTOL, extinction_time_closed_form,
+from helflow.sphere_ode import (EXTINCTION_SWITCH_FRACTION, MIN_RTOL,
+                                equilibrium_radius, extinction_time_closed_form,
                                 integrate_sphere_ode, sphere_energy,
                                 sphere_ode_rhs, theory_bounds)
 
@@ -60,6 +61,19 @@ def test_integration_equilibrium():
     assert sol.radius_at(50.0) == pytest.approx(1.0, rel=1e-9)
     # monotone approach from above
     assert np.all(np.diff(sol.radii) <= 1e-12)
+
+
+@pytest.mark.parametrize("c0, lam", [(1.0, 5000.0), (3000.0, 0.0)])
+def test_integration_settles_below_extinction_switch(c0, lam):
+    # r* lies below the extinction switch radius, which a run that settles
+    # at r* must not treat as the start of an extinction tail
+    params, r0, horizon, rtol = FlowParams(c0, lam), 1.0, 1.0, 1e-10
+    r_star = equilibrium_radius(params)
+    assert r_star < EXTINCTION_SWITCH_FRACTION * r0
+    sol = integrate_sphere_ode(r0, params, horizon=horizon, rtol=rtol)
+    assert sol.terminal == "equilibrium_reached"
+    assert sol.extinction_time is None
+    assert abs(sol.radius_at(horizon) - r_star) <= rtol * r_star
 
 
 def test_integration_stationary_constant_series():
