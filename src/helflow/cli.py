@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -60,13 +60,16 @@ class RunConfig:
     mesh_path: str | None = None
     icosphere_subdivisions: int | None = None
     icosphere_radius: float = 1.0
-    icosphere_center: tuple = (0.0, 0.0, 0.0)
+    icosphere_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     kappa_target_fraction: float = KAPPA_TARGET_FRACTION
     frames_enabled: bool = True
     out_dir: str = "out"
     seed: int = 0
 
     def __post_init__(self):
+        if (self.mesh_path is None) == (self.icosphere_subdivisions is None):
+            raise ValueError(
+                "exactly one of mesh.path or mesh.icosphere.subdivisions is required")
         # 1 or more freezes a target above the first frame's total energy
         if not 0 < self.kappa_target_fraction < 1:
             raise ValueError("diagnostics.kappa_target_fraction must be in (0, 1)")
@@ -76,6 +79,24 @@ class RunConfig:
             return load_mesh(self.mesh_path)
         return make_icosphere(self.icosphere_subdivisions,
                               self.icosphere_radius, self.icosphere_center)
+
+
+# config key -> (owning dataclass, field); a key left out takes the field's
+# default.  ``policy.remesh_min_angle_deg`` is parsed on its own.
+CONFIG_FIELDS = {
+    "params.c0": (FlowParams, "c0"),
+    "params.lambda": (FlowParams, "lam"),
+    "params.allow_negative_lambda": (FlowParams, "allow_negative_lam"),
+    **{f"policy.{f.name}": (SteppingPolicy, f.name) for f in fields(SteppingPolicy)},
+    "mesh.path": (RunConfig, "mesh_path"),
+    "mesh.icosphere.subdivisions": (RunConfig, "icosphere_subdivisions"),
+    "mesh.icosphere.radius": (RunConfig, "icosphere_radius"),
+    "mesh.icosphere.center": (RunConfig, "icosphere_center"),
+    "diagnostics.kappa_target_fraction": (RunConfig, "kappa_target_fraction"),
+    "diagnostics.frames": (RunConfig, "frames_enabled"),
+    "output.dir": (RunConfig, "out_dir"),
+    "seed": (RunConfig, "seed"),
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -95,115 +116,64 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
-
-
-def _parse_vec3(value: str) -> tuple:
-    parts = [p for p in value.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ConfigError(f"expected three numbers, got {value!r}")
-    return tuple(float(p) for p in parts)
-
-
 def _parse_as(kind, value: str):
     """Parse ``value`` as the annotated type ``kind`` of a dataclass field:
-    ``bool``, ``int``, ``float`` or ``str``, or one of them ``| None``."""
-    options = typing.get_args(kind)
+    ``bool``, ``int``, ``float`` or ``str``, one of them ``| None``, or a
+    tuple of them written with commas or spaces."""
+    options, low = typing.get_args(kind), value.lower()
+    if typing.get_origin(kind) is tuple:
+        parts = value.replace(",", " ").split()
+        if len(parts) != len(options):
+            raise ValueError(f"expected {len(options)} values, got {value!r}")
+        return tuple(_parse_as(t, p) for t, p in zip(options, parts))
     if options:
-        if value.lower() == "none":
+        if low == "none":
             return None
         (kind,) = [t for t in options if t is not type(None)]
     if kind is bool:
-        return _parse_bool(value)
-    if kind is float and value.lower() in ("inf", "infinite"):
+        if low not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"expected a boolean, got {value!r}")
+        return low in ("1", "true", "yes", "on")
+    if kind is float and low in ("inf", "infinite"):
         return np.inf
     return kind(value)
 
 
-_POLICY_FIELD_TYPES = typing.get_type_hints(SteppingPolicy)
-
-
-def build_run_config(raw: dict, out_dir: str | None = None,
-                     frames: str | None = None,
-                     config_dir: str = ".") -> RunConfig:
+def build_run_config(raw: dict, config_dir: str = ".") -> RunConfig:
     """Build a :class:`RunConfig` from parsed ``key = value`` pairs.
 
-    Unknown keys and values that do not parse or that the parameter and
-    policy dataclasses reject raise :class:`ConfigError`.
+    Each value is parsed by the annotation of the field it sets
+    (``CONFIG_FIELDS``).  Unknown keys and values that do not parse or that
+    the dataclasses reject raise :class:`ConfigError`.
     """
+    kwargs = {FlowParams: {}, SteppingPolicy: {}, RunConfig: {}}
     try:
-        cfg = _run_config_from(dict(raw), config_dir)
+        for key, value in raw.items():
+            if key == "policy.remesh_min_angle_deg":   # not a field name
+                kwargs[SteppingPolicy]["remesh_min_angle"] = np.deg2rad(float(value))
+                continue
+            if key not in CONFIG_FIELDS:
+                raise ConfigError(f"unrecognized config key {key!r}")
+            if key == "mesh.path":   # relative to the config file's directory
+                value = os.path.join(config_dir, value)
+                if not os.path.exists(value):
+                    raise ConfigError(f"mesh path not found: {value}")
+            owner, name = CONFIG_FIELDS[key]
+            parsed = _parse_as(typing.get_type_hints(owner)[name], value)
+            # a mesh source is chosen by setting its key, so neither takes none
+            if parsed is None and owner is RunConfig:
+                raise ConfigError(f"{key} cannot be none")
+            kwargs[owner][name] = parsed
+        if "c0" not in kwargs[FlowParams]:
+            raise ConfigError("params.c0 is required")
+        return RunConfig(FlowParams(**kwargs[FlowParams]),
+                         SteppingPolicy(**kwargs[SteppingPolicy]),
+                         **kwargs[RunConfig])
     except ValueError as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    if out_dir is not None:
-        cfg.out_dir = out_dir
-    if frames is not None:
-        cfg.frames_enabled = frames == "on"
-    return cfg
 
 
-def _run_config_from(raw: dict, config_dir: str) -> RunConfig:
-    c0 = raw.pop("params.c0", None)
-    if c0 is None:
-        raise ConfigError("params.c0 is required")
-    params = FlowParams(
-        float(c0),
-        float(raw.pop("params.lambda", 0.0)),
-        allow_negative_lam=_parse_bool(
-            raw.pop("params.allow_negative_lambda", "false")),
-    )
-
-    policy_kwargs = {}
-    for key in list(raw):
-        if not key.startswith("policy."):
-            continue
-        name = key[len("policy."):]
-        value = raw.pop(key)
-        if name == "remesh_min_angle_deg":
-            policy_kwargs["remesh_min_angle"] = np.deg2rad(float(value))
-        elif name in _POLICY_FIELD_TYPES:
-            policy_kwargs[name] = _parse_as(_POLICY_FIELD_TYPES[name], value)
-        else:
-            raise ConfigError(f"unknown policy key {name!r}")
-    policy = SteppingPolicy(**policy_kwargs)
-
-    mesh_path = raw.pop("mesh.path", None)
-    subdiv = raw.pop("mesh.icosphere.subdivisions", None)
-    if (mesh_path is None) == (subdiv is None):
-        raise ConfigError(
-            "exactly one of mesh.path or mesh.icosphere.subdivisions is required"
-        )
-    if mesh_path is not None:
-        if not os.path.isabs(mesh_path):
-            mesh_path = os.path.join(config_dir, mesh_path)
-        if not os.path.exists(mesh_path):
-            raise ConfigError(f"mesh path not found: {mesh_path}")
-
-    cfg = RunConfig(
-        params=params,
-        policy=policy,
-        mesh_path=mesh_path,
-        icosphere_subdivisions=None if subdiv is None else int(subdiv),
-        icosphere_radius=float(raw.pop("mesh.icosphere.radius", 1.0)),
-        icosphere_center=_parse_vec3(raw.pop("mesh.icosphere.center", "0,0,0")),
-        kappa_target_fraction=float(
-            raw.pop("diagnostics.kappa_target_fraction", KAPPA_TARGET_FRACTION)),
-        frames_enabled=_parse_bool(raw.pop("diagnostics.frames", "on")),
-        out_dir=raw.pop("output.dir", "out"),
-        seed=int(raw.pop("seed", 0)),
-    )
-    if raw:
-        raise ConfigError(f"unrecognized config keys: {sorted(raw)}")
-    return cfg
-
-
-def load_run_config(path: str, overrides=(), out_dir=None, frames=None) -> RunConfig:
+def load_run_config(path: str, overrides=()) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = parse_config_text(fh.read())
@@ -214,8 +184,7 @@ def load_run_config(path: str, overrides=(), out_dir=None, frames=None) -> RunCo
             raise ConfigError(f"override must look like KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
-    return build_run_config(raw, out_dir=out_dir, frames=frames,
-                            config_dir=os.path.dirname(os.path.abspath(path)))
+    return build_run_config(raw, config_dir=os.path.dirname(os.path.abspath(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +265,11 @@ def _write_frames(frames, out_dir: str):
 
 def cmd_flow(args) -> int:
     try:
-        cfg = load_run_config(args.config, overrides=args.override,
-                              out_dir=args.out, frames=args.frames)
+        cfg = load_run_config(args.config, overrides=args.override)
+        if args.out is not None:
+            cfg.out_dir = args.out
+        if args.frames is not None:
+            cfg.frames_enabled = args.frames == "on"
         mesh = cfg.build_mesh()
     except (ConfigError, MeshError) as exc:
         logger.error("configuration error: %s", exc)

@@ -351,8 +351,8 @@ class TriangleMesh:
 
     def face_corners(self):
         """The three vertex-position arrays (v0, v1, v2) of every face."""
-        v, f = self.vertices, self.faces
-        return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        # np.take copies the same rows several times faster than v[f[:, k]]
+        return tuple(np.take(self.vertices, self.faces[:, k], axis=0) for k in range(3))
 
     def face_geometry(self) -> "FaceGeometry":
         """A new :class:`FaceGeometry` of this mesh (none is cached)."""
@@ -406,8 +406,11 @@ class TriangleMesh:
         if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])):
             raise DegenerateFaceError("face with repeated vertex index")
 
-        floor = DEGENERATE_AREA_FRACTION * self.bbox_diagonal() ** 2
-        areas = self.face_areas()
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, not an error
+            areas = self.face_areas()
+            floor = DEGENERATE_AREA_FRACTION * np.float64(self.bbox_diagonal()) ** 2
+        if not (np.isfinite(floor) and np.all(np.isfinite(areas))):
+            raise MeshError("face areas or the mesh's size leave the float range")
         bad = np.nonzero(areas < floor)[0]
         if len(bad):
             raise DegenerateFaceError(
@@ -440,27 +443,45 @@ class TriangleMesh:
 
 
 class FaceGeometry:
-    """Per-face quantities of one mesh state, computed in one pass.
+    """Per-face quantities of one mesh state.
 
     ``cross`` is ``(v1 - v0) x (v2 - v0)``, twice the area vector.  Column k
     of ``dots``, ``angles`` and ``edge_sq`` is corner k (vertex
     ``faces[:, k]``): the dot product of its two sides, its interior angle and
     its opposite side squared.  ``det_sixths`` is ``det(v0, v1, v2) / 6``.
+    Only ``cross`` and ``cross_norm`` are formed up front; the rest in one
+    pass on first use.
     """
 
     def __init__(self, mesh: TriangleMesh):
+        self._mesh = mesh
         v0, v1, v2 = mesh.face_corners()
-        e0, e1, e2 = v2 - v1, v0 - v2, v1 - v0  # side k is opposite corner k
+        e1, e2 = v0 - v2, v1 - v0
         self.cross = np.cross(e2, -e1)
         self.cross_norm = np.linalg.norm(self.cross, axis=1)
+
+    @cached_property
+    def _corner_terms(self):
+        # gathers the corners again: kept on the object, they would hold memory
+        v0, v1, v2 = self._mesh.face_corners()
+        e0, e1, e2 = v2 - v1, v0 - v2, v1 - v0  # side k is opposite corner k
         # interior-angle dot products; all three corners share |cross|
-        self.dots = np.stack([-np.einsum("ij,ij->i", p, q)
-                              for p, q in ((e2, e1), (e0, e2), (e1, e0))], axis=1)
-        self.angles = np.arctan2(self.cross_norm[:, None], self.dots)
-        self.edge_sq = np.stack([np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2)],
-                                axis=1)
-        self.det_sixths = np.einsum("ij,ij->i", v0, np.cross(v1, v2)) / 6.0
-        self.signed_volume = float(np.sum(self.det_sixths) * -1.0)
+        dots = np.stack([-np.einsum("ij,ij->i", p, q)
+                         for p, q in ((e2, e1), (e0, e2), (e1, e0))], axis=1)
+        edge_sq = np.stack([np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2)], axis=1)
+        return dots, edge_sq, np.einsum("ij,ij->i", v0, np.cross(v1, v2)) / 6.0
+
+    dots = property(lambda self: self._corner_terms[0])
+    edge_sq = property(lambda self: self._corner_terms[1])
+    det_sixths = property(lambda self: self._corner_terms[2])
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        return np.arctan2(self.cross_norm[:, None], self.dots)
+
+    @cached_property
+    def signed_volume(self) -> float:
+        return float(np.sum(self.det_sixths) * -1.0)
 
 
 def signed_volume(mesh: TriangleMesh) -> float:
@@ -584,8 +605,8 @@ def make_icosphere(subdivisions: int, radius: float = 1.0,
     if subdivisions < 0 or subdivisions > MAX_ICOSPHERE_SUBDIVISIONS:
         raise MeshError(f"subdivisions must be in [0, {MAX_ICOSPHERE_SUBDIVISIONS}]"
                         f", got {subdivisions}")
-    if radius <= 0:
-        raise MeshError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise MeshError("radius must be positive and finite")
     verts, faces = _icosahedron()
     for _ in range(subdivisions):
         verts, faces = _subdivide_midpoint(verts, faces)

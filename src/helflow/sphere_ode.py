@@ -286,7 +286,11 @@ def theory_bounds(params: FlowParams, e0: float | None = None) -> TheoryBounds:
         if e0 <= FOUR_PI:
             inconsistent = True
         else:
-            t_bound = 4.0 * (e0 ** 2 - FOUR_PI ** 2) / (np.pi ** 2 * (2.0 * lam + c0 ** 2) ** 2)
+            try:
+                t_bound = 4.0 * (e0 ** 2 - FOUR_PI ** 2) / (np.pi ** 2 * (2.0 * lam + c0 ** 2) ** 2)
+            except OverflowError:   # in units of kappa; inf if that overflows
+                s, f = e0 / kappa, FOUR_PI / kappa   # too (float * does not raise)
+                t_bound = 4.0 * ((s - f) * (s + f)) / np.pi ** 2
 
     return TheoryBounds(
         r_star=equilibrium_radius(params),

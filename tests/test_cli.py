@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import signal
 
 import numpy as np
@@ -11,13 +12,13 @@ from dataclasses import fields
 import helflow.cli as cli
 import helflow.flow
 from helflow.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_OK,
-                         EXIT_SINGULAR, EXIT_SOLVER, ConfigError,
+                         EXIT_SINGULAR, EXIT_SOLVER, ConfigError, RunConfig,
                          build_parser, build_run_config, load_run_config, main,
                          parse_config_text)
 from helflow.diagnostics import DiagnosticsError, SingularityClassification
 from helflow.flow import (CSV_COLUMNS, SteppingPolicy, TerminationReport,
                           TimeSeriesRecord)
-from helflow.geometry import GeometryError
+from helflow.geometry import FlowParams, GeometryError
 from helflow.mesh import load_mesh, make_icosphere, save_mesh
 
 BASE_CFG = """
@@ -76,6 +77,56 @@ def test_policy_keys_parse_by_field_type():
                        ("time_horizon", "infinite")):
         raw = dict(base, **{f"policy.{key}": value})
         assert build_run_config(raw).policy == SteppingPolicy(), key
+
+
+def test_unset_keys_take_the_field_defaults():
+    cfg = build_run_config({"params.c0": "-1.5",
+                            "mesh.icosphere.subdivisions": "3"})
+    assert cfg == RunConfig(FlowParams(-1.5), SteppingPolicy(),
+                            icosphere_subdivisions=3)
+
+
+def _readme_config_keys():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Run configuration", 1)[1]
+    rows = [line for line in section.split("\n### ", 1)[0].splitlines()
+            if line.startswith("| `")]
+    return [key for row in rows for key in re.findall(r"`([^`]+)`",
+                                                      row.split("|")[1])]
+
+
+def _config_value(value):
+    """A field value written the way a config file writes it."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return "none" if value is None else str(value)
+
+
+def test_readme_config_table_lists_every_key(tmp_path):
+    documented = _readme_config_keys()
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(cli.CONFIG_FIELDS) | {
+        "policy.remesh_min_angle_deg"}
+    # every documented key parses; set to its field's default, it changes
+    # nothing
+    save_mesh(make_icosphere(1), tmp_path / "s.off")
+    base = {"params.c0": "1.0", "mesh.icosphere.subdivisions": "2"}
+    expected = build_run_config(base)
+    for key in documented:
+        if key == "mesh.path":
+            raw = {"params.c0": "1.0", key: "s.off"}
+            assert build_run_config(raw, str(tmp_path)).mesh_path == \
+                str(tmp_path / "s.off")
+            continue
+        if key == "policy.remesh_min_angle_deg":
+            value = "10"
+        else:
+            owner, name = cli.CONFIG_FIELDS[key]
+            instance = {FlowParams: expected.params,
+                        SteppingPolicy: expected.policy}.get(owner, expected)
+            value = _config_value(getattr(instance, name))
+        assert build_run_config(dict(base, **{key: value})) == expected, key
 
 
 def test_config_missing_mesh_path(tmp_path):
@@ -167,13 +218,14 @@ def test_flow_command_bad_config(tmp_path):
     # values the parameters (or a number derived from them) cannot hold
     "ode --c0 1e200 --r0 1 --horizon 1 --out {out}",
     "ode --c0 -1 --r0 1e300 --horizon 1 --out {out}",
-    "ode --c0 -1 --r0 1e100 --horizon 1 --out {out}",
     "energy {mesh} --c0 1e200",
     "energy {mesh} --c0 1e200 --lambda 1e300",
     "energy {mesh} --c0 1 --lambda 1e308",
     "rescale {mesh} --r 1e300 --c0 1",
     "rescale {mesh} --r 1e-320 --c0 1",
     "flow --config {cfg} --out {out} --override params.c0=1e200",
+    "flow --config {cfg} --out {out} --override mesh.icosphere.radius=1e78",
+    "flow --config {cfg} --out {out} --override mesh.icosphere.radius=1e200",
     *(f"ode --c0 -1 --r0 1 --horizon 1 --rtol {value} --out {{out}}"
       for value in ("nan", "0", "-1", "1", "10", "1e-20", "1e-15")),
     "flow --config {cfg} --out {out} --override policy.checkpoint_every=-1",
@@ -194,6 +246,21 @@ def test_invalid_values_exit_with_config_error(tmp_path, capfd, command):
                           mesh=mesh_path).split()
     assert _main_within(30, ["--quiet", *argv]) == EXIT_CONFIG
     assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("command,code,written", [
+    # e0 ** 2 overflows in the t_bound, which then comes from e0 / kappa
+    ("flow --config {cfg} --out {out} --override mesh.icosphere.radius=1e77 "
+     "--override policy.max_steps=3", EXIT_INCONCLUSIVE, "summary.json"),
+    ("ode --c0 -1 --r0 1e100 --horizon 1 --out {out}", EXIT_OK,
+     "ode_summary.json"),
+])
+def test_large_but_finite_inputs_run(tmp_path, capfd, command, code, written):
+    out = tmp_path / "out"
+    argv = command.format(cfg=write_cfg(tmp_path), out=str(out)).split()
+    assert main(["--quiet", *argv]) == code
+    assert "Traceback" not in capfd.readouterr().err
+    assert (out / written).exists()
 
 
 def _main_within(seconds, argv):

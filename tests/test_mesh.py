@@ -331,6 +331,14 @@ def test_degenerate_face_rejected(tetra):
         TriangleMesh(verts, tetra.faces)
 
 
+@pytest.mark.parametrize("scale", [1e78, 1e150, 1e200])
+def test_faces_beyond_the_float_range_rejected(scale):
+    # the face areas overflow to inf, which no area floor rejects
+    ico = make_icosphere(1)
+    with pytest.raises(MeshError):
+        TriangleMesh(ico.vertices * scale, ico.faces)
+
+
 def test_parse_failure(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text("OFF\nnot counts\n")

@@ -112,6 +112,15 @@ def test_theory_bounds_shrinking():
     assert not b.e0_inconsistent
 
 
+def test_theory_bounds_t_bound_survives_overflowing_squares():
+    # e0 ** 2 overflows; the bound in units of kappa = c0^2 + 2 lam does not
+    b = theory_bounds(FlowParams(-1e150, 0.0), e0=1e160)
+    assert b.t_bound == pytest.approx(4.0 * 1e-280 / np.pi ** 2, rel=1e-14)
+    # here the bound itself is beyond the float range
+    assert theory_bounds(FlowParams(-1.0, 0.0), e0=1e160).t_bound == np.inf
+    assert theory_bounds(FlowParams(-1e-100, 0.0), e0=1e300).t_bound == np.inf
+
+
 def test_theory_bounds_equilibrium():
     b = theory_bounds(FlowParams(1.0, 0.5))
     assert b.r_star == pytest.approx(1.0)
