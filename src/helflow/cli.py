@@ -19,12 +19,12 @@ import logging
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .diagnostics import (KAPPA_TARGET_FRACTION, DiagnosticsError, FrameSink,
-                          classify_singularity, hypothesis_monitors)
+                          classify_singularity)
 from .flow import (CSV_COLUMNS, SINGULAR_REASONS, FlowError, SteppingPolicy,
                    TimeSeriesRecord, run_flow)
 from .geometry import (FlowParams, GeometryError, build_cache,
@@ -214,18 +214,28 @@ class CsvSink:
         self._fh.close()
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _json_text(payload) -> str:
+    return json.dumps(_plain(payload), indent=2, allow_nan=False)
+
+
+def _plain(obj):
+    """``obj`` in plain JSON values: numpy scalars and arrays as Python
+    numbers and lists, and every non-finite float as the string "inf",
+    "-inf" or "nan", which strict JSON (RFC 8259) can hold."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return str(obj)
+    return obj
 
 
 def _write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _write_kappa_profiles(profiles, path: str):
@@ -276,11 +286,6 @@ def cmd_flow(args) -> int:
         return EXIT_CONFIG
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    policy = cfg.policy
-    if policy.checkpoint_every and policy.checkpoint_dir is None:
-        policy = replace(policy, checkpoint_dir=os.path.join(cfg.out_dir,
-                                                             "checkpoints"))
-
     csv_sink = CsvSink(os.path.join(cfg.out_dir, "series.csv"))
     sinks = [csv_sink]
     frame_sink = None
@@ -288,11 +293,8 @@ def cmd_flow(args) -> int:
         frame_sink = FrameSink(cfg.params, cfg.kappa_target_fraction)
         sinks.append(frame_sink)
 
-    last_state = {}
-    sinks.append(lambda s, r: last_state.update(state=s))
-
     try:
-        records, report = run_flow(mesh, cfg.params, policy, sinks=sinks)
+        records, report = run_flow(mesh, cfg.params, cfg.policy, sinks=sinks)
     except (FlowError, RemeshError, GeometryError, DiagnosticsError) as exc:
         logger.error("solver failure: %s", exc)
         return EXIT_SOLVER
@@ -319,28 +321,23 @@ def cmd_flow(args) -> int:
         "seed": cfg.seed,
         "termination": asdict(report),
         "theory_bounds": asdict(bounds),
+        # what the run adds to the bounds; the bounds themselves are above
         "threshold_comparisons": {
             "initial_energy": e0,
-            "en_threshold": bounds.en_threshold,
             "initial_energy_below_threshold": (
                 None if bounds.en_threshold is None
                 else bool(e0 <= bounds.en_threshold)),
-            "t_bound": bounds.t_bound,
             "final_time_within_t_bound": (
                 None if bounds.t_bound is None
                 else bool(report.final_time < bounds.t_bound)),
-            "e0_inconsistent_with_negative_c0": bounds.e0_inconsistent,
         },
-        "monitors": (hypothesis_monitors(last_state["state"], cfg.params)
-                     if last_state else None),
         "classification": (None if classification is None
                            else asdict(classification)),
         "n_frames": 0 if frame_sink is None else len(frame_sink.frames),
     }
     _write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
     if not args.quiet:
-        print(json.dumps(summary["termination"], indent=2,
-                         default=_json_default))
+        print(_json_text(summary["termination"]))
 
     if report.reason in _CLEAN_REASONS:
         return EXIT_OK
@@ -392,7 +389,7 @@ def cmd_ode(args) -> int:
     }
     _write_json(os.path.join(args.out, "ode_summary.json"), summary)
     if not args.quiet:
-        print(json.dumps(summary, indent=2, default=_json_default))
+        print(_json_text(summary))
     return EXIT_OK
 
 
@@ -431,7 +428,7 @@ def cmd_energy(args) -> int:
     }
     bounds = theory_bounds(params, e0=cache.penalized)
     payload["theory_bounds"] = asdict(bounds)
-    text = json.dumps(payload, indent=2, default=_json_default)
+    text = _json_text(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

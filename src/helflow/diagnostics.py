@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import SINGULAR_REASONS, FlowState
-from .geometry import (FlowParams, GeometryCache, build_cache,
-                       mean_curvature_integral, penalized_energy)
+from .geometry import FlowParams, GeometryCache, build_cache, penalized_energy
 from .mesh import TriangleMesh
-from .sphere_ode import FOUR_PI, theory_bounds
+from .sphere_ode import FOUR_PI
 
 logger = logging.getLogger(__name__)
 
@@ -367,34 +366,3 @@ def classify_singularity(frames, reason: str) -> SingularityClassification:
         verdict = "non_round_concentration"
     return SingularityClassification(verdict, residual, willmore, penalized)
 
-
-# ---------------------------------------------------------------------------
-# hypothesis monitors
-# ---------------------------------------------------------------------------
-
-
-def hypothesis_monitors(state: FlowState, params: FlowParams) -> dict:
-    """Runtime checks of the assumptions behind the two main scenarios.
-
-    Reports the sign of ``integral H dmu``, the trace-free energy, whether the
-    initial energy sits below the global-existence threshold, and (for
-    c0 < 0) the remaining budget against the finite-time bound.
-    """
-    cache = state.cache
-    int_h = mean_curvature_integral(cache)
-    bounds = theory_bounds(params, e0=state.energy0)
-    out = {
-        "t": state.t,
-        "int_H": int_h,
-        "int_H_positive": bool(int_h > 0),
-        "w0": cache.w0,
-        "energy0": state.energy0,
-        "en_threshold": bounds.en_threshold,
-        "below_threshold": (None if bounds.en_threshold is None
-                            else bool(state.energy0 <= bounds.en_threshold)),
-        "t_bound": bounds.t_bound,
-        "remaining_budget": (None if bounds.t_bound is None
-                             else bounds.t_bound - state.t),
-        "e0_inconsistent": bounds.e0_inconsistent,
-    }
-    return out

@@ -19,9 +19,7 @@ Time has units length^4 (fourth-order scaling).
 """
 
 import cmath
-import hashlib
 import logging
-import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,8 +27,8 @@ from scipy import sparse
 
 from .geometry import (FlowParams, GeometryCache, GeometryError, build_cache,
                        flow_velocity, mean_curvature_integral)
-from .mesh import (LaplacianPattern, MeshError, TriangleMesh, load_mesh,
-                   orientation_tolerance, save_mesh)
+from .mesh import (LaplacianPattern, MeshError, TriangleMesh,
+                   orientation_tolerance)
 
 logger = logging.getLogger(__name__)
 
@@ -43,8 +41,6 @@ TERMINATION_REASONS = (
     "step_budget",
 )
 SINGULAR_REASONS = ("singular_area_collapse", "singular_curvature_blowup")
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 # Conjugate-gradient stopping rule of the semi-implicit solve; a solve that
 # reaches the iteration cap fails, and the step is rejected.
@@ -60,13 +56,10 @@ class SolverError(FlowError):
     """The semi-implicit linear solve failed."""
 
 
-class CheckpointError(FlowError):
-    """Checkpoint files are missing, corrupt, or inconsistent."""
-
-
 @dataclass(frozen=True)
 class SteppingPolicy:
-    """Step-size control, termination thresholds, and run bookkeeping.
+    """Step-size control, termination thresholds, record cadence and remesh
+    triggers.
 
     Every step is semi-implicit.  dt starts at ``dt_init``, is multiplied by
     ``dt_growth`` after an accepted step and by ``dt_shrink`` after a
@@ -98,8 +91,6 @@ class SteppingPolicy:
     remesh_enabled: bool = True
     remesh_min_angle: float = np.deg2rad(10.0)
     remesh_edge_drift: float = 2.0
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
 
     def __post_init__(self):
         if not (0 < self.dt_shrink < 1 < self.dt_growth):
@@ -115,8 +106,6 @@ class SteppingPolicy:
                 raise ValueError(f"{name} must be non-negative")
         if self.gradient_tol is not None and not self.gradient_tol > 0:
             raise ValueError("gradient_tol must be positive (or None)")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0 (0 disables)")
         # At or below 1 the accepted band of mean edge lengths is empty.
         if not self.remesh_edge_drift > 1:
             raise ValueError("remesh_edge_drift must be > 1")
@@ -455,12 +444,6 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
 
         if state.step_index % policy.record_every == 0:
             emit(state, state.rate_norm)
-        if policy.checkpoint_every and state.step_index % policy.checkpoint_every == 0:
-            if policy.checkpoint_dir is None:
-                raise FlowError("checkpoint_every set without checkpoint_dir")
-            prefix = os.path.join(policy.checkpoint_dir,
-                                  f"ckpt_{state.step_index:07d}")
-            checkpoint(state, params, prefix)
 
         if policy.gradient_tol is not None:
             below_tol_streak = (below_tol_streak + 1
@@ -529,68 +512,3 @@ def _build_report(state: FlowState, records, reason, area0, remeshes):
         },
     )
 
-
-# ---------------------------------------------------------------------------
-# checkpointing
-# ---------------------------------------------------------------------------
-
-
-def params_hash(params: FlowParams) -> str:
-    payload = f"{params.c0!r}:{params.lam!r}".encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def checkpoint(state: FlowState, params: FlowParams, prefix: str) -> list[str]:
-    """Write ``prefix.off`` (mesh) and ``prefix.meta`` (state metadata)."""
-    mesh_path = prefix + ".off"
-    meta_path = prefix + ".meta"
-    os.makedirs(os.path.dirname(os.path.abspath(mesh_path)), exist_ok=True)
-    save_mesh(state.mesh, mesh_path)
-    lines = [
-        f"format_version = {CHECKPOINT_FORMAT_VERSION}",
-        f"t = {state.t:.17g}",
-        f"dt = {state.dt:.17g}",
-        f"step_index = {state.step_index}",
-        f"rejected_steps = {state.rejected_steps}",
-        f"energy0 = {state.energy0:.17g}",
-        f"params_hash = {params_hash(params)}",
-    ]
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return [mesh_path, meta_path]
-
-
-def restore(prefix: str, params: FlowParams) -> FlowState:
-    """Rebuild a FlowState from checkpoint files; refuses mismatched params."""
-    mesh_path = prefix + ".off"
-    meta_path = prefix + ".meta"
-    if not (os.path.exists(mesh_path) and os.path.exists(meta_path)):
-        raise CheckpointError(f"missing checkpoint file(s) at {prefix!r}")
-    meta = {}
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-    try:
-        version = int(meta["format_version"])
-        t = float(meta["t"])
-        dt = float(meta["dt"])
-        step_index = int(meta["step_index"])
-        rejected = int(meta["rejected_steps"])
-        energy0 = float(meta["energy0"])
-        stored_hash = meta["params_hash"]
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint metadata: {exc}") from exc
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    if stored_hash != params_hash(params):
-        raise CheckpointError(
-            "checkpoint was written with different flow parameters"
-        )
-    mesh = load_mesh(mesh_path)
-    cache = build_cache(mesh, params)
-    return FlowState(t=t, mesh=mesh, cache=cache, dt=dt, step_index=step_index,
-                     rejected_steps=rejected, energy0=energy0)

@@ -150,7 +150,12 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
         raise GeometryError("non-positive mixed Voronoi vertex area")
     # every corner of a face carries the face's area vector
     nu = np.column_stack([to_vertices(np.tile(c, 3)) for c in fg.cross.T])
-    norms = np.linalg.norm(nu, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(nu, axis=1)
+    big = ~np.isfinite(norms)
+    if np.any(big):   # squares past the float range: scale those rows first
+        s = np.abs(nu[big]).max(axis=1)
+        norms[big] = s * np.linalg.norm(nu[big] / s[:, None], axis=1)
     if np.any(norms == 0):
         raise GeometryError("zero area-weighted normal at a vertex")
     nu /= norms[:, None]

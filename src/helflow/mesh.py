@@ -11,7 +11,6 @@ Conventions used throughout the package:
 """
 
 import logging
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,9 +22,6 @@ logger = logging.getLogger(__name__)
 DEGENERATE_AREA_FRACTION = 1e-14
 
 MAX_ICOSPHERE_SUBDIVISIONS = 7
-
-# Upper edges of the aspect-ratio histogram in a quality report.
-ASPECT_RATIO_BINS = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, np.inf)
 
 
 class MeshError(Exception):
@@ -662,43 +658,6 @@ def make_torus(major_radius: float = 1.0, minor_radius: float = 0.4,
             faces.append((a, b, c))
             faces.append((a, c, d))
     return orient_for_positive_volume(TriangleMesh(verts, np.array(faces)))
-
-
-# ---------------------------------------------------------------------------
-# quality report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MeshQualityReport:
-    """Element-quality extremes plus an aspect-ratio histogram.
-
-    Aspect ratio is longest edge / (2 * inradius); 1 for equilateral
-    triangles, large for slivers.  Angles are in radians.
-    """
-
-    min_edge_length: float
-    max_edge_length: float
-    min_angle: float
-    min_face_area: float
-    aspect_ratio_counts: np.ndarray
-    aspect_ratio_bin_edges: np.ndarray
-
-
-def quality_report(mesh: TriangleMesh) -> MeshQualityReport:
-    fg = mesh.face_geometry()
-    sides = np.sqrt(fg.edge_sq)
-    # longest / (2 * inradius) with inradius = area / semiperimeter
-    aspect = sides.max(axis=1) * sides.sum(axis=1) / (2.0 * fg.cross_norm)
-    counts, edges = np.histogram(aspect, bins=np.asarray(ASPECT_RATIO_BINS))
-    return MeshQualityReport(
-        min_edge_length=float(sides.min()),    # a closed mesh's edges are
-        max_edge_length=float(sides.max()),    # its faces' sides
-        min_angle=float(fg.angles.min()),
-        min_face_area=float(0.5 * fg.cross_norm.min()),
-        aspect_ratio_counts=counts,
-        aspect_ratio_bin_edges=edges,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import re
@@ -20,6 +21,7 @@ from helflow.flow import (CSV_COLUMNS, SteppingPolicy, TerminationReport,
                           TimeSeriesRecord)
 from helflow.geometry import FlowParams, GeometryError
 from helflow.mesh import load_mesh, make_icosphere, save_mesh
+from helflow.sphere_ode import TheoryBounds
 
 BASE_CFG = """
 # shrinking-sphere run
@@ -160,8 +162,16 @@ def test_flow_command_singular_run(tmp_path):
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     assert summary["termination"]["reason"] == "singular_area_collapse"
+    assert list(summary) == ["params", "mesh", "seed", "termination",
+                             "theory_bounds", "threshold_comparisons",
+                             "classification", "n_frames"]
+    assert list(summary["theory_bounds"]) == [
+        f.name for f in fields(TheoryBounds)]
+    # each bound is stated once, in theory_bounds
+    for key in ("en_threshold", "t_bound", "e0_inconsistent"):
+        assert _key_count(summary, key) == 1, key
+    assert summary["theory_bounds"]["t_bound"] is not None
     assert summary["threshold_comparisons"]["initial_energy"] > 0
-    assert summary["threshold_comparisons"]["t_bound"] is not None
     assert summary["threshold_comparisons"]["final_time_within_t_bound"]
     assert summary["classification"]["verdict"] in (
         "round_shrinker", "non_round_concentration")
@@ -178,6 +188,15 @@ def test_flow_command_singular_run(tmp_path):
         assert len(fh.readlines()) > 10
 
 
+def _key_count(doc, key):
+    """How often ``key`` occurs as a key anywhere in a JSON document."""
+    if isinstance(doc, dict):
+        return (key in doc) + sum(_key_count(v, key) for v in doc.values())
+    if isinstance(doc, list):
+        return sum(_key_count(v, key) for v in doc)
+    return 0
+
+
 def test_flow_command_clean_run(tmp_path):
     text = BASE_CFG.replace("params.c0 = -1.0", "params.c0 = 2.0") + \
         "policy.time_horizon = 0.02\npolicy.gradient_tol = none\n"
@@ -190,6 +209,35 @@ def test_flow_command_clean_run(tmp_path):
         summary = json.load(fh)
     assert summary["termination"]["reason"] == "horizon_reached"
     assert summary["classification"] is None
+
+
+def test_flow_command_writes_only_read_outputs(tmp_path):
+    # a singular run writes these outputs and nothing else
+    out = tmp_path / "out"
+    assert main(["--quiet", "flow", "--config", write_cfg(tmp_path),
+                 "--out", str(out)]) == EXIT_SINGULAR
+    assert sorted(p.name for p in out.iterdir()) == [
+        "frames", "kappa_profiles.csv", "series.csv", "summary.json"]
+
+
+def test_summary_agrees_with_series(tmp_path):
+    # the run facts summary.json leaves out are read off series.csv
+    out = tmp_path / "out"
+    assert main(["--quiet", "flow", "--config", write_cfg(tmp_path),
+                 "--out", str(out), "--frames", "off",
+                 "--override", "policy.max_steps=3"]) == EXIT_INCONCLUSIVE
+    with open(out / "series.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    summary = json.loads((out / "summary.json").read_text())
+    final_time = summary["termination"]["final_time"]
+    t_bound = summary["theory_bounds"]["t_bound"]
+    comparisons = summary["threshold_comparisons"]
+    assert comparisons["initial_energy"] == float(rows[0]["penalized"])
+    assert final_time == float(rows[-1]["t"])
+    assert comparisons["final_time_within_t_bound"] == (final_time < t_bound)
+    assert comparisons["initial_energy_below_threshold"] == (
+        comparisons["initial_energy"]
+        <= summary["theory_bounds"]["en_threshold"])
 
 
 def test_flow_command_bad_config(tmp_path):
@@ -228,7 +276,9 @@ def test_flow_command_bad_config(tmp_path):
     "flow --config {cfg} --out {out} --override mesh.icosphere.radius=1e200",
     *(f"ode --c0 -1 --r0 1 --horizon 1 --rtol {value} --out {{out}}"
       for value in ("nan", "0", "-1", "1", "10", "1e-20", "1e-15")),
-    "flow --config {cfg} --out {out} --override policy.checkpoint_every=-1",
+    # keys of the removed checkpoints
+    "flow --config {cfg} --out {out} --override policy.checkpoint_every=2",
+    "flow --config {cfg} --out {out} --override policy.checkpoint_dir=x",
     "flow --config {cfg} --out {out} --override policy.remesh_edge_drift=1",
     *(f"flow --config {{cfg}} --out {{out}} --override policy.{name}=nan"
       for name in ("dt_init", "dt_floor", "area_floor_fraction",
@@ -249,9 +299,12 @@ def test_invalid_values_exit_with_config_error(tmp_path, capfd, command):
 
 
 @pytest.mark.parametrize("command,code,written", [
-    # e0 ** 2 overflows in the t_bound, which then comes from e0 / kappa
-    ("flow --config {cfg} --out {out} --override mesh.icosphere.radius=1e77 "
-     "--override policy.max_steps=3", EXIT_INCONCLUSIVE, "summary.json"),
+    # e0 ** 2 overflows in the t_bound, which then comes from e0 / kappa;
+    # the normals' squared norms overflow too, and must not warn
+    pytest.param(
+        "flow --config {cfg} --out {out} --override mesh.icosphere.radius=1e77 "
+        "--override policy.max_steps=3", EXIT_INCONCLUSIVE, "summary.json",
+        marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ("ode --c0 -1 --r0 1e100 --horizon 1 --out {out}", EXIT_OK,
      "ode_summary.json"),
 ])
@@ -260,7 +313,18 @@ def test_large_but_finite_inputs_run(tmp_path, capfd, command, code, written):
     argv = command.format(cfg=write_cfg(tmp_path), out=str(out)).split()
     assert main(["--quiet", *argv]) == code
     assert "Traceback" not in capfd.readouterr().err
-    assert (out / written).exists()
+    # strict JSON: the flow's t_bound is inf
+    json.loads((out / written).read_text(), parse_constant=_reject)
+
+
+def _reject(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_json_text_writes_non_finite_floats_as_strings():
+    text = cli._json_text({"a": [np.inf, -np.inf, np.nan, np.float64(2.5)]})
+    assert json.loads(text, parse_constant=_reject) == {
+        "a": ["inf", "-inf", "nan", 2.5]}
 
 
 def _main_within(seconds, argv):

@@ -6,9 +6,8 @@ import pytest
 from helflow.diagnostics import (KAPPA_BLOCK, BlowUpFrame, DiagnosticsError,
                                  FrameSink, _kappa_scan,
                                  classify_singularity, default_radii_grid,
-                                 extract_blowup_frame, hypothesis_monitors,
-                                 kappa, kappa_profile, select_blowup_radius,
-                                 sphere_fit)
+                                 extract_blowup_frame, kappa, kappa_profile,
+                                 select_blowup_radius, sphere_fit)
 from helflow.flow import FlowState, SteppingPolicy, init_state
 from helflow.geometry import FlowParams, build_cache, penalized_energy
 from helflow.mesh import TriangleMesh, make_icosphere, orient_for_positive_volume
@@ -310,27 +309,6 @@ def test_frame_sink_area_halving(ico3):
     small = init_state(ico3.scaled(0.6), params, SteppingPolicy())
     sink(small, None)
     assert len(sink.frames) == 1
-
-
-def test_hypothesis_monitors_equilibrium(ico4):
-    params = FlowParams(1.0, 0.5)
-    state = init_state(ico4, params, SteppingPolicy())
-    mon = hypothesis_monitors(state, params)
-    assert mon["int_H"] == pytest.approx(EIGHT_PI, rel=5e-3)
-    assert mon["int_H_positive"]
-    assert mon["en_threshold"] == pytest.approx(FOUR_PI)
-    assert mon["below_threshold"]  # unit-sphere initial energy ~ 2 pi
-    assert mon["t_bound"] is None
-
-
-def test_hypothesis_monitors_shrinker(ico4):
-    params = FlowParams(-1.0, 0.0)
-    state = init_state(ico4, params, SteppingPolicy())
-    mon = hypothesis_monitors(state, params)
-    # initial energy ~ 9 pi gives the finite-time bound 260
-    assert mon["t_bound"] == pytest.approx(260.0, rel=5e-3)
-    assert mon["remaining_budget"] == pytest.approx(mon["t_bound"])
-    assert mon["below_threshold"] is None or not mon["below_threshold"]
 
 
 def test_default_radii_grid_spans_diameter(ico4):

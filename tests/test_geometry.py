@@ -182,6 +182,16 @@ def test_scaling_equivariance(s):
     assert c2.willmore == pytest.approx(c1.willmore, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normals_where_their_squared_norms_overflow():
+    # at radius 1e77 the area-weighted normals' squares leave the float range
+    c1 = build_cache(make_icosphere(1))
+    c2 = build_cache(make_icosphere(1, 1e77))
+    assert np.all(np.any(c2.normals != 0, axis=1))
+    assert np.allclose(c2.normals, c1.normals, rtol=0, atol=1e-15)
+    assert np.allclose(c2.H * 1e77, c1.H, rtol=1e-14)
+
+
 def test_parabolic_rescaling_energy_identity():
     mesh = perturbed_sphere(3, 2, 0.06)
     params = FlowParams(1.3, 0.7)

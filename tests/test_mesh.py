@@ -8,8 +8,7 @@ from helflow.mesh import (DegenerateFaceError, MeshError, MeshFormatError,
                           OrientationError, TriangleMesh,
                           component_signed_volumes, load_mesh, make_icosphere,
                           make_torus, orient_for_positive_volume,
-                          quality_report, repair_winding, save_mesh,
-                          signed_volume)
+                          repair_winding, save_mesh, signed_volume)
 
 TETRA_OFF = """OFF
 4 4 6
@@ -351,14 +350,14 @@ def test_missing_file():
         load_mesh("/nonexistent/mesh.off")
 
 
-def test_quality_report_extremes(ico3):
-    rep = quality_report(ico3)
-    assert rep.min_edge_length == pytest.approx(ico3.edge_lengths().min())
-    assert rep.max_edge_length == pytest.approx(ico3.edge_lengths().max())
-    assert rep.min_angle == pytest.approx(ico3.face_angles().min())
-    assert rep.min_face_area == pytest.approx(ico3.face_areas().min())
-    assert rep.min_edge_length > 0
-    assert rep.aspect_ratio_counts.sum() == ico3.n_faces
+def test_face_sides_extremes_match_edge_lengths(ico3, torus):
+    # a closed mesh's edges are its faces' sides
+    for mesh in (ico3, torus):
+        sides = np.sqrt(mesh.face_geometry().edge_sq)
+        lengths = mesh.edge_lengths()
+        assert sides.min() == pytest.approx(lengths.min(), rel=1e-14)
+        assert sides.max() == pytest.approx(lengths.max(), rel=1e-14)
+        assert sides.min() > 0
 
 
 def test_euler_characteristic_from_angle_defects(tetra, ico3, torus):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helflow
-from helflow.geometry import FlowParams
+from helflow.geometry import FlowParams, build_cache
 from helflow.sphere_ode import (EXTINCTION_SWITCH_FRACTION, MIN_RTOL,
                                 equilibrium_radius, extinction_time_closed_form,
                                 integrate_sphere_ode, sphere_energy,
@@ -124,10 +124,24 @@ def test_theory_bounds_t_bound_survives_overflowing_squares():
 def test_theory_bounds_equilibrium():
     b = theory_bounds(FlowParams(1.0, 0.5))
     assert b.r_star == pytest.approx(1.0)
+    assert b.t_bound is None
     assert b.en_threshold == pytest.approx(FOUR_PI)
     assert b.beta_upper == pytest.approx(2 * np.pi)
     assert b.willmore_ctrl_factor == pytest.approx(2.0)
     assert b.en_threshold == pytest.approx(2 * b.beta_upper)
+
+
+def test_theory_bounds_of_icosphere_starts(ico4):
+    # the E0 a flow from the unit ico4 sphere passes to theory_bounds
+    shrink = FlowParams(-1.0, 0.0)
+    e0 = build_cache(ico4, shrink).penalized      # ~ 9 pi
+    b = theory_bounds(shrink, e0=e0)
+    assert b.t_bound == pytest.approx(260.0, rel=5e-3)
+    assert not e0 <= b.en_threshold and not b.e0_inconsistent
+    settle = FlowParams(1.0, 0.5)
+    e0 = build_cache(ico4, settle).penalized      # ~ 2 pi
+    b = theory_bounds(settle, e0=e0)
+    assert e0 <= b.en_threshold and b.t_bound is None
 
 
 def test_theory_bounds_degenerate_lambda():
