@@ -383,8 +383,7 @@ def cmd_ode(args) -> int:
         "terminal": sol.terminal,
         "extinction_time": sol.extinction_time,
         "extinction_time_closed_form": extinction_time_closed_form(args.r0, params),
-        "r_star": bounds.r_star,
-        "t_bound": bounds.t_bound,
+        "theory_bounds": asdict(bounds),
         "final_radius": float(sol.radii[-1]),
     }
     _write_json(os.path.join(args.out, "ode_summary.json"), summary)

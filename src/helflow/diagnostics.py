@@ -6,13 +6,18 @@ can be recentered onto the surface at an O(h) radius cost).  The reported
 center is the lowest-index vertex among those whose ball sum lies within
 ``n eps sum(w)`` of the maximum (n vertices with weights ``w = |A|^2 dmu``),
 so centers that tie up to roundoff do not depend on the order in which the
-sums were formed.  Blow-up frames recenter and rescale a snapshot by
+sums were formed.  The scan computes its distance blocks on a small thread
+pool and adds them up in a fixed block order, so the number of threads moves
+no output bit.  Blow-up frames recenter and rescale a snapshot by
 ``(f - x_j) / r_j``, transforming the flow parameters to
 ``(r_j c0, r_j^2 lam)``; the energy identity between the two is exact and is
 asserted on every extracted frame.
 """
 
 import logging
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +35,13 @@ ROUND_WILLMORE_REL_TOL = 0.05
 WILLMORE_TREND_SLACK = 1e-3 * FOUR_PI
 
 KAPPA_BLOCK = 256          # vertices per side of a distance block of the scan
+KAPPA_MAX_WORKERS = 4      # scan threads at most; each holds a block's temporaries
+KAPPA_WORKERS = min(KAPPA_MAX_WORKERS,
+                    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
 RADII_GRID_POINTS = 24     # of default_radii_grid
+
+_pool = None               # the scan's ThreadPoolExecutor, started on first use
 
 
 class DiagnosticsError(Exception):
@@ -78,21 +89,64 @@ class SingularityClassification:
 # ---------------------------------------------------------------------------
 
 
-def _distance_blocks(vertices: np.ndarray):
-    """Squared distances in square blocks ``(I, J, d_sq)``, only for J >= I.
+def _block_d_sq(vertices, v_sq, I, J):
+    """Squared distances ``|v_I|^2 + |v_J|^2 - 2 v_I v_J^T`` of one block."""
+    g = vertices[I] @ vertices[J].T
+    g *= 2.0
+    d_sq = v_sq[I, None] + v_sq[None, J]
+    d_sq -= g
+    return d_sq
 
-    ``d_sq = |v_I|^2 + |v_J|^2 - 2 v_I v_J^T`` is symmetric, so the blocks
-    above the diagonal stand for their transposes as well.
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(KAPPA_WORKERS, thread_name_prefix="kappa-scan")
+    return _pool
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _blocks_in_order(block, n: int):
+    """``(I, J, block(I, J))`` for the square blocks of an n x n distance
+    matrix with J >= I, in row-major block order.
+
+    ``d_sq`` is symmetric, so the blocks above the diagonal stand for their
+    transposes as well.  With more than one worker the blocks run on the
+    scan's thread pool, at most ``2 * KAPPA_WORKERS`` of them submitted but
+    not yet yielded.  If a block raises, the blocks still queued are
+    cancelled, the running ones are waited for, and the exception propagates.
     """
-    n = len(vertices)
-    v_sq = np.einsum("ij,ij->i", vertices, vertices)
-    for i0 in range(0, n, KAPPA_BLOCK):
-        I = slice(i0, min(i0 + KAPPA_BLOCK, n))
-        for j0 in range(i0, n, KAPPA_BLOCK):
-            J = slice(j0, min(j0 + KAPPA_BLOCK, n))
-            d_sq = (v_sq[I, None] + v_sq[None, J]
-                    - 2.0 * (vertices[I] @ vertices[J].T))
-            yield I, J, d_sq
+    pairs = ((slice(i0, min(i0 + KAPPA_BLOCK, n)),
+              slice(j0, min(j0 + KAPPA_BLOCK, n)))
+             for i0 in range(0, n, KAPPA_BLOCK)
+             for j0 in range(i0, n, KAPPA_BLOCK))
+    if KAPPA_WORKERS == 1:
+        for I, J in pairs:
+            yield I, J, block(I, J)
+        return
+    pool, pending = _executor(), deque()
+    try:
+        while True:
+            while len(pending) < 2 * KAPPA_WORKERS and (pair := next(pairs, None)):
+                pending.append((*pair, pool.submit(block, *pair)))
+            if not pending:
+                return
+            I, J, future = pending.popleft()
+            yield I, J, future.result()
+    finally:
+        futures = [future for _, _, future in pending]
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
@@ -105,37 +159,49 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
     gives every radius at once; within one center it is a cumulative sum of
     non-negative weights, so monotonicity in r is exact.  An off-diagonal
     block adds to its rows with the column weights and to its columns with
-    the row weights.
+    the row weights.  The blocks are computed on the scan's workers and
+    added up by the calling thread in block order, so every sum is formed
+    in the same order whatever the number of workers.
     """
     n, n_r = len(vertices), len(r_sq)
+    v_sq = np.einsum("ij,ij->i", vertices, vertices)
     if n_r == 1:
-        vals = np.zeros(n)
-        for I, J, d_sq in _distance_blocks(vertices):
-            inside = d_sq < r_sq[0]
-            vals[I] += inside @ weights[J]
-            if I != J:
-                vals[J] += weights[I] @ inside
-        return vals[:, None]
-    stride = n_r + 1
-    acc = np.zeros((n, stride))
-    # non-negative doubles order like their bit patterns and negative ones
-    # view as negative integers, so integer compares give the same bins
-    r_key = r_sq.view(np.int64)
-    for I, J, d_sq in _distance_blocks(vertices):
-        # bin b: strictly inside radius k for all k >= b (strict d < r)
-        bins = np.searchsorted(r_key, d_sq.view(np.int64), side="right")
-        m_i, m_j = bins.shape
-        # key a * stride + b is bin b of row a; then the same for columns
-        row_off = np.arange(0, m_i * stride, stride)[:, None]
-        bins += row_off
-        acc[I] += np.bincount(bins.ravel(), weights=np.tile(weights[J], m_i),
-                              minlength=m_i * stride).reshape(m_i, stride)
-        if I != J:
+        def block(I, J):
+            inside = _block_d_sq(vertices, v_sq, I, J) < r_sq[0]
+            return inside @ weights[J], (weights[I] @ inside if I != J else None)
+
+        acc = np.zeros(n)
+    else:
+        stride = n_r + 1
+        # non-negative doubles order like their bit patterns and negative
+        # ones view as negative integers, so integer compares give the same bins
+        r_key = r_sq.view(np.int64)
+
+        def block(I, J):
+            # bin b: strictly inside radius k for all k >= b (strict d < r)
+            bins = np.searchsorted(r_key, _block_d_sq(vertices, v_sq, I, J)
+                                   .view(np.int64), side="right")
+            m_i, m_j = bins.shape
+            # key a * stride + b is bin b of row a; then the same for columns
+            row_off = np.arange(0, m_i * stride, stride)[:, None]
+            bins += row_off
+            rows = np.bincount(bins.ravel(), weights=np.tile(weights[J], m_i),
+                               minlength=m_i * stride).reshape(m_i, stride)
+            if I == J:
+                return rows, None
             bins -= row_off
             bins += np.arange(0, m_j * stride, stride)
-            acc[J] += np.bincount(
+            return rows, np.bincount(
                 bins.ravel(), weights=np.repeat(weights[I], m_j),
                 minlength=m_j * stride).reshape(m_j, stride)
+
+        acc = np.zeros((n, stride))
+    for I, J, (rows, cols) in _blocks_in_order(block, n):
+        acc[I] += rows
+        if cols is not None:
+            acc[J] += cols
+    if n_r == 1:
+        return acc[:, None]
     return np.cumsum(acc[:, :n_r], axis=1)
 
 

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import helflow
 from helflow.geometry import build_cache
 from helflow.mesh import make_icosphere, make_tetrahedron, make_torus
 
@@ -23,6 +26,14 @@ def ico4():
 @pytest.fixture(scope="session")
 def ico4_cache(ico4):
     return build_cache(ico4)
+
+
+@pytest.fixture(scope="session")
+def helflow_env():
+    """Environment for a Python subprocess that imports this helflow."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(helflow.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,6 +211,23 @@ def test_flow_command_clean_run(tmp_path):
         summary = json.load(fh)
     assert summary["termination"]["reason"] == "horizon_reached"
     assert summary["classification"] is None
+
+
+def test_flow_without_frames_starts_no_thread(tmp_path, helflow_env):
+    # the kappa scan's thread pool starts on the first scan, so a run whose
+    # frame sink never fires stays on the main thread
+    text = BASE_CFG.replace("params.c0 = -1.0", "params.c0 = 1.0").replace(
+        "params.lambda = 0.0", "params.lambda = 0.5") + \
+        "policy.time_horizon = 0.02\npolicy.gradient_tol = none\n"
+    cfg = write_cfg(tmp_path, text)
+    code = ("import threading\n"
+            "import helflow.cli\n"
+            f"code = helflow.cli.main(['--quiet', 'flow', '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}])\n"
+            "print(code, threading.active_count())")
+    out = subprocess.run([sys.executable, "-c", code], env=helflow_env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == [str(EXIT_OK), "1"]
 
 
 def test_flow_command_writes_only_read_outputs(tmp_path):
@@ -504,6 +523,12 @@ def test_ode_command(tmp_path):
     assert code == EXIT_OK
     with open(os.path.join(out, "ode_summary.json")) as fh:
         summary = json.load(fh)
+    assert sorted(summary) == ["extinction_time", "extinction_time_closed_form",
+                               "final_radius", "params", "terminal",
+                               "theory_bounds"]
+    # the bounds block is the one flow and energy write
+    assert sorted(summary["theory_bounds"]) == sorted(
+        f.name for f in fields(TheoryBounds))
     assert summary["terminal"] == "extinct"
     assert summary["extinction_time"] == pytest.approx(0.121860432, rel=1e-6)
     assert summary["extinction_time_closed_form"] == pytest.approx(

@@ -1,10 +1,15 @@
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import helflow.diagnostics as diagnostics
 from helflow.diagnostics import (KAPPA_BLOCK, BlowUpFrame, DiagnosticsError,
-                                 FrameSink, _kappa_scan,
+                                 FrameSink, _ball_sums, _kappa_scan,
                                  classify_singularity, default_radii_grid,
                                  extract_blowup_frame, kappa, kappa_profile,
                                  select_blowup_radius, sphere_fit)
@@ -189,6 +194,205 @@ def test_kappa_profile_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.fixture
+def scan_workers(monkeypatch):
+    """Sets the scan's worker count.  Each count gets a pool of its own,
+    shut down when the test ends."""
+    shared, made = diagnostics._pool, []
+
+    def use(workers):
+        made.append(diagnostics._pool)
+        monkeypatch.setattr(diagnostics, "KAPPA_WORKERS", workers)
+        monkeypatch.setattr(diagnostics, "_pool", None)
+
+    yield use
+    made.append(diagnostics._pool)
+    for pool in made:
+        if pool is not None and pool is not shared:
+            pool.shutdown()
+
+
+def _ball_sums_sequential(vertices, weights, r_sq):
+    """The scan's ball sums formed one block after another in the calling
+    thread, each sum in the scan's order: blocks row-major with J >= I, and
+    within a block's histograms rows and columns in index order."""
+    n, n_r = len(vertices), len(r_sq)
+    v_sq = np.einsum("ij,ij->i", vertices, vertices)
+    acc = np.zeros((n, n_r + 1))
+    for i0 in range(0, n, KAPPA_BLOCK):
+        I = slice(i0, min(i0 + KAPPA_BLOCK, n))
+        for j0 in range(i0, n, KAPPA_BLOCK):
+            J = slice(j0, min(j0 + KAPPA_BLOCK, n))
+            d_sq = (v_sq[I, None] + v_sq[None, J]
+                    - 2.0 * (vertices[I] @ vertices[J].T))
+            if n_r == 1:
+                inside = d_sq < r_sq[0]
+                acc[I, 0] += inside @ weights[J]
+                if I != J:
+                    acc[J, 0] += weights[I] @ inside
+                continue
+            bins = np.searchsorted(r_sq, d_sq, side="right")
+            for a, row in enumerate(bins, start=i0):
+                acc[a] += np.bincount(row, weights[J], minlength=n_r + 1)
+            if I != J:
+                for b, col in enumerate(bins.T, start=j0):
+                    acc[b] += np.bincount(col, weights[I], minlength=n_r + 1)
+    return acc[:, :1] if n_r == 1 else np.cumsum(acc[:, :n_r], axis=1)
+
+
+@pytest.mark.parametrize("case", list(POINT_CLOUD_SIZES))
+@pytest.mark.parametrize("radii", [[0.3], np.geomspace(1e-3, 3.0, 40)],
+                         ids=["one", "geom40"])
+def test_kappa_scan_is_independent_of_worker_count(case, radii, scan_workers):
+    # the calling thread adds the blocks up in block order, so the number
+    # of workers cannot move a bit of any sum
+    vertices, weights = _scan_input(case)
+    r_sq = np.asarray(radii, dtype=np.float64) ** 2
+    expected = _ball_sums_sequential(vertices, weights, r_sq).tobytes()
+    for workers in (1, 2, 3):
+        scan_workers(workers)
+        assert _ball_sums(vertices, weights, r_sq).tobytes() == expected
+
+
+def test_concurrent_scans_share_the_pool(scan_workers):
+    # callers on several threads queue their blocks on one pool at once,
+    # with thread switches forced often; each still gets its own sums
+    scan_workers(3)
+    vertices, weights = _scan_input("two_blocks_plus_one")
+    r_sq = np.geomspace(1e-3, 3.0, 40) ** 2
+    expected = _ball_sums_sequential(vertices, weights, r_sq).tobytes()
+    results = [None] * 4
+
+    def scan(k):
+        results[k] = _ball_sums(vertices, weights, r_sq).tobytes()
+
+    threads = [threading.Thread(target=scan, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+
+
+def _frame_sink_bytes():
+    """Profiles and frames of a FrameSink fed four ico3 snapshots whose area
+    halves from one to the next, as bytes."""
+    params = FlowParams(-1.0, 0.0)
+    sink = FrameSink(params)
+    for k in range(4):
+        mesh = perturbed_sphere(1, 3, 0.04 / 2 ** k, 0.65 ** k)
+        sink(FlowState(t=0.01 * k, mesh=mesh,
+                       cache=build_cache(mesh, params), dt=0.0), None)
+    assert len(sink.frames) == 3
+    return [(p.kappa.tobytes(), p.centers.tobytes(), f.r, f.x.tobytes(),
+             f.rescaled_mesh.vertices.tobytes(), f.willmore, f.penalized)
+            for p, f in zip(sink.profiles, sink.frames)]
+
+
+def test_frames_are_independent_of_worker_count(scan_workers):
+    outputs = []
+    for workers in (1, 2, 3):
+        scan_workers(workers)
+        outputs.append(_frame_sink_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_a_failing_block_fails_the_scan_and_cancels_the_rest(
+        ico4, ico4_cache, scan_workers, monkeypatch):
+    # the first block raises and the next ones hold both workers, so when
+    # the exception reaches the caller the last of the 2 * workers submitted
+    # blocks is still queued
+    workers = 2
+    scan_workers(workers)
+    grid = default_radii_grid(ico4)
+    expected = kappa_profile(ico4, ico4_cache, grid)
+    block_d_sq, lock = diagnostics._block_d_sq, threading.Lock()
+    error, started, finished = RuntimeError("block failed"), [], []
+
+    def failing(*args):
+        with lock:
+            started.append(None)
+            call = len(started)
+        try:
+            if call == 1:
+                raise error
+            time.sleep(0.05)
+            return block_d_sq(*args)
+        finally:
+            with lock:
+                finished.append(None)
+
+    monkeypatch.setattr(diagnostics, "_block_d_sq", failing)
+    with pytest.raises(RuntimeError) as raised:
+        kappa_profile(ico4, ico4_cache, grid)
+    assert raised.value is error
+    # no block is left running, and the queued one never ran
+    assert len(finished) == len(started) < 2 * workers
+    monkeypatch.setattr(diagnostics, "_block_d_sq", block_d_sq)
+    again = kappa_profile(ico4, ico4_cache, grid)
+    assert again.kappa.tobytes() == expected.kappa.tobytes()
+    assert again.centers.tobytes() == expected.centers.tobytes()
+
+
+def test_scan_workers_add_at_most_one_block_of_temporaries(scan_workers,
+                                                           monkeypatch):
+    # the first block stalls, so every later block that is let in finishes
+    # and waits to be added up: only the in-flight window bounds them
+    mesh = perturbed_sphere(1, 4, 0.02)
+    cache = build_cache(mesh)
+    grid = default_radii_grid(mesh)
+    block_d_sq, peaks = diagnostics._block_d_sq, {}
+    for workers in (1, 2):
+        scan_workers(workers)
+        kappa_profile(mesh, cache, grid)    # starts the pool outside the trace
+        calls = []
+
+        def stall_first(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                time.sleep(0.3)
+            return block_d_sq(*args)
+
+        monkeypatch.setattr(diagnostics, "_block_d_sq", stall_first)
+        tracemalloc.start()
+        try:
+            kappa_profile(mesh, cache, grid)
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(diagnostics, "_block_d_sq", block_d_sq)
+    one_block = 3 * KAPPA_BLOCK ** 2 * 8    # its d_sq, bins and weights
+    assert peaks[2] <= peaks[1] + one_block
+
+
+def test_a_forked_child_scans_on_a_pool_of_its_own(helflow_env):
+    # the parent's scan threads do not exist in a forked child, so the child
+    # must start its own pool rather than queue blocks on a dead one
+    code = ("import os, signal\n"
+            "import helflow.diagnostics as d\n"
+            "from helflow.geometry import build_cache\n"
+            "from helflow.mesh import make_icosphere\n"
+            "d.KAPPA_WORKERS = 2\n"
+            "mesh = make_icosphere(3, 1.0)\n"
+            "cache = build_cache(mesh)\n"
+            "parent = d.kappa(mesh, cache, 0.5)[0]\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    os._exit(0 if d.kappa(mesh, cache, 0.5)[0] == parent else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))")
+    out = subprocess.run([sys.executable, "-c", code], env=helflow_env,
+                         check=True, capture_output=True, text=True,
+                         timeout=90).stdout
+    assert out.split() == ["0"]
 
 
 def test_select_blowup_radius(sphere5):

@@ -1,5 +1,4 @@
 import importlib
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-import helflow
 from helflow.geometry import build_cache
 from helflow.mesh import TriangleMesh, make_icosphere, make_tetrahedron, \
     make_torus, orient_for_positive_volume, save_mesh
@@ -411,14 +409,11 @@ def test_hausdorff_rejects_a_projector_of_another_mesh(ico3):
             hausdorff_distance(ico3, shifted, MeshProjector(wrong))
 
 
-def test_mesh_and_remesh_leave_csgraph_unloaded(tmp_path):
+def test_mesh_and_remesh_leave_csgraph_unloaded(tmp_path, helflow_env):
     # component labels come from a numpy union-find, so no workload pays
     # for importing scipy.sparse.csgraph
     path = tmp_path / "ico3.off"
     save_mesh(make_icosphere(3), path)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(helflow.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = ("import sys, helflow\n"
             "from helflow.mesh import load_mesh, make_icosphere\n"
             "from helflow.remesh import remesh\n"
@@ -426,8 +421,8 @@ def test_mesh_and_remesh_leave_csgraph_unloaded(tmp_path):
             f"mesh = load_mesh({str(path)!r})\n"
             "out = remesh(mesh, 1.5 * mesh.mean_edge_length())\n"
             "print(out.n_components, 'scipy.sparse.csgraph' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=helflow_env,
+                         check=True, capture_output=True, text=True).stdout
     assert out.split() == ["1", "False"]
 
 
