@@ -6,9 +6,9 @@ can be recentered onto the surface at an O(h) radius cost).  The reported
 center is the lowest-index vertex among those whose ball sum lies within
 ``n eps sum(w)`` of the maximum (n vertices with weights ``w = |A|^2 dmu``),
 so centers that tie up to roundoff do not depend on the order in which the
-sums were formed.  The scan computes its distance blocks on a small thread
-pool and adds them up in a fixed block order, so the number of threads moves
-no output bit.  Blow-up frames recenter and rescale a snapshot by
+sums were formed.  A large scan computes its distance blocks on a small
+thread pool and adds them up in a fixed block order, so the number of
+threads moves no output bit.  Blow-up frames recenter and rescale a snapshot by
 ``(f - x_j) / r_j``, transforming the flow parameters to
 ``(r_j c0, r_j^2 lam)``; the energy identity between the two is exact and is
 asserted on every extracted frame.
@@ -16,8 +16,9 @@ asserted on every extracted frame.
 
 import logging
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,20 @@ ROUND_WILLMORE_REL_TOL = 0.05
 WILLMORE_TREND_SLACK = 1e-3 * FOUR_PI
 
 KAPPA_BLOCK = 256          # vertices per side of a distance block of the scan
-KAPPA_MAX_WORKERS = 4      # scan threads at most; each holds a block's temporaries
+KAPPA_PANEL = 128          # rows of a block whose distances are formed at once
+KAPPA_STRIP = 32           # rows of a block binned by one searchsorted call
+KAPPA_MAX_WORKERS = 2      # scan threads at most: no more were measured
 KAPPA_WORKERS = min(KAPPA_MAX_WORKERS,
                     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
+# Smaller scans run on the calling thread.  A process's first extra thread
+# slowed a whole ico3 extinction flow (642 vertices, 6 blocks a scan) by a
+# few percent, more than a pool saves on its three frames' scans.
+KAPPA_POOL_MIN_VERTICES = 4 * KAPPA_BLOCK
 RADII_GRID_POINTS = 24     # of default_radii_grid
 
 _pool = None               # the scan's ThreadPoolExecutor, started on first use
+_pool_lock = threading.Lock()
 
 
 class DiagnosticsError(Exception):
@@ -89,20 +97,33 @@ class SingularityClassification:
 # ---------------------------------------------------------------------------
 
 
-def _block_d_sq(vertices, v_sq, I, J):
-    """Squared distances ``|v_I|^2 + |v_J|^2 - 2 v_I v_J^T`` of one block."""
-    g = vertices[I] @ vertices[J].T
-    g *= 2.0
-    d_sq = v_sq[I, None] + v_sq[None, J]
-    d_sq -= g
-    return d_sq
+def _shaped(buf: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The first ``m * k`` entries of a flat buffer, as an ``(m, k)`` array."""
+    return buf[:m * k].reshape(m, k)
 
 
-def _executor() -> ThreadPoolExecutor:
+def _d_sq_panels(v_sq, I, J, g, buf):
+    """``(P, d_sq)`` for each panel ``P`` of ``KAPPA_PANEL`` rows of one
+    block: the squared distances ``|v_I|^2 + |v_J|^2 - g`` of the panel's
+    rows, written to ``buf``, where ``g = 2 v_I v_J^T`` is the block's."""
+    for p0 in range(0, len(g), KAPPA_PANEL):
+        P = slice(p0, min(p0 + KAPPA_PANEL, len(g)))
+        d_sq = _shaped(buf, P.stop - P.start, g.shape[1])
+        np.add(v_sq[I][P, None], v_sq[None, J], out=d_sq)
+        d_sq -= g[P]
+        yield P, d_sq
+
+
+def _executor():
+    # imported here, so a run that never scans loads no thread-pool code
+    from concurrent.futures import ThreadPoolExecutor
+
     global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(KAPPA_WORKERS, thread_name_prefix="kappa-scan")
-    return _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(KAPPA_WORKERS,
+                                       thread_name_prefix="kappa-scan")
+        return _pool
 
 
 def _forget_pool():
@@ -120,16 +141,17 @@ def _blocks_in_order(block, n: int):
     matrix with J >= I, in row-major block order.
 
     ``d_sq`` is symmetric, so the blocks above the diagonal stand for their
-    transposes as well.  With more than one worker the blocks run on the
-    scan's thread pool, at most ``2 * KAPPA_WORKERS`` of them submitted but
-    not yet yielded.  If a block raises, the blocks still queued are
-    cancelled, the running ones are waited for, and the exception propagates.
+    transposes as well.  From ``KAPPA_POOL_MIN_VERTICES`` vertices on, the
+    blocks run on the scan's thread pool, at most ``2 * KAPPA_WORKERS`` of
+    them submitted but not yet yielded.  If a block raises, the blocks still
+    queued are cancelled, the running ones are waited for, and the exception
+    propagates.
     """
     pairs = ((slice(i0, min(i0 + KAPPA_BLOCK, n)),
               slice(j0, min(j0 + KAPPA_BLOCK, n)))
              for i0 in range(0, n, KAPPA_BLOCK)
              for j0 in range(i0, n, KAPPA_BLOCK))
-    if KAPPA_WORKERS == 1:
+    if n < KAPPA_POOL_MIN_VERTICES:
         for I, J in pairs:
             yield I, J, block(I, J)
         return
@@ -159,16 +181,28 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
     gives every radius at once; within one center it is a cumulative sum of
     non-negative weights, so monotonicity in r is exact.  An off-diagonal
     block adds to its rows with the column weights and to its columns with
-    the row weights.  The blocks are computed on the scan's workers and
-    added up by the calling thread in block order, so every sum is formed
-    in the same order whatever the number of workers.
+    the row weights.  The blocks are computed as ``_blocks_in_order`` runs
+    them and added up by the calling thread in block order.  Every sum adds the same
+    terms in the same order as one pass over the whole block would, so no
+    output depends on the number of workers.
+
+    A block's arrays that grow with it live in two buffers, one of a block
+    and one of a panel of ``KAPPA_PANEL`` rows, and a worker allocates only
+    strips of ``KAPPA_STRIP`` rows and the histograms.  The calling thread
+    allocates one pair of buffers per worker, so they go back to its heap
+    after the scan, where a worker thread's heap would keep them.  The pool
+    runs at most ``KAPPA_WORKERS`` blocks at once, so a pair is free
+    whenever a block starts.
     """
     n, n_r = len(vertices), len(r_sq)
     v_sq = np.einsum("ij,ij->i", vertices, vertices)
+
     if n_r == 1:
-        def block(I, J):
-            inside = _block_d_sq(vertices, v_sq, I, J) < r_sq[0]
-            return inside @ weights[J], (weights[I] @ inside if I != J else None)
+        def compute(I, J, g, panels):
+            # a panel's mask, 1.0 inside and 0.0 outside, replaces its g
+            for P, d_sq in panels:
+                np.less(d_sq, r_sq[0], out=g[P])
+            return g @ weights[J], (weights[I] @ g if I != J else None)
 
         acc = np.zeros(n)
     else:
@@ -176,26 +210,51 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
         # non-negative doubles order like their bit patterns and negative
         # ones view as negative integers, so integer compares give the same bins
         r_key = r_sq.view(np.int64)
+        row_keys = np.arange(0, KAPPA_PANEL * stride, stride)[:, None]
 
-        def block(I, J):
-            # bin b: strictly inside radius k for all k >= b (strict d < r)
-            bins = np.searchsorted(r_key, _block_d_sq(vertices, v_sq, I, J)
-                                   .view(np.int64), side="right")
-            m_i, m_j = bins.shape
-            # key a * stride + b is bin b of row a; then the same for columns
-            row_off = np.arange(0, m_i * stride, stride)[:, None]
-            bins += row_off
-            rows = np.bincount(bins.ravel(), weights=np.tile(weights[J], m_i),
-                               minlength=m_i * stride).reshape(m_i, stride)
-            if I == J:
-                return rows, None
-            bins -= row_off
-            bins += np.arange(0, m_j * stride, stride)
-            return rows, np.bincount(
-                bins.ravel(), weights=np.repeat(weights[I], m_j),
-                minlength=m_j * stride).reshape(m_j, stride)
+        def compute(I, J, g, panels):
+            # bin b: strictly inside radius k for all k >= b (strict d < r).
+            # Key a * stride + b is bin b of row a, and the same for columns.
+            # A panel's bins replace its g, and the repeated weights of each
+            # histogram its d_sq.  The column sums go on from one panel to
+            # the next in row order, as in one bincount over the block.
+            m_j = g.shape[1]
+            rows, cols = np.empty((len(g), stride)), np.zeros(m_j * stride)
+            col_keys = np.arange(0, m_j * stride, stride)
+            for P, d_sq in panels:
+                bins = g[P].view(np.int64)
+                for a in range(0, len(bins), KAPPA_STRIP):
+                    bins[a:a + KAPPA_STRIP] = np.searchsorted(
+                        r_key, d_sq[a:a + KAPPA_STRIP].view(np.int64),
+                        side="right")
+                bins += row_keys[:len(bins)]
+                d_sq[:] = weights[J]
+                rows[P] = np.bincount(
+                    bins.ravel(), weights=d_sq.ravel(),
+                    minlength=len(bins) * stride).reshape(-1, stride)
+                if I != J:
+                    bins -= row_keys[:len(bins)]
+                    bins += col_keys
+                    d_sq[:] = weights[I][P, None]
+                    np.add.at(cols, bins.ravel(), d_sq.ravel())
+            return rows, (cols.reshape(m_j, stride) if I != J else None)
 
         acc = np.zeros((n, stride))
+
+    side = min(n, KAPPA_BLOCK)
+    free = deque((np.empty(side * side), np.empty(min(side, KAPPA_PANEL) * side))
+                 for _ in range(KAPPA_WORKERS))
+
+    def block(I, J):
+        block_buf, panel_buf = free.pop()
+        try:
+            g = _shaped(block_buf, I.stop - I.start, J.stop - J.start)
+            np.matmul(vertices[I], vertices[J].T, out=g)
+            g *= 2.0
+            return compute(I, J, g, _d_sq_panels(v_sq, I, J, g, panel_buf))
+        finally:
+            free.append((block_buf, panel_buf))
+
     for I, J, (rows, cols) in _blocks_in_order(block, n):
         acc[I] += rows
         if cols is not None:

@@ -215,19 +215,21 @@ def test_flow_command_clean_run(tmp_path):
 
 def test_flow_without_frames_starts_no_thread(tmp_path, helflow_env):
     # the kappa scan's thread pool starts on the first scan, so a run whose
-    # frame sink never fires stays on the main thread
+    # frame sink never fires stays on the main thread and never loads the
+    # pool's module
     text = BASE_CFG.replace("params.c0 = -1.0", "params.c0 = 1.0").replace(
         "params.lambda = 0.0", "params.lambda = 0.5") + \
         "policy.time_horizon = 0.02\npolicy.gradient_tol = none\n"
     cfg = write_cfg(tmp_path, text)
-    code = ("import threading\n"
+    code = ("import sys, threading\n"
             "import helflow.cli\n"
             f"code = helflow.cli.main(['--quiet', 'flow', '--config', {cfg!r}, "
             f"'--out', {str(tmp_path / 'out')!r}])\n"
-            "print(code, threading.active_count())")
+            "print(code, threading.active_count(), "
+            "'concurrent.futures.thread' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=helflow_env,
                          check=True, capture_output=True, text=True).stdout
-    assert out.split() == [str(EXIT_OK), "1"]
+    assert out.split() == [str(EXIT_OK), "1", "False"]
 
 
 def test_flow_command_writes_only_read_outputs(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import subprocess
 import sys
 import threading
@@ -198,9 +199,10 @@ def test_kappa_profile_memory_peak():
 
 @pytest.fixture
 def scan_workers(monkeypatch):
-    """Sets the scan's worker count.  Each count gets a pool of its own,
-    shut down when the test ends."""
+    """Sets the scan's worker count, and lets scans of any size use the
+    pool.  Each count gets a pool of its own, shut down when the test ends."""
     shared, made = diagnostics._pool, []
+    monkeypatch.setattr(diagnostics, "KAPPA_POOL_MIN_VERTICES", 0)
 
     def use(workers):
         made.append(diagnostics._pool)
@@ -256,9 +258,32 @@ def test_kappa_scan_is_independent_of_worker_count(case, radii, scan_workers):
         assert _ball_sums(vertices, weights, r_sq).tobytes() == expected
 
 
-def test_concurrent_scans_share_the_pool(scan_workers):
-    # callers on several threads queue their blocks on one pool at once,
-    # with thread switches forced often; each still gets its own sums
+def test_only_large_scans_start_the_pool(ico3, ico4, ico4_cache,
+                                         monkeypatch):
+    # a process's first extra thread slows all of its later work, so the
+    # few blocks of a small scan stay on the calling thread
+    monkeypatch.setattr(diagnostics, "_pool", None)
+    assert len(ico3.vertices) < diagnostics.KAPPA_POOL_MIN_VERTICES
+    kappa(ico3, build_cache(ico3), 0.5)
+    assert diagnostics._pool is None
+    kappa(ico4, ico4_cache, 0.5)
+    assert diagnostics._pool is not None
+    diagnostics._pool.shutdown()
+
+
+def test_concurrent_scans_share_the_pool(scan_workers, monkeypatch):
+    # callers on several threads start their first scan at once and queue
+    # their blocks on one pool, with thread switches forced often; one pool
+    # is made, and each caller still gets its own sums
+    made = []
+
+    class SlowToStart(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.05)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowToStart)
     scan_workers(3)
     vertices, weights = _scan_input("two_blocks_plus_one")
     r_sq = np.geomspace(1e-3, 3.0, 40) ** 2
@@ -279,6 +304,7 @@ def test_concurrent_scans_share_the_pool(scan_workers):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert made == [diagnostics._pool]
     assert results == [expected] * 4
 
 
@@ -314,29 +340,28 @@ def test_a_failing_block_fails_the_scan_and_cancels_the_rest(
     scan_workers(workers)
     grid = default_radii_grid(ico4)
     expected = kappa_profile(ico4, ico4_cache, grid)
-    block_d_sq, lock = diagnostics._block_d_sq, threading.Lock()
+    d_sq_panels, lock = diagnostics._d_sq_panels, threading.Lock()
     error, started, finished = RuntimeError("block failed"), [], []
 
-    def failing(*args):
+    def failing(v_sq, I, J, *args):
         with lock:
             started.append(None)
-            call = len(started)
         try:
-            if call == 1:
+            if I.start == J.start == 0:
                 raise error
             time.sleep(0.05)
-            return block_d_sq(*args)
+            return d_sq_panels(v_sq, I, J, *args)
         finally:
             with lock:
                 finished.append(None)
 
-    monkeypatch.setattr(diagnostics, "_block_d_sq", failing)
+    monkeypatch.setattr(diagnostics, "_d_sq_panels", failing)
     with pytest.raises(RuntimeError) as raised:
         kappa_profile(ico4, ico4_cache, grid)
     assert raised.value is error
     # no block is left running, and the queued one never ran
     assert len(finished) == len(started) < 2 * workers
-    monkeypatch.setattr(diagnostics, "_block_d_sq", block_d_sq)
+    monkeypatch.setattr(diagnostics, "_d_sq_panels", d_sq_panels)
     again = kappa_profile(ico4, ico4_cache, grid)
     assert again.kappa.tobytes() == expected.kappa.tobytes()
     assert again.centers.tobytes() == expected.centers.tobytes()
@@ -349,27 +374,26 @@ def test_scan_workers_add_at_most_one_block_of_temporaries(scan_workers,
     mesh = perturbed_sphere(1, 4, 0.02)
     cache = build_cache(mesh)
     grid = default_radii_grid(mesh)
-    block_d_sq, peaks = diagnostics._block_d_sq, {}
+    d_sq_panels, peaks = diagnostics._d_sq_panels, {}
     for workers in (1, 2):
         scan_workers(workers)
         kappa_profile(mesh, cache, grid)    # starts the pool outside the trace
-        calls = []
 
-        def stall_first(*args):
-            calls.append(None)
-            if len(calls) == 1:
+        def stall_first(v_sq, I, J, *args):
+            if I.start == J.start == 0:
                 time.sleep(0.3)
-            return block_d_sq(*args)
+            return d_sq_panels(v_sq, I, J, *args)
 
-        monkeypatch.setattr(diagnostics, "_block_d_sq", stall_first)
+        monkeypatch.setattr(diagnostics, "_d_sq_panels", stall_first)
         tracemalloc.start()
         try:
             kappa_profile(mesh, cache, grid)
             peaks[workers] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(diagnostics, "_block_d_sq", block_d_sq)
-    one_block = 3 * KAPPA_BLOCK ** 2 * 8    # its d_sq, bins and weights
+        monkeypatch.setattr(diagnostics, "_d_sq_panels", d_sq_panels)
+    # a block's d_sq, bins and weights, as a pass without buffers holds them
+    one_block = 3 * KAPPA_BLOCK ** 2 * 8
     assert peaks[2] <= peaks[1] + one_block
 
 
@@ -380,7 +404,7 @@ def test_a_forked_child_scans_on_a_pool_of_its_own(helflow_env):
             "import helflow.diagnostics as d\n"
             "from helflow.geometry import build_cache\n"
             "from helflow.mesh import make_icosphere\n"
-            "d.KAPPA_WORKERS = 2\n"
+            "d.KAPPA_WORKERS, d.KAPPA_POOL_MIN_VERTICES = 2, 0\n"
             "mesh = make_icosphere(3, 1.0)\n"
             "cache = build_cache(mesh)\n"
             "parent = d.kappa(mesh, cache, 0.5)[0]\n"
