@@ -7,10 +7,12 @@ captures a reproducible run.
 
 Exit codes: 0 clean termination (converged / horizon), 2 singular termination
 (a scientific outcome, not a failure), 3 inconclusive termination
-(dt collapse / step budget), 10 configuration errors (usage errors and values
-out of the float range included), 11 IO errors, 12 solver failures (a remesh,
-a starting geometry in any command, blow-up diagnostics during a run, or a
-sphere ODE integration that fails).
+(dt collapse / step budget).  A command that fails raises a typed error, and
+``main`` alone turns it into an exit code by ``EXIT_CODES``: 11 IO failures,
+12 solver failures (a remesh, a starting geometry, blow-up diagnostics or a
+sphere ODE integration that fails), 10 configuration errors (usage errors
+and values out of the float range included).  Any other exception is a bug
+and keeps its traceback.
 """
 
 import argparse
@@ -51,6 +53,18 @@ class ConfigError(Exception):
     pass
 
 
+# (error classes, exit code, log label) in the order ``main`` checks them;
+# a RemeshError is also a MeshError, so the solver row comes first.  An
+# OverflowError comes from float ``**`` on a value derived from the inputs.
+EXIT_CODES = (
+    (OSError, EXIT_IO, "IO failure"),
+    ((RemeshError, FlowError, GeometryError, DiagnosticsError, SphereOdeError),
+     EXIT_SOLVER, "solver failure"),
+    ((ConfigError, MeshError, OverflowError), EXIT_CONFIG,
+     "configuration error"),
+)
+
+
 @dataclass
 class RunConfig:
     """Everything one flow run needs, parsed from a config file."""
@@ -82,7 +96,7 @@ class RunConfig:
 
 
 # config key -> (owning dataclass, field); a key left out takes the field's
-# default.  ``policy.remesh_min_angle_deg`` is parsed on its own.
+# default.
 CONFIG_FIELDS = {
     "params.c0": (FlowParams, "c0"),
     "params.lambda": (FlowParams, "lam"),
@@ -149,9 +163,6 @@ def build_run_config(raw: dict, config_dir: str = ".") -> RunConfig:
     kwargs = {FlowParams: {}, SteppingPolicy: {}, RunConfig: {}}
     try:
         for key, value in raw.items():
-            if key == "policy.remesh_min_angle_deg":   # not a field name
-                kwargs[SteppingPolicy]["remesh_min_angle"] = np.deg2rad(float(value))
-                continue
             if key not in CONFIG_FIELDS:
                 raise ConfigError(f"unrecognized config key {key!r}")
             if key == "mesh.path":   # relative to the config file's directory
@@ -274,16 +285,10 @@ def _write_frames(frames, out_dir: str):
 
 
 def cmd_flow(args) -> int:
-    try:
-        cfg = load_run_config(args.config, overrides=args.override)
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.frames is not None:
-            cfg.frames_enabled = args.frames == "on"
-        mesh = cfg.build_mesh()
-    except (ConfigError, MeshError) as exc:
-        logger.error("configuration error: %s", exc)
-        return EXIT_CONFIG
+    cfg = load_run_config(args.config, overrides=args.override)
+    if args.out is not None:
+        cfg.out_dir = args.out
+    mesh = cfg.build_mesh()
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_sink = CsvSink(os.path.join(cfg.out_dir, "series.csv"))
@@ -295,9 +300,6 @@ def cmd_flow(args) -> int:
 
     try:
         records, report = run_flow(mesh, cfg.params, cfg.policy, sinks=sinks)
-    except (FlowError, RemeshError, GeometryError, DiagnosticsError) as exc:
-        logger.error("solver failure: %s", exc)
-        return EXIT_SOLVER
     finally:
         csv_sink.close()
 
@@ -346,32 +348,23 @@ def cmd_flow(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _params_from_args(args) -> FlowParams | None:
-    """The ``--c0``/``--lambda`` flags as FlowParams; None (logged) if invalid."""
+def _params_from_args(args) -> FlowParams:
+    """The ``--c0``/``--lambda`` flags as FlowParams."""
     try:
         return FlowParams(args.c0, getattr(args, "lambda"))
     except ValueError as exc:
-        logger.error("bad parameters: %s", exc)
-        return None
+        raise ConfigError(f"bad parameters: {exc}") from exc
 
 
 def cmd_ode(args) -> int:
     params = _params_from_args(args)
-    if params is None:
-        return EXIT_CONFIG
     if not (0 < args.r0 < np.inf and 0 < args.horizon < np.inf):
-        logger.error("r0 and horizon must be positive and finite")
-        return EXIT_CONFIG
+        raise ConfigError("r0 and horizon must be positive and finite")
     if not MIN_RTOL <= args.rtol < 1:
-        logger.error("rtol must lie in [%.3g, 1)", MIN_RTOL)
-        return EXIT_CONFIG
+        raise ConfigError(f"rtol must lie in [{MIN_RTOL:.3g}, 1)")
     bounds = theory_bounds(params, e0=sphere_energy(args.r0, params))
-    try:
-        sol = integrate_sphere_ode(args.r0, params, horizon=args.horizon,
-                                   rtol=args.rtol)
-    except SphereOdeError as exc:
-        logger.error("solver failure: %s", exc)
-        return EXIT_SOLVER
+    sol = integrate_sphere_ode(args.r0, params, horizon=args.horizon,
+                               rtol=args.rtol)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "ode_series.csv"), "w",
               encoding="utf-8") as fh:
@@ -393,19 +386,9 @@ def cmd_ode(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    try:
-        mesh = load_mesh(args.mesh)
-    except MeshError as exc:
-        logger.error("cannot load mesh: %s", exc)
-        return EXIT_CONFIG
+    mesh = load_mesh(args.mesh)
     params = _params_from_args(args)
-    if params is None:
-        return EXIT_CONFIG
-    try:
-        cache = build_cache(mesh, params)
-    except GeometryError as exc:
-        logger.error("cannot assemble geometry: %s", exc)
-        return EXIT_SOLVER
+    cache = build_cache(mesh, params)
     payload = {
         "mesh": {"path": args.mesh, "n_vertices": mesh.n_vertices,
                  "n_faces": mesh.n_faces, "genus": mesh.genus,
@@ -438,29 +421,18 @@ def cmd_energy(args) -> int:
 
 def cmd_rescale(args) -> int:
     if not (0 < args.r < np.inf and np.all(np.isfinite(args.x))):
-        logger.error("need finite r > 0 and finite x, got r=%g x=%s", args.r, args.x)
-        return EXIT_CONFIG
-    try:
-        mesh = load_mesh(args.mesh)
-    except MeshError as exc:
-        logger.error("cannot load mesh: %s", exc)
-        return EXIT_CONFIG
+        raise ConfigError(
+            f"need finite r > 0 and finite x, got r={args.r:g} x={args.x}")
+    mesh = load_mesh(args.mesh)
     params = _params_from_args(args)
-    if params is None:
-        return EXIT_CONFIG
     x = np.asarray(args.x, dtype=np.float64)
+    rescaled = mesh.translated(-x).scaled(1.0 / args.r)
     try:
-        rescaled = mesh.translated(-x).scaled(1.0 / args.r)
         new_params = params.rescaled(args.r)
-    except (ValueError, MeshError) as exc:
-        logger.error("rescaling leaves the float range: %s", exc)
-        return EXIT_CONFIG
-    try:
-        e_orig = penalized_energy(build_cache(mesh), params)
-        e_new = penalized_energy(build_cache(rescaled), new_params)
-    except GeometryError as exc:
-        logger.error("cannot assemble geometry: %s", exc)
-        return EXIT_SOLVER
+    except ValueError as exc:
+        raise ConfigError(f"rescaling leaves the float range: {exc}") from exc
+    e_orig = penalized_energy(build_cache(mesh), params)
+    e_new = penalized_energy(build_cache(rescaled), new_params)
     out_path = args.out or (os.path.splitext(args.mesh)[0] + "_rescaled.off")
     save_mesh(rescaled, out_path)
     identity_dev = abs(e_new - e_orig) / max(abs(e_orig), 1e-300)
@@ -502,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory override")
     p.add_argument("--override", action="append", default=[],
                    metavar="KEY=VALUE", help="config override (repeatable)")
-    p.add_argument("--frames", choices=("on", "off"), default=None,
-                   help="force blow-up frame extraction on/off")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("ode", help="integrate the round-sphere radius ODE")
@@ -534,23 +504,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a typed failure is logged and exits by ``EXIT_CODES``."""
     try:
         args = build_parser().parse_args(argv)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        logging.basicConfig(
+            level=logging.WARNING if args.quiet else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
-    except OSError as exc:
-        logger.error("IO failure: %s", exc)
-        return EXIT_IO
-    except OverflowError as exc:   # from float **, where * would give inf
-        logger.error("a value derived from the inputs is out of range: %s", exc)
-        return EXIT_CONFIG
+    except Exception as exc:
+        for kinds, code, label in EXIT_CODES:
+            if isinstance(exc, kinds):
+                logger.error("%s: %s", label, exc)
+                return code
+        raise
 
 
 if __name__ == "__main__":

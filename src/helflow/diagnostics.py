@@ -196,6 +196,9 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
     """
     n, n_r = len(vertices), len(r_sq)
     v_sq = np.einsum("ij,ij->i", vertices, vertices)
+    # numpy sends ``A @ A.T`` to the slower BLAS syrk; a copy of the
+    # transpose keeps every block on gemm, with the same bits
+    vt = vertices.T.copy()
 
     if n_r == 1:
         def compute(I, J, g, panels):
@@ -249,7 +252,7 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
         block_buf, panel_buf = free.pop()
         try:
             g = _shaped(block_buf, I.stop - I.start, J.stop - J.start)
-            np.matmul(vertices[I], vertices[J].T, out=g)
+            np.matmul(vertices[I], vt[:, J], out=g)
             g *= 2.0
             return compute(I, J, g, _d_sq_panels(v_sq, I, J, g, panel_buf))
         finally:

@@ -301,14 +301,10 @@ def _analytic_variation(cache: GeometryCache, params: FlowParams, phi: np.ndarra
         return -float(np.sum(H * phi * a))
     if which == "volume":
         return -float(np.sum(phi * a))
-    c0 = params.c0
-    lap_H = (cache.laplacian @ H) / a
-    grad = 0.5 * (lap_H + cache.A0sq * (H - c0) + 0.5 * c0 * H * (H - c0))
-    helf = float(np.sum(grad * phi * a))
-    if which == "helfrich":
-        return helf
-    if which == "penalized":
-        return helf - 0.5 * params.lam * float(np.sum(H * phi * a))
+    if which in ("helfrich", "penalized"):
+        # the L2 gradient is -xi/2, so this checks the velocity the flow uses
+        p = FlowParams(params.c0) if which == "helfrich" else params
+        return -0.5 * float(np.sum(flow_velocity(cache, p) * phi * a))
     raise ValueError(f"unknown functional {which!r}; expected one of {_FUNCTIONALS}")
 
 

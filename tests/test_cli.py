@@ -19,11 +19,13 @@ from helflow.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_IO, EXIT_OK,
                          build_parser, build_run_config, load_run_config, main,
                          parse_config_text)
 from helflow.diagnostics import DiagnosticsError, SingularityClassification
-from helflow.flow import (CSV_COLUMNS, SteppingPolicy, TerminationReport,
-                          TimeSeriesRecord)
+from helflow.flow import (CSV_COLUMNS, FlowError, SolverError, SteppingPolicy,
+                          TerminationReport, TimeSeriesRecord)
 from helflow.geometry import FlowParams, GeometryError
-from helflow.mesh import load_mesh, make_icosphere, save_mesh
-from helflow.sphere_ode import TheoryBounds
+from helflow.mesh import (MeshError, MeshFormatError, load_mesh,
+                          make_icosphere, save_mesh)
+from helflow.remesh import RemeshError
+from helflow.sphere_ode import SphereOdeError, TheoryBounds
 
 BASE_CFG = """
 # shrinking-sphere run
@@ -77,10 +79,8 @@ def test_policy_keys_parse_by_field_type():
     for f in fields(SteppingPolicy):
         raw = dict(base, **{f"policy.{f.name}": str(f.default)})
         assert build_run_config(raw).policy == SteppingPolicy(), f.name
-    for key, value in (("remesh_min_angle_deg", "10"),
-                       ("time_horizon", "infinite")):
-        raw = dict(base, **{f"policy.{key}": value})
-        assert build_run_config(raw).policy == SteppingPolicy(), key
+    raw = dict(base, **{"policy.time_horizon": "infinite"})
+    assert build_run_config(raw).policy == SteppingPolicy()
 
 
 def test_unset_keys_take_the_field_defaults():
@@ -110,8 +110,7 @@ def _config_value(value):
 def test_readme_config_table_lists_every_key(tmp_path):
     documented = _readme_config_keys()
     assert len(documented) == len(set(documented))
-    assert set(documented) == set(cli.CONFIG_FIELDS) | {
-        "policy.remesh_min_angle_deg"}
+    assert set(documented) == set(cli.CONFIG_FIELDS)
     # every documented key parses; set to its field's default, it changes
     # nothing
     save_mesh(make_icosphere(1), tmp_path / "s.off")
@@ -123,13 +122,10 @@ def test_readme_config_table_lists_every_key(tmp_path):
             assert build_run_config(raw, str(tmp_path)).mesh_path == \
                 str(tmp_path / "s.off")
             continue
-        if key == "policy.remesh_min_angle_deg":
-            value = "10"
-        else:
-            owner, name = cli.CONFIG_FIELDS[key]
-            instance = {FlowParams: expected.params,
-                        SteppingPolicy: expected.policy}.get(owner, expected)
-            value = _config_value(getattr(instance, name))
+        owner, name = cli.CONFIG_FIELDS[key]
+        instance = {FlowParams: expected.params,
+                    SteppingPolicy: expected.policy}.get(owner, expected)
+        value = _config_value(getattr(instance, name))
         assert build_run_config(dict(base, **{key: value})) == expected, key
 
 
@@ -205,7 +201,7 @@ def test_flow_command_clean_run(tmp_path):
     cfg = write_cfg(tmp_path, text)
     out = str(tmp_path / "out2")
     code = main(["--quiet", "flow", "--config", cfg, "--out", out,
-                 "--frames", "off"])
+                 "--override", "diagnostics.frames=off"])
     assert code == EXIT_OK
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
@@ -245,7 +241,7 @@ def test_summary_agrees_with_series(tmp_path):
     # the run facts summary.json leaves out are read off series.csv
     out = tmp_path / "out"
     assert main(["--quiet", "flow", "--config", write_cfg(tmp_path),
-                 "--out", str(out), "--frames", "off",
+                 "--out", str(out), "--override", "diagnostics.frames=off",
                  "--override", "policy.max_steps=3"]) == EXIT_INCONCLUSIVE
     with open(out / "series.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -284,6 +280,10 @@ def test_flow_command_bad_config(tmp_path):
     "ode --c0 x --r0 1 --horizon 1 --out {out}",
     "ode --c0 -1 --horizon 1 --out {out}",
     "validate identities",
+    # one spelling per setting: these duplicated diagnostics.frames and
+    # policy.remesh_min_angle
+    "flow --config {cfg} --out {out} --frames off",
+    "flow --config {cfg} --out {out} --override policy.remesh_min_angle_deg=10",
     # values the parameters (or a number derived from them) cannot hold
     "ode --c0 1e200 --r0 1 --horizon 1 --out {out}",
     "ode --c0 -1 --r0 1e300 --horizon 1 --out {out}",
@@ -405,7 +405,8 @@ def test_csv_is_17_digit_round_trippable(tmp_path):
     cfg = write_cfg(tmp_path)
     out = str(tmp_path / "out3")
     main(["--quiet", "flow", "--config", cfg, "--out", out,
-          "--override", "policy.max_steps=3", "--frames", "off"])
+          "--override", "policy.max_steps=3",
+          "--override", "diagnostics.frames=off"])
     with open(os.path.join(out, "series.csv")) as fh:
         fh.readline()
         first = fh.readline().strip().split(",")
@@ -418,7 +419,8 @@ def test_csv_header_follows_record_fields(tmp_path):
     cfg = write_cfg(tmp_path)
     out = str(tmp_path / "out4")
     main(["--quiet", "flow", "--config", cfg, "--out", out,
-          "--override", "policy.max_steps=2", "--frames", "off"])
+          "--override", "policy.max_steps=2",
+          "--override", "diagnostics.frames=off"])
     with open(os.path.join(out, "series.csv")) as fh:
         header = fh.readline().strip().split(",")
     assert header == [f.name for f in fields(TimeSeriesRecord)]
@@ -432,7 +434,7 @@ def test_flow_command_overflowing_steps_end_cleanly(tmp_path, capfd):
     cfg = write_cfg(tmp_path, text)
     out = str(tmp_path / "out5")
     code = main(["--quiet", "flow", "--config", cfg, "--out", out,
-                 "--frames", "off"])
+                 "--override", "diagnostics.frames=off"])
     assert code == EXIT_INCONCLUSIVE
     captured = capfd.readouterr()
     assert "Traceback" not in captured.err + captured.out
@@ -448,7 +450,7 @@ def test_flow_command_failed_solves_end_cleanly(tmp_path, capfd, monkeypatch):
                                                "subdivisions = 2"))
     out = str(tmp_path / "out7")
     code = main(["--quiet", "flow", "--config", cfg, "--out", out,
-                 "--frames", "off"])
+                 "--override", "diagnostics.frames=off"])
     assert code == EXIT_INCONCLUSIVE
     captured = capfd.readouterr()
     assert "Traceback" not in captured.err + captured.out
@@ -458,27 +460,58 @@ def test_flow_command_failed_solves_end_cleanly(tmp_path, capfd, monkeypatch):
     assert termination["rejected_steps"] > 0
 
 
-def test_flow_command_maps_geometry_error_to_solver_exit(tmp_path, monkeypatch):
-    def failing_run_flow(*args, **kwargs):
-        raise GeometryError("cotangent weight overflow")
+# every typed error and the code it documents; RemeshError is a MeshError
+TYPED_ERROR_CODES = {
+    ConfigError: EXIT_CONFIG, MeshFormatError: EXIT_CONFIG,
+    MeshError: EXIT_CONFIG, OverflowError: EXIT_CONFIG, OSError: EXIT_IO,
+    RemeshError: EXIT_SOLVER, FlowError: EXIT_SOLVER, SolverError: EXIT_SOLVER,
+    GeometryError: EXIT_SOLVER, DiagnosticsError: EXIT_SOLVER,
+    SphereOdeError: EXIT_SOLVER,
+}
 
-    monkeypatch.setattr(cli, "run_flow", failing_run_flow)
-    cfg = write_cfg(tmp_path)
-    code = main(["--quiet", "flow", "--config", cfg,
-                 "--out", str(tmp_path / "out6")])
-    assert code == EXIT_SOLVER
+
+@pytest.mark.parametrize("site,command", [
+    pytest.param("run_flow", "flow --config {cfg} --out {out}", id="flow"),
+    pytest.param("build_cache", "energy {mesh} --c0 1", id="energy"),
+    pytest.param("build_cache", "rescale {mesh} --r 2 --c0 1 --out {out}.off",
+                 id="rescale"),
+    pytest.param("integrate_sphere_ode",
+                 "ode --c0 -1 --r0 1 --horizon 1 --out {out}", id="ode"),
+])
+def test_every_typed_error_maps_to_its_exit_code(tmp_path, capfd, monkeypatch,
+                                                 site, command):
+    # each error is raised where the command does its work
+    mesh_path = str(tmp_path / "s.off")
+    save_mesh(make_icosphere(1), mesh_path)
+    argv = ["--quiet", *command.format(cfg=write_cfg(tmp_path),
+                                       out=str(tmp_path / "out"),
+                                       mesh=mesh_path).split()]
+    for error, code in TYPED_ERROR_CODES.items():
+        monkeypatch.setattr(cli, site, _raising(error))
+        assert main(argv) == code, error.__name__
+        assert "Traceback" not in capfd.readouterr().err, error.__name__
+    # anything untyped is a bug and keeps its traceback
+    monkeypatch.setattr(cli, site, _raising(ValueError))
+    with pytest.raises(ValueError, match="injected"):
+        main(argv)
 
 
-def test_flow_command_maps_diagnostics_error_to_solver_exit(tmp_path,
-                                                          monkeypatch):
-    def failing_run_flow(*args, **kwargs):
-        raise DiagnosticsError("kappa_target exceeds total curvature energy")
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+    return fail
 
-    monkeypatch.setattr(cli, "run_flow", failing_run_flow)
-    cfg = write_cfg(tmp_path)
-    code = main(["--quiet", "flow", "--config", cfg,
-                 "--out", str(tmp_path / "out8")])
-    assert code == EXIT_SOLVER
+
+def test_readme_exit_codes_match_the_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    rows = {int(m.group(1)): m.group(2) for m in
+            re.finditer(r"^\| `(\d+)` \| (.*) \|$", section, re.M)}
+    assert set(rows) == {EXIT_OK, EXIT_SINGULAR, EXIT_INCONCLUSIVE} | {
+        code for _, code, _ in cli.EXIT_CODES}
+    for _, code, label in cli.EXIT_CODES:
+        assert rows[code].startswith(label), code
 
 
 @pytest.mark.parametrize("command", [
