@@ -6,9 +6,11 @@ can be recentered onto the surface at an O(h) radius cost).  The reported
 center is the lowest-index vertex among those whose ball sum lies within
 ``n eps sum(w)`` of the maximum (n vertices with weights ``w = |A|^2 dmu``),
 so centers that tie up to roundoff do not depend on the order in which the
-sums were formed.  A large scan computes its distance blocks on a small
-thread pool and adds them up in a fixed block order, so the number of
-threads moves no output bit.  Blow-up frames recenter and rescale a snapshot by
+sums were formed.  A radius grid bins each squared distance with a table
+lookup on the top bits of its IEEE bit pattern and a compare, which gives
+the bins of a binary search.  A large scan computes its distance blocks on
+a small thread pool and adds them up in a fixed block order, so the number
+of threads moves no output bit.  Blow-up frames recenter and rescale a snapshot by
 ``(f - x_j) / r_j``, transforming the flow parameters to
 ``(r_j c0, r_j^2 lam)``; the energy identity between the two is exact and is
 asserted on every extracted frame.
@@ -37,7 +39,10 @@ WILLMORE_TREND_SLACK = 1e-3 * FOUR_PI
 
 KAPPA_BLOCK = 256          # vertices per side of a distance block of the scan
 KAPPA_PANEL = 128          # rows of a block whose distances are formed at once
-KAPPA_STRIP = 32           # rows of a block binned by one searchsorted call
+# A bin table bucket is a key's top 16 bits: its sign, its 11 exponent bits
+# and 4 mantissa bits, so a bucket spans at most a factor 2^(1/16) in r^2.
+BUCKET_SHIFT = 48
+INT64_MAX = np.iinfo(np.int64).max
 KAPPA_MAX_WORKERS = 2      # scan threads at most: no more were measured
 KAPPA_WORKERS = min(KAPPA_MAX_WORKERS,
                     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -171,6 +176,55 @@ def _blocks_in_order(block, n: int):
         wait(futures)
 
 
+def _bin_table(r_key: np.ndarray):
+    """``(base, limits)``, the tables with which ``_digitize`` bins keys
+    against ``r_key``, a sorted array of at least one non-negative key.
+
+    A key's bucket is the key shifted right by ``BUCKET_SHIFT``.  ``base[b]``
+    counts the keys in buckets below ``b``, and ``limits[k, b]`` is the key
+    ``base[b] + k`` for ``k < k_max``, the most keys that one bucket holds,
+    or ``INT64_MAX`` past the last key.  The last entry of ``base`` stands
+    for every bucket from one past the last key's bucket up, where each key
+    lies below, so it starts ``k_max`` keys before the end and its limits
+    are all keys.
+    """
+    buckets = r_key >> BUCKET_SHIFT
+    base = np.bincount(buckets + 1)
+    np.cumsum(base, out=base)
+    k_max = int(np.unique(buckets, return_counts=True)[1].max())
+    base[-1] = len(r_key) - k_max
+    limits = base + np.arange(k_max)[:, None]
+    np.take(np.append(r_key, INT64_MAX), limits, out=limits, mode="clip")
+    return base, limits
+
+
+def _digitize(d_key, table, out, count):
+    """``out[...] = searchsorted(r_key, d_key, side="right")`` for the
+    ``table`` of ``_bin_table(r_key)``; ``count`` is scratch of ``d_key``'s
+    shape, of an integer type that holds ``k_max``.
+
+    A key's bin is the count of the keys in lower buckets plus the number of
+    its bucket's limits that it reaches: the keys of its own bucket are
+    sorted, and the keys after them lie above it.  A negative key (negative
+    roundoff, -0.0) has a negative bucket, which clips to bucket 0, and
+    reaches no limit, since every key is non-negative.  The indices of
+    ``mode="clip"`` are in range but for those negative buckets and the
+    buckets past the end of ``base``, so it also spares numpy a buffered
+    bounds check.
+    """
+    base, limits = table
+    for k, limit in enumerate(limits):
+        np.right_shift(d_key, BUCKET_SHIFT, out=out)
+        np.take(limit, out, out=out, mode="clip")
+        if k == 0:
+            np.greater_equal(d_key, out, out=count)
+        else:
+            count += d_key >= out
+    np.right_shift(d_key, BUCKET_SHIFT, out=out)
+    np.take(base, out, out=out, mode="clip")
+    out += count
+
+
 def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
                r_sq: np.ndarray) -> np.ndarray:
     """Weight sums over the open ball of every squared radius at every
@@ -186,13 +240,20 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
     terms in the same order as one pass over the whole block would, so no
     output depends on the number of workers.
 
-    A block's arrays that grow with it live in two buffers, one of a block
-    and one of a panel of ``KAPPA_PANEL`` rows, and a worker allocates only
-    strips of ``KAPPA_STRIP`` rows and the histograms.  The calling thread
-    allocates one pair of buffers per worker, so they go back to its heap
-    after the scan, where a worker thread's heap would keep them.  The pool
-    runs at most ``KAPPA_WORKERS`` blocks at once, so a pair is free
-    whenever a block starts.
+    A grid's bins come from ``_digitize``: a table lookup on the top bits
+    of each distance's bit pattern and one compare per key that a bucket
+    can hold, with the bins of a binary search.  So every sum adds the
+    same terms as when each distance was found in the grid by bisection.
+
+    A block's arrays that grow with it live in three buffers: one of a
+    block, one of a panel of ``KAPPA_PANEL`` rows, and the panel's compare
+    counts for ``_digitize``, one byte an entry.  A worker allocates only
+    the histograms, and a panel of compare results for each key past the
+    first that one bucket of the grid holds.  The calling thread allocates
+    one set of buffers per worker, so they go back to its heap after the
+    scan, where a worker thread's heap would keep them.  The pool runs at
+    most ``KAPPA_WORKERS`` blocks at once, so a set is free whenever a
+    block starts.
     """
     n, n_r = len(vertices), len(r_sq)
     v_sq = np.einsum("ij,ij->i", vertices, vertices)
@@ -201,21 +262,23 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
     vt = vertices.T.copy()
 
     if n_r == 1:
-        def compute(I, J, g, panels):
+        def compute(I, J, g, panels, count):
             # a panel's mask, 1.0 inside and 0.0 outside, replaces its g
             for P, d_sq in panels:
                 np.less(d_sq, r_sq[0], out=g[P])
             return g @ weights[J], (weights[I] @ g if I != J else None)
 
         acc = np.zeros(n)
+        count_type = bool      # unused: one radius needs no bins
     else:
         stride = n_r + 1
         # non-negative doubles order like their bit patterns and negative
         # ones view as negative integers, so integer compares give the same bins
-        r_key = r_sq.view(np.int64)
+        table = _bin_table(r_sq.view(np.int64))
         row_keys = np.arange(0, KAPPA_PANEL * stride, stride)[:, None]
+        count_type = np.min_scalar_type(len(table[1]))   # holds k_max
 
-        def compute(I, J, g, panels):
+        def compute(I, J, g, panels, count):
             # bin b: strictly inside radius k for all k >= b (strict d < r).
             # Key a * stride + b is bin b of row a, and the same for columns.
             # A panel's bins replace its g, and the repeated weights of each
@@ -226,17 +289,16 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
             col_keys = np.arange(0, m_j * stride, stride)
             for P, d_sq in panels:
                 bins = g[P].view(np.int64)
-                for a in range(0, len(bins), KAPPA_STRIP):
-                    bins[a:a + KAPPA_STRIP] = np.searchsorted(
-                        r_key, d_sq[a:a + KAPPA_STRIP].view(np.int64),
-                        side="right")
-                bins += row_keys[:len(bins)]
+                m_p = len(bins)
+                _digitize(d_sq.view(np.int64), table, bins,
+                          _shaped(count, m_p, m_j))
+                bins += row_keys[:m_p]
                 d_sq[:] = weights[J]
                 rows[P] = np.bincount(
                     bins.ravel(), weights=d_sq.ravel(),
-                    minlength=len(bins) * stride).reshape(-1, stride)
+                    minlength=m_p * stride).reshape(-1, stride)
                 if I != J:
-                    bins -= row_keys[:len(bins)]
+                    bins -= row_keys[:m_p]
                     bins += col_keys
                     d_sq[:] = weights[I][P, None]
                     np.add.at(cols, bins.ravel(), d_sq.ravel())
@@ -245,18 +307,21 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
         acc = np.zeros((n, stride))
 
     side = min(n, KAPPA_BLOCK)
-    free = deque((np.empty(side * side), np.empty(min(side, KAPPA_PANEL) * side))
+    panel = min(side, KAPPA_PANEL) * side
+    free = deque((np.empty(side * side), np.empty(panel),
+                  np.empty(panel, count_type))
                  for _ in range(KAPPA_WORKERS))
 
     def block(I, J):
-        block_buf, panel_buf = free.pop()
+        block_buf, panel_buf, count_buf = free.pop()
         try:
             g = _shaped(block_buf, I.stop - I.start, J.stop - J.start)
             np.matmul(vertices[I], vt[:, J], out=g)
             g *= 2.0
-            return compute(I, J, g, _d_sq_panels(v_sq, I, J, g, panel_buf))
+            return compute(I, J, g, _d_sq_panels(v_sq, I, J, g, panel_buf),
+                           count_buf)
         finally:
-            free.append((block_buf, panel_buf))
+            free.append((block_buf, panel_buf, count_buf))
 
     for I, J, (rows, cols) in _blocks_in_order(block, n):
         acc[I] += rows
