@@ -244,18 +244,69 @@ def _ball_sums_sequential(vertices, weights, r_sq):
     return acc[:, :1] if n_r == 1 else np.cumsum(acc[:, :n_r], axis=1)
 
 
+# grids of one key per bin table bucket (geom40), of 40 keys in one bucket
+# (dense), and of squares that collide at 0.0 and at inf
+SCAN_GRIDS = {"one": [0.3], "geom40": np.geomspace(1e-3, 3.0, 40),
+              "dense": np.linspace(1.0, 1.001, 40),
+              "squares_underflow": [1e-170, 2e-170, 0.5, 1.5],
+              "squares_overflow": [0.5, 1.5, 1e160, 1e170]}
+
+
 @pytest.mark.parametrize("case", list(POINT_CLOUD_SIZES))
-@pytest.mark.parametrize("radii", [[0.3], np.geomspace(1e-3, 3.0, 40)],
-                         ids=["one", "geom40"])
+@pytest.mark.parametrize("radii", list(SCAN_GRIDS.values()),
+                         ids=list(SCAN_GRIDS))
 def test_kappa_scan_is_independent_of_worker_count(case, radii, scan_workers):
     # the calling thread adds the blocks up in block order, so the number
-    # of workers cannot move a bit of any sum
+    # of workers cannot move a bit of any sum; the bins are those of a
+    # binary search into the grid however many keys share a table bucket
     vertices, weights = _scan_input(case)
-    r_sq = np.asarray(radii, dtype=np.float64) ** 2
+    with np.errstate(over="ignore"):
+        r_sq = np.asarray(radii, dtype=np.float64) ** 2
     expected = _ball_sums_sequential(vertices, weights, r_sq).tobytes()
     for workers in (1, 2, 3):
         scan_workers(workers)
         assert _ball_sums(vertices, weights, r_sq).tobytes() == expected
+
+
+@pytest.mark.parametrize("radii", [*SCAN_GRIDS.values(),
+                                   default_radii_grid(make_icosphere(4, 1.0)),
+                                   [1e-162, 1e-160, 1e-155, 1.0]],
+                         ids=[*SCAN_GRIDS, "default", "squares_subnormal"])
+def test_bin_table_gives_the_bins_of_a_binary_search(radii):
+    # every key the scan can meet: the grid's own keys and their neighbours
+    # on both sides, the edges of their table buckets, zeros of both signs,
+    # negative roundoff, subnormals, infinities, NaNs of both signs (the
+    # last with every payload bit set) and random bit patterns
+    with np.errstate(over="ignore"):
+        r_sq = np.asarray(radii, dtype=np.float64) ** 2
+    r_key = r_sq.view(np.int64)
+    table = diagnostics._bin_table(r_key)
+    bucket = r_key >> diagnostics.BUCKET_SHIFT
+    edges = np.concatenate([bucket, bucket + 1]) << diagnostics.BUCKET_SHIFT
+    tiny = np.finfo(np.float64).smallest_subnormal
+    d = np.concatenate([
+        r_sq, np.nextafter(r_sq, -np.inf), np.nextafter(r_sq, np.inf),
+        edges.view(np.float64), (edges - 1).view(np.float64),
+        [0.0, -0.0, -tiny, -1e-300, -1e-16, tiny, 2 * tiny,
+         np.finfo(np.float64).tiny, np.finfo(np.float64).max,
+         np.inf, -np.inf, np.nan, -np.nan],
+        np.array([np.iinfo(np.int64).max]).view(np.float64),
+        np.random.default_rng(0).integers(
+            np.iinfo(np.int64).min, np.iinfo(np.int64).max, 4096,
+            endpoint=True).view(np.float64)])
+    d_key = d.view(np.int64)
+    bins = np.empty(len(d_key), np.int64)
+    count = np.empty(len(d_key), np.min_scalar_type(len(table[1])))
+    diagnostics._digitize(d_key, table, bins, count)
+    assert bins.tolist() == np.searchsorted(r_key, d_key, side="right").tolist()
+
+
+def test_bin_table_compares_once_per_key_of_the_fullest_bucket():
+    grids = {1: default_radii_grid(make_icosphere(4, 1.0)) ** 2,
+             40: np.linspace(1.0, 1.001, 40) ** 2, 2: [0.0, 0.0, 1.0]}
+    for k_max, r_sq in grids.items():
+        r_key = np.asarray(r_sq, dtype=np.float64).view(np.int64)
+        assert len(diagnostics._bin_table(r_key)[1]) == k_max
 
 
 def test_only_large_scans_start_the_pool(ico3, ico4, ico4_cache,
