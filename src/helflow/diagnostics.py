@@ -240,6 +240,10 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
     terms in the same order as one pass over the whole block would, so no
     output depends on the number of workers.
 
+    Distances are formed from coordinates about the midpoint of the
+    bounding box: about the origin, the cancellation in
+    ``|v_i|^2 + |v_j|^2 - 2 v_i.v_j`` cost a mesh far from it every digit.
+
     A grid's bins come from ``_digitize``: a table lookup on the top bits
     of each distance's bit pattern and one compare per key that a bucket
     can hold, with the bins of a binary search.  So every sum adds the
@@ -256,6 +260,7 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
     block starts.
     """
     n, n_r = len(vertices), len(r_sq)
+    vertices = vertices - (vertices.min(axis=0) + vertices.max(axis=0)) / 2
     v_sq = np.einsum("ij,ij->i", vertices, vertices)
     # numpy sends ``A @ A.T`` to the slower BLAS syrk; a copy of the
     # transpose keeps every block on gemm, with the same bits

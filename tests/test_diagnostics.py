@@ -97,10 +97,16 @@ def test_kappa_rejects_non_finite_radius(bad):
             kappa_profile(mesh, cache, grid)
 
 
+def _about_midpoint(vertices):
+    """The scan's coordinates: about the midpoint of the bounding box."""
+    return vertices - (vertices.min(axis=0) + vertices.max(axis=0)) / 2
+
+
 def _ball_sums_reference(vertices, weights, radii):
     """Per-center ball sums, row by row, with the scan's squared-distance
     formula and no use of symmetry: shape (n, len(radii))."""
     r_sq = np.asarray(radii, dtype=np.float64) ** 2
+    vertices = _about_midpoint(vertices)
     v_sq = np.einsum("ij,ij->i", vertices, vertices)
     vals = np.empty((len(vertices), len(r_sq)))
     for i in range(len(vertices)):
@@ -155,6 +161,21 @@ def test_kappa_scan_matches_reference(case, radii):
     expected = [int(np.flatnonzero(ref[:, k] >= best[k] - tol)[0])
                 for k in range(len(best))]
     assert got_center.tolist() == expected
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e7, 1e8])
+def test_kappa_scan_is_translation_invariant(offset):
+    # |v_i|^2 + |v_j|^2 - 2 v_i.v_j about the origin lost every digit of a
+    # unit-sized mesh at 1e7 and moved centers across the mesh at 1e6
+    mesh = perturbed_sphere(1, 3, 0.05)
+    cache = build_cache(mesh)
+    weights = cache.Asq * cache.vertex_areas
+    grid = default_radii_grid(mesh)
+    vals, centers = _kappa_scan(mesh.vertices, weights, grid)
+    moved = mesh.vertices + offset * np.array([1.0, -0.5, 0.25])
+    vals_moved, centers_moved = _kappa_scan(moved, weights, grid)
+    assert np.allclose(vals_moved, vals, rtol=1e-12, atol=0)
+    assert centers_moved.tolist() == centers.tolist()
 
 
 def _vertex_index(mesh, point):
@@ -221,6 +242,7 @@ def _ball_sums_sequential(vertices, weights, r_sq):
     thread, each sum in the scan's order: blocks row-major with J >= I, and
     within a block's histograms rows and columns in index order."""
     n, n_r = len(vertices), len(r_sq)
+    vertices = _about_midpoint(vertices)
     v_sq = np.einsum("ij,ij->i", vertices, vertices)
     acc = np.zeros((n, n_r + 1))
     for i0 in range(0, n, KAPPA_BLOCK):
