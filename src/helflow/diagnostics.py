@@ -42,7 +42,6 @@ KAPPA_PANEL = 128          # rows of a block whose distances are formed at once
 # A bin table bucket is a key's top 16 bits: its sign, its 11 exponent bits
 # and 4 mantissa bits, so a bucket spans at most a factor 2^(1/16) in r^2.
 BUCKET_SHIFT = 48
-INT64_MAX = np.iinfo(np.int64).max
 KAPPA_MAX_WORKERS = 2      # scan threads at most: no more were measured
 KAPPA_WORKERS = min(KAPPA_MAX_WORKERS,
                     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -183,7 +182,7 @@ def _bin_table(r_key: np.ndarray):
     A key's bucket is the key shifted right by ``BUCKET_SHIFT``.  ``base[b]``
     counts the keys in buckets below ``b``, and ``limits[k, b]`` is the key
     ``base[b] + k`` for ``k < k_max``, the most keys that one bucket holds,
-    or ``INT64_MAX`` past the last key.  The last entry of ``base`` stands
+    or the largest int64 past the last key.  The last entry of ``base`` stands
     for every bucket from one past the last key's bucket up, where each key
     lies below, so it starts ``k_max`` keys before the end and its limits
     are all keys.
@@ -194,7 +193,8 @@ def _bin_table(r_key: np.ndarray):
     k_max = int(np.unique(buckets, return_counts=True)[1].max())
     base[-1] = len(r_key) - k_max
     limits = base + np.arange(k_max)[:, None]
-    np.take(np.append(r_key, INT64_MAX), limits, out=limits, mode="clip")
+    padded = np.append(r_key, np.iinfo(np.int64).max)
+    np.take(padded, limits, out=limits, mode="clip")
     return base, limits
 
 
@@ -206,11 +206,11 @@ def _digitize(d_key, table, out, count):
     A key's bin is the count of the keys in lower buckets plus the number of
     its bucket's limits that it reaches: the keys of its own bucket are
     sorted, and the keys after them lie above it.  A negative key (negative
-    roundoff, -0.0) has a negative bucket, which clips to bucket 0, and
-    reaches no limit, since every key is non-negative.  The indices of
-    ``mode="clip"`` are in range but for those negative buckets and the
-    buckets past the end of ``base``, so it also spares numpy a buffered
-    bounds check.
+    roundoff, -0.0) has a negative bucket, which ``mode="clip"`` sends to
+    bucket 0, and reaches no limit, since every key is non-negative; a
+    bucket past the end of the tables goes to their last entry.  ``np.take``
+    reads each index before it writes that entry, so ``out`` serves as its
+    own indices.
     """
     base, limits = table
     for k, limit in enumerate(limits):
@@ -294,16 +294,15 @@ def _ball_sums(vertices: np.ndarray, weights: np.ndarray,
             col_keys = np.arange(0, m_j * stride, stride)
             for P, d_sq in panels:
                 bins = g[P].view(np.int64)
-                m_p = len(bins)
                 _digitize(d_sq.view(np.int64), table, bins,
-                          _shaped(count, m_p, m_j))
-                bins += row_keys[:m_p]
+                          _shaped(count, *bins.shape))
+                bins += row_keys[:len(bins)]
                 d_sq[:] = weights[J]
                 rows[P] = np.bincount(
                     bins.ravel(), weights=d_sq.ravel(),
-                    minlength=m_p * stride).reshape(-1, stride)
+                    minlength=len(bins) * stride).reshape(-1, stride)
                 if I != J:
-                    bins -= row_keys[:m_p]
+                    bins -= row_keys[:len(bins)]
                     bins += col_keys
                     d_sq[:] = weights[I][P, None]
                     np.add.at(cols, bins.ravel(), d_sq.ravel())
