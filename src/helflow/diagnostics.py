@@ -200,8 +200,8 @@ def _bin_table(r_key: np.ndarray):
 
 def _digitize(d_key, table, out, count):
     """``out[...] = searchsorted(r_key, d_key, side="right")`` for the
-    ``table`` of ``_bin_table(r_key)``; ``count`` is scratch of ``d_key``'s
-    shape, of an integer type that holds ``k_max``.
+    ``table`` of ``_bin_table(r_key)``; ``count`` is a work buffer of
+    ``d_key``'s shape, of an integer type that holds ``k_max``.
 
     A key's bin is the count of the keys in lower buckets plus the number of
     its bucket's limits that it reaches: the keys of its own bucket are
