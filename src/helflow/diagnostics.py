@@ -363,8 +363,8 @@ def _kappa_scan(vertices: np.ndarray, weights: np.ndarray, radii: np.ndarray):
 
 def kappa(mesh: TriangleMesh, cache: GeometryCache, r: float):
     """Concentration of curvature at radius r: value and argmax center."""
-    if not (np.isfinite(r) and r > 0):
-        raise DiagnosticsError("radius must be finite and positive")
+    if not (np.isfinite(r) and r > 0 and r * r > 0):
+        raise DiagnosticsError("radius must be finite and its square positive")
     weights = cache.Asq * cache.vertex_areas
     vals, idx = _kappa_scan(mesh.vertices, weights, np.array([r]))
     return float(vals[0]), np.array(mesh.vertices[idx[0]])
@@ -380,8 +380,8 @@ def kappa_profile(mesh: TriangleMesh, cache: GeometryCache, radii,
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or len(radii) < 1 or np.any(np.diff(radii) <= 0):
         raise DiagnosticsError("radii must be a strictly increasing grid")
-    if not (np.all(np.isfinite(radii)) and radii[0] > 0):
-        raise DiagnosticsError("radii must be finite and positive")
+    if not (np.all(np.isfinite(radii)) and radii[0] > 0 and radii[0] ** 2 > 0):
+        raise DiagnosticsError("radii must be finite and their squares positive")
     weights = cache.Asq * cache.vertex_areas
     vals, idx = _kappa_scan(mesh.vertices, weights, radii)
     slack = 1e-12 * max(float(vals[-1]), 1.0)

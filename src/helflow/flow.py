@@ -10,8 +10,8 @@ treated implicitly in stabilized (add-subtract) form,
 
 with M the diagonal mixed-area mass matrix and L the cotangent operator; all
 curvature (lower-order) terms stay explicit.  The update is the real part of
-one complex-shifted solve by COCG (:class:`ImplicitSolver`), one complex
-sparse product per iteration; a solve that fails rejects the step.  dt is
+one complex-shifted solve, by one COCG on the stacked coordinates
+(:class:`ImplicitSolver`); a solve that fails rejects the step.  dt is
 capped by ``curvature_dt_coeff / (sup |A|^2)^2``, which tracks the physical
 r^4 stiffness scale, so shrinking surfaces remain time-accurate.
 
@@ -177,12 +177,14 @@ class ImplicitSolver:
     so ``delta = Re[(M + i s L)^-1 b]``, a complex-symmetric system with
     about the square root of the condition number.  COCG (van der Vorst &
     Melissen, IEEE Trans. Magn. 26 (1990) 706), Jacobi-preconditioned by
-    ``1/(a + i s L_ii)``, solves it on the rows of a complex ``(3, n)`` array,
-    one product with :func:`shifted_block` per iteration.  A row stops once
-    the real residual ``Re r + s L M^-1 Im r`` of its complex residual ``r``
-    is within ``CG_RTOL |b|``.  A breakdown, ``CG_MAXITER`` or non-finite
-    positions raise :class:`SolverError`.  The solve is a pure function of
-    the state; ``sqrt`` is exact under parabolic rescaling by powers of two.
+    ``1/(a + i s L_ii)``, solves the stacked system ``diag(A, A, A)`` on a
+    complex ``(3, n)`` array, one product with :func:`shifted_block` and one
+    step length per iteration.  It stops once, at one iterate, every row's
+    real residual ``Re r + s L M^-1 Im r`` is within ``CG_RTOL |b|`` of that
+    row.  A breakdown, ``CG_MAXITER`` or non-finite positions raise
+    :class:`SolverError`.  The solve is a pure function of the state at any
+    BLAS thread count; ``sqrt`` is exact under parabolic rescaling by powers
+    of two.
     """
 
     def solve(self, vertices: np.ndarray, areas: np.ndarray,
@@ -201,47 +203,47 @@ class ImplicitSolver:
         return out
 
     def _cocg(self, apply, real_residual, diagonal, rhs):
-        """``Re[A^-1 rhs]`` for complex-symmetric ``A``, rows in lockstep; the
-        iterates are updated in place, in buffers made once per solve."""
+        """``Re[A^-1 rhs]`` for complex-symmetric ``A``, one COCG on all rows
+        stacked; the iterates are updated in place, in buffers made once."""
         inv_diag = 1.0 / diagonal
         tol_sq = (CG_RTOL ** 2) * np.einsum("ij,ij->i", rhs, rhs)
-        check_sq = tol_sq.copy()    # negative once a row has stopped
+        check_sq = tol_sq.copy()
         x = np.zeros(rhs.shape, dtype=np.complex128)
         r = rhs.astype(np.complex128)
         r_flat = r.view(np.float64)
         z = inv_diag * r
         p, scratch = z.copy(), np.empty_like(z)
-        # per-row scalars are Python numbers, cheaper than numpy on three
-        rho = np.einsum("ij,ij->i", r, z).tolist()
+        rho = _dot(r, z)
         for _ in range(CG_MAXITER):
             r_sq = np.einsum("ij,ij->i", r_flat, r_flat)
-            near = np.flatnonzero(r_sq <= check_sq)
-            if len(near):
+            if (r_sq <= check_sq).all():
                 res = real_residual(r)
                 real_sq = np.einsum("ij,ij->i", res, res)
-                # recheck a failed row once |r| falls by its real/complex ratio
-                for k in near:
-                    check_sq[k] = (-1.0 if real_sq[k] <= tol_sq[k]
-                                   else r_sq[k] * tol_sq[k] / real_sq[k])
-                if np.all(check_sq < 0):
+                failed = real_sq > tol_sq
+                if not failed.any():
                     return x.real
-            active = (check_sq >= 0).tolist()
+                # recheck a failed row once |r| falls by its real/complex ratio
+                check_sq[failed] = (r_sq * tol_sq)[failed] / real_sq[failed]
             q = apply(p)
-            mu = np.einsum("ij,ij->i", p, q).tolist()
-            if any(a and (m == 0 or c == 0 or not cmath.isfinite(m))
-                   for a, m, c in zip(active, mu, rho)):
+            mu = _dot(p, q)
+            if mu == 0 or rho == 0 or not cmath.isfinite(mu):
                 raise SolverError("COCG broke down")
-            alpha = np.array([c / m if a else 0j
-                              for a, m, c in zip(active, mu, rho)])[:, None]
+            alpha = rho / mu
             x += np.multiply(alpha, p, out=scratch)
             r -= np.multiply(alpha, q, out=scratch)
             np.multiply(inv_diag, r, out=z)
-            rho_new = np.einsum("ij,ij->i", r, z).tolist()
-            p *= np.array([c1 / c0 if a else 0j for a, c1, c0
-                           in zip(active, rho_new, rho)])[:, None]
+            rho, rho_old = _dot(r, z), rho
+            p *= rho / rho_old
             p += z
-            rho = rho_new
         raise SolverError(f"COCG did not converge in {CG_MAXITER} iterations")
+
+
+def _dot(u, v) -> complex:
+    """Unconjugated ``u . v`` in pieces of 8192: OpenBLAS threads a complex
+    dot product over 10000 entries, and its bits then vary with the threads."""
+    u, v = u.ravel(), v.ravel()
+    return sum(complex(np.dot(u[k:k + 8192], v[k:k + 8192]))
+               for k in range(0, len(u), 8192))
 
 
 def shifted_block(areas, laplacian, s, pattern) -> sparse.csr_matrix:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .mesh import FaceGeometry, TriangleMesh, signed_volume
+from .mesh import FaceGeometry, TriangleMesh, row_norms, signed_volume
 
 __all__ = [
     "FlowParams", "GeometryCache", "GeometryError", "build_cache",
@@ -151,11 +151,11 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
     # every corner of a face carries the face's area vector
     nu = np.column_stack([to_vertices(np.tile(c, 3)) for c in fg.cross.T])
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(nu, axis=1)
+        norms = row_norms(nu)
     big = ~np.isfinite(norms)
     if np.any(big):   # squares past the float range: scale those rows first
         s = np.abs(nu[big]).max(axis=1)
-        norms[big] = s * np.linalg.norm(nu[big] / s[:, None], axis=1)
+        norms[big] = s * row_norms(nu[big] / s[:, None])
     if np.any(norms == 0):
         raise GeometryError("zero area-weighted normal at a vertex")
     nu /= norms[:, None]
@@ -204,7 +204,7 @@ def _energy_roundoff(L: sparse.csr_matrix, vertices: np.ndarray,
     """
     abs_L = sparse.csr_matrix((np.abs(L.data), L.indices, L.indptr),
                               shape=L.shape)
-    s = abs_L @ np.linalg.norm(vertices, axis=1)
+    s = abs_L @ row_norms(vertices)
     eps = np.finfo(np.float64).eps
     return float(0.5 * eps * np.sum(np.abs(d) * s)
                  + 0.25 * eps * eps * np.sum(s * s / a))

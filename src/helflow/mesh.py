@@ -438,6 +438,11 @@ class TriangleMesh:
 # ---------------------------------------------------------------------------
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` for a last axis of 3, same bits, faster."""
+    return np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
+
+
 class FaceGeometry:
     """Per-face quantities of one mesh state.
 
@@ -454,7 +459,7 @@ class FaceGeometry:
         v0, v1, v2 = mesh.face_corners()
         e1, e2 = v0 - v2, v1 - v0
         self.cross = np.cross(e2, -e1)
-        self.cross_norm = np.linalg.norm(self.cross, axis=1)
+        self.cross_norm = row_norms(self.cross)
 
     @cached_property
     def _corner_terms(self):

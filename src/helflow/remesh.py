@@ -36,7 +36,8 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .geometry import build_cache
-from .mesh import DegenerateFaceError, MeshError, Topology, TriangleMesh
+from .mesh import (DegenerateFaceError, MeshError, Topology, TriangleMesh,
+                   row_norms)
 
 logger = logging.getLogger(__name__)
 
@@ -180,13 +181,12 @@ class MeshProjector:
         self._vertex_faces = mesh.topology.vertex_faces
         a, b, c = mesh.face_corners()
         self._centroid = (a + b + c) / 3.0
-        self._radius = np.linalg.norm(
-            np.stack([a, b, c]) - self._centroid, axis=2).max(axis=0)
+        self._radius = row_norms(np.stack([a, b, c]) - self._centroid).max(axis=0)
         fg = mesh.face_geometry()
         with np.errstate(divide="ignore", invalid="ignore"):
             aspect = fg.edge_sq.max(axis=1) / fg.cross_norm
         self._slack = PRUNE_SLACK * aspect**2
-        self._reach = self._radius + np.linalg.norm(self._centroid, axis=1)
+        self._reach = self._radius + row_norms(self._centroid)
 
     def _candidate_faces(self, nearest_vertices: np.ndarray):
         """Candidate faces of each query outside its star, one row per query.
@@ -212,7 +212,7 @@ class MeshProjector:
         v = self.mesh.vertices
         cp = closest_point_on_triangles(
             points, *(np.take(v, tri[:, k], axis=0) for k in range(3)))
-        return cp, np.linalg.norm(cp - points, axis=1)
+        return cp, row_norms(cp - points)
 
     def _near(self, points: np.ndarray):
         """Each query's nearest vertices and its star's best: the closest
@@ -242,8 +242,8 @@ class MeshProjector:
         cand, keep = self._candidate_faces(near)
         star_cp, bound, star_face = star
         rows, faces = np.nonzero(keep)[0], cand[keep]
-        dq = np.linalg.norm(np.take(points, rows, axis=0)
-                            - np.take(self._centroid, faces, axis=0), axis=1)
+        dq = row_norms(np.take(points, rows, axis=0)
+                       - np.take(self._centroid, faces, axis=0))
         keep[keep] = ~(dq - self._radius[faces] > bound[rows]
                        + self._slack[faces] * (dq + self._reach[faces]))
         cp, d = self._closest(points[np.nonzero(keep)[0]], cand[keep])
@@ -347,8 +347,7 @@ def _edge_corners(f: np.ndarray):
 
 def _lengths(v: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Length of every edge of ``e``."""
-    return np.linalg.norm(np.take(v, e[:, 0], axis=0)
-                          - np.take(v, e[:, 1], axis=0), axis=1)
+    return row_norms(np.take(v, e[:, 0], axis=0) - np.take(v, e[:, 1], axis=0))
 
 
 def _local(t: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -460,7 +459,7 @@ def _collapse_pass(v: np.ndarray, f: np.ndarray, t: np.ndarray):
         common = _found(keys, b[owner[of_a]].astype(np.int64) << 32 | ring[of_a])
         opposite = topo.corner_vertex[corners[cand]]
         mid = 0.5 * (v[a] + v[b])
-        far = (np.linalg.norm(mid[owner] - np.take(v, ring, axis=0), axis=1)
+        far = (row_norms(mid[owner] - np.take(v, ring, axis=0))
                > SPLIT_RATIO * local[cand][owner])
         ok = ((np.bincount(owner[of_a][common], minlength=len(cand)) == 2)
               & (valence[opposite] > 3).all(axis=1)
@@ -510,7 +509,7 @@ def _flip_pass(v: np.ndarray, f: np.ndarray):
         # normals of (p, d, c), (d, q, c) and of the old pair, summed
         nrm = np.stack([np.cross(D - P, C - P), np.cross(Q - D, C - D),
                         np.cross(Q - P, C - P) + np.cross(P - Q, D - Q)])
-        safe = ((np.linalg.norm(nrm, axis=2) >= 1e-14).all(axis=0)
+        safe = ((row_norms(nrm) >= 1e-14).all(axis=0)
                 & (np.einsum("kij,kij->ki", nrm[[0, 1, 0]], nrm[[2, 2, 1]]) > 0)
                 .all(axis=0))
         cand = cand[safe]

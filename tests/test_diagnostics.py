@@ -48,8 +48,9 @@ def test_kappa_cap_formula(sphere5):
 
 
 def test_kappa_requires_positive_radius(ico4, ico4_cache):
-    with pytest.raises(DiagnosticsError):
-        kappa(ico4, ico4_cache, 0.0)
+    for r in (0.0, -0.5):
+        with pytest.raises(DiagnosticsError):
+            kappa(ico4, ico4_cache, r)
 
 
 def test_kappa_positive_with_vertex_centers(ico4, ico4_cache):
@@ -95,6 +96,17 @@ def test_kappa_rejects_non_finite_radius(bad):
     for grid in ([0.5, bad, 1.0], [0.5, 1.0, bad]):
         with pytest.raises(DiagnosticsError):
             kappa_profile(mesh, cache, grid)
+
+
+def test_kappa_rejects_radius_whose_square_underflows():
+    # r^2 = 0.0 below about 1.5e-162: the open ball d^2 < r^2 would hold
+    # its center or not by the sign of the roundoff in its zero distance
+    mesh = make_icosphere(2, 1.0)
+    cache = build_cache(mesh)
+    with pytest.raises(DiagnosticsError, match="square positive"):
+        kappa(mesh, cache, 1e-170)
+    with pytest.raises(DiagnosticsError, match="squares positive"):
+        kappa_profile(mesh, cache, [1e-170, 0.5, 1.0])
 
 
 def _about_midpoint(vertices):

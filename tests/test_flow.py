@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -534,7 +536,7 @@ def test_cocg_product_counts_are_pinned(monkeypatch):
     for dt in (1e-5, 1e-4, 1e-3, 5e-3, 1e-2):
         fl.ImplicitSolver().solve(mesh.vertices, cache.vertex_areas,
                                   cache.laplacian, dt, velocity, pattern)
-    assert counts == [14, 26, 46, 66, 72]
+    assert counts == [14, 25, 46, 65, 75]
 
 
 def test_complex_shift_identity():
@@ -549,10 +551,11 @@ def test_complex_shift_identity():
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
-def _assert_meets_residual_contract(mesh, params, dt):
+def _assert_meets_residual_contract(mesh, params, dt, scales=(1.0, 1.0, 1.0)):
     cache = build_cache(mesh, params)
     a, L = cache.vertex_areas, cache.laplacian
-    velocity = flow_velocity(cache, params)[:, None] * cache.normals
+    velocity = (flow_velocity(cache, params)[:, None] * cache.normals
+                * np.asarray(scales))
     delta = fl.ImplicitSolver().solve(
         np.zeros_like(velocity), a, L, dt, velocity,
         mesh.topology.laplacian_pattern(mesh.n_vertices))
@@ -561,13 +564,21 @@ def _assert_meets_residual_contract(mesh, params, dt):
     assert np.abs(delta).max() > 0
     assert np.all(np.linalg.norm(residual, axis=0)
                   <= fl.CG_RTOL * np.linalg.norm(b, axis=0))
+    # a coordinate with no right-hand side does not move at all
+    assert np.all(delta[:, np.asarray(scales) == 0] == 0)
 
 
 @SOLVER_MESHES
 @pytest.mark.parametrize("dt", [1e-6, 1e-3])
-def test_solve_meets_residual_contract_of_assembled_system(make_mesh, dt):
-    # per coordinate, |b - (M + dt L M^-1 L) delta| <= CG_RTOL |b|
-    _assert_meets_residual_contract(make_mesh(), FlowParams(1.0, 0.5), dt)
+@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (1.0, 1e-3, 1e-8),
+                                    (1e-8, 0.0, 1.0)],
+                         ids=["equal", "graded", "zero-row"])
+def test_solve_meets_residual_contract_of_assembled_system(make_mesh, dt,
+                                                           scales):
+    # per coordinate, |b - (M + dt L M^-1 L) delta| <= CG_RTOL |b|, also
+    # where one step length serves rows whose sizes differ by 1e8
+    _assert_meets_residual_contract(make_mesh(), FlowParams(1.0, 0.5), dt,
+                                    scales)
 
 
 def test_ico5_solve_converges_at_flow_dt():
@@ -575,6 +586,28 @@ def test_ico5_solve_converges_at_flow_dt():
     # system M + dt L M^-1 L does not converge here within CG_MAXITER
     _assert_meets_residual_contract(perturbed_sphere(1, 5, 0.05),
                                     FlowParams(1.0, 0.5), 5e-3)
+
+
+def test_ico5_solve_is_independent_of_blas_threads(helflow_env):
+    # OpenBLAS splits a long dot product over its threads, which would
+    # change the sums' order with the thread count
+    code = ("import hashlib\n"
+            "import helflow.flow as fl\n"
+            "from helflow.geometry import FlowParams, build_cache, flow_velocity\n"
+            "from helflow.validate import perturbed_sphere\n"
+            "mesh, params = perturbed_sphere(1, 5, 0.05), FlowParams(1.0, 0.5)\n"
+            "cache = build_cache(mesh, params)\n"
+            "velocity = flow_velocity(cache, params)[:, None] * cache.normals\n"
+            "out = fl.ImplicitSolver().solve(\n"
+            "    mesh.vertices, cache.vertex_areas, cache.laplacian, 5e-3,\n"
+            "    velocity, mesh.topology.laplacian_pattern(mesh.n_vertices))\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())")
+    digests = {subprocess.run([sys.executable, "-c", code],
+                              env=dict(helflow_env, OPENBLAS_NUM_THREADS=k),
+                              check=True, capture_output=True, text=True,
+                              timeout=120).stdout.strip()
+               for k in ("1", "2")}
+    assert len(digests) == 1
 
 
 def test_solver_breakdown_raises():
