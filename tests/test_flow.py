@@ -570,13 +570,19 @@ def _assert_meets_residual_contract(mesh, params, dt, scales=(1.0, 1.0, 1.0)):
 
 @SOLVER_MESHES
 @pytest.mark.parametrize("dt", [1e-6, 1e-3])
-@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (1.0, 1e-3, 1e-8),
-                                    (1e-8, 0.0, 1.0)],
-                         ids=["equal", "graded", "zero-row"])
-def test_solve_meets_residual_contract_of_assembled_system(make_mesh, dt,
-                                                           scales):
-    # per coordinate, |b - (M + dt L M^-1 L) delta| <= CG_RTOL |b|, also
-    # where one step length serves rows whose sizes differ by 1e8
+def test_solve_meets_residual_contract_of_assembled_system(make_mesh, dt):
+    # per coordinate, |b - (M + dt L M^-1 L) delta| <= CG_RTOL |b|
+    _assert_meets_residual_contract(make_mesh(), FlowParams(1.0, 0.5), dt)
+
+
+@SOLVER_MESHES
+@pytest.mark.parametrize("dt", [1e-6, 1e-3])
+@pytest.mark.parametrize("scales", [(1.0, 1e-3, 1e-8), (1e-8, 0.0, 1.0)],
+                         ids=["graded", "zero-row"])
+def test_solve_meets_residual_contract_on_rows_of_unequal_size(make_mesh, dt,
+                                                               scales):
+    # one step length serves rows whose sizes differ by up to 1e8, and each
+    # must still meet its own test
     _assert_meets_residual_contract(make_mesh(), FlowParams(1.0, 0.5), dt,
                                     scales)
 
