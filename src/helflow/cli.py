@@ -34,8 +34,9 @@ from .geometry import (FlowParams, GeometryError, build_cache,
                        penalized_energy, willmore_bound_residual)
 from .mesh import MeshError, TriangleMesh, load_mesh, make_icosphere, save_mesh
 from .remesh import RemeshError
-from .sphere_ode import (MIN_RTOL, SphereOdeError, extinction_time_closed_form,
-                         integrate_sphere_ode, sphere_energy, theory_bounds)
+from .sphere_ode import (DEFAULT_RTOL, MIN_RTOL, SphereOdeError,
+                         extinction_time_closed_form, integrate_sphere_ode,
+                         sphere_energy, theory_bounds)
 
 logger = logging.getLogger(__name__)
 
@@ -481,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, default=0.0, dest="lambda")
     p.add_argument("--r0", type=float, required=True)
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--rtol", type=float, default=1e-10)
+    p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_ode)
 

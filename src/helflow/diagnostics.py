@@ -32,7 +32,7 @@ from .sphere_ode import FOUR_PI
 
 logger = logging.getLogger(__name__)
 
-KAPPA_TARGET_FRACTION = 0.25   # default blow-up radius: kappa reaches this share
+KAPPA_TARGET_FRACTION = 0.25   # FrameSink's target: this share of the t=0 total
 ROUND_FIT_RESIDUAL_MAX = 0.02
 ROUND_WILLMORE_REL_TOL = 0.05
 WILLMORE_TREND_SLACK = 1e-3 * FOUR_PI
@@ -427,22 +427,16 @@ def default_radii_grid(mesh: TriangleMesh) -> np.ndarray:
 
 
 def extract_blowup_frame(state: FlowState, params: FlowParams,
-                         kappa_target: float | None = None,
-                         profile: KappaProfile | None = None) -> BlowUpFrame:
-    """Select (r_j, x_j) from the concentration profile and rescale.
+                         kappa_target: float,
+                         profile: KappaProfile) -> BlowUpFrame:
+    """Select (r_j, x_j) at ``kappa_target`` from ``profile``, the
+    concentration profile of ``state``, and rescale.
 
-    ``kappa_target`` defaults to ``KAPPA_TARGET_FRACTION`` of the current
-    total curvature energy; flows normally freeze the t=0 total and pass
-    that.  A precomputed ``profile`` for this state may be supplied to avoid
-    a second scan.  The exact discrete energy identity between the snapshot
-    (its energy for ``params``) and the rescaled frame is verified to 1e-12
-    relative before returning.
+    The exact discrete energy identity between the snapshot (its energy for
+    ``params``) and the rescaled frame is verified to 1e-12 relative before
+    returning.
     """
     mesh, cache = state.mesh, state.cache
-    if profile is None:
-        profile = kappa_profile(mesh, cache, default_radii_grid(mesh), t=state.t)
-    if kappa_target is None:
-        kappa_target = KAPPA_TARGET_FRACTION * profile.total
     r = select_blowup_radius(profile, kappa_target)
     _, x = kappa(mesh, cache, r)
     rescaled_mesh = mesh.translated(-x).scaled(1.0 / r)
@@ -466,7 +460,10 @@ class FrameSink:
 
     Geometric sampling of the approach to extinction; the concentration target
     is frozen at ``kappa_target_fraction`` of the t=0 total curvature energy.
-    The concentration profiles behind the frames are kept for export.
+    The concentration profiles behind the frames are kept for export, one per
+    frame.  A halving whose total curvature energy is below the target (a
+    non-round start that rounds off) gives no frame: its time goes to
+    ``skipped``, and a warning is logged.
     """
 
     def __init__(self, params: FlowParams,
@@ -475,6 +472,7 @@ class FrameSink:
         self.kappa_target_fraction = kappa_target_fraction
         self.frames: list[BlowUpFrame] = []
         self.profiles: list[KappaProfile] = []
+        self.skipped: list[float] = []
         self.kappa_target = None
         self._next_area = None
 
@@ -486,14 +484,18 @@ class FrameSink:
             self._next_area = cache.area / 2.0
             return
         if cache.area <= self._next_area:
+            self._next_area /= 2.0
             profile = kappa_profile(state.mesh, cache,
                                     default_radii_grid(state.mesh), t=state.t)
-            self.frames.append(
-                extract_blowup_frame(state, self.params, self.kappa_target,
-                                     profile=profile)
-            )
+            if self.kappa_target > profile.total:
+                self.skipped.append(state.t)
+                logger.warning("no blow-up frame at t=%.6g: kappa target %.4g "
+                               "exceeds total curvature energy %.4g", state.t,
+                               self.kappa_target, profile.total)
+                return
+            self.frames.append(extract_blowup_frame(
+                state, self.params, self.kappa_target, profile))
             self.profiles.append(profile)
-            self._next_area /= 2.0
 
 
 # ---------------------------------------------------------------------------

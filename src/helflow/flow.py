@@ -465,22 +465,31 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
 
 
 def _needs_remesh(state: FlowState, policy: SteppingPolicy,
-                  target: float) -> bool:
+                  target: float) -> str | None:
+    """The one mesh-quality test: the measure the mesh fails, ``"mean edge"``
+    (off ``target`` by more than ``remesh_edge_drift``) or ``"min angle"``
+    (below ``remesh_min_angle``), or ``None``."""
     drift = policy.remesh_edge_drift
     if not (target / drift <= state.cache.mean_edge <= target * drift):
-        return True
-    return state.cache.min_angle < policy.remesh_min_angle
+        return "mean edge"
+    if state.cache.min_angle < policy.remesh_min_angle:
+        return "min angle"
+    return None
 
 
 def _apply_remesh(state: FlowState, params: FlowParams, target: float,
                   policy: SteppingPolicy) -> FlowState:
+    """Remesh toward ``target``; warn if the output fails the quality test."""
     from .remesh import remesh
 
     logger.info("remeshing at t=%.6g (target edge %.4g)", state.t, target)
-    new_mesh = remesh(state.mesh, target,
-                      min_angle=policy.remesh_min_angle)
-    new_cache = build_cache(new_mesh, params)
-    return replace(state, mesh=new_mesh, cache=new_cache)
+    new_mesh = remesh(state.mesh, target)
+    state = replace(state, mesh=new_mesh, cache=build_cache(new_mesh, params))
+    if failed := _needs_remesh(state, policy, target):
+        logger.warning("remeshed mesh fails the %s test: mean edge %.4g, target "
+                       "%.4g, min angle %.3g rad", failed, state.cache.mean_edge,
+                       target, state.cache.min_angle)
+    return state
 
 
 def _build_report(state: FlowState, records, reason, area0, remeshes):

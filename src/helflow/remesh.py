@@ -547,16 +547,15 @@ def _compact(v: np.ndarray, f: np.ndarray):
 
 
 def remesh(mesh: TriangleMesh, target_edge: float,
-           min_angle: float = np.deg2rad(15.0), iterations: int = 5) -> TriangleMesh:
+           iterations: int = 5) -> TriangleMesh:
     """Isotropically remesh toward ``target_edge``.
 
     Enforced: the output keeps the input's Euler characteristic and
     component count, and its sampled Hausdorff distance to the input is at
     most ``HAUSDORFF_FRACTION * target_edge``; otherwise ``RemeshError``.
     The passes aim for edge lengths in ``[0.5, 1.5] * target_edge`` (less
-    where the curvature-adaptive local target is smaller) and for angles
-    above ``min_angle``, but do not enforce either: an angle below
-    ``min_angle`` is only logged.
+    where the curvature-adaptive local target is smaller) but do not
+    enforce them; whether the output is good enough is the caller's test.
     """
     if not 0 < target_edge < np.inf:
         raise RemeshError(
@@ -607,8 +606,4 @@ def remesh(mesh: TriangleMesh, target_edge: float,
     if dist > allowed:
         raise RemeshError(f"remeshed surface drifted {dist:.3e} from the input "
                           f"(allowed {allowed:.3e})")
-    angle = out.face_angles().min()
-    if angle < min_angle:
-        logger.warning("remesh: min angle %.2f deg below floor %.2f deg",
-                       np.rad2deg(angle), np.rad2deg(min_angle))
     return out

@@ -5,7 +5,7 @@ A family of round spheres of radius ``r(t)`` evolves under the flow iff
     r' = (c0 / r) (2 / r - c0) - 2 lam / r = -((c0^2 + 2 lam) r - 2 c0) / r^2.
 
 This module is the oracle the mesh solver is validated against, so its
-accuracy target (default rtol 1e-10) is far tighter than the mesh solver's.
+accuracy target (``DEFAULT_RTOL``) is far tighter than the mesh solver's.
 ``scipy.integrate`` and ``scipy.optimize`` are imported at first use: the
 closed forms and :func:`theory_bounds` need neither, and importing them
 would add about a third of a second to every ``import helflow``.
@@ -30,6 +30,7 @@ EXTINCTION_SWITCH_FRACTION = 1e-3
 # The smallest rtol that ``solve_ivp`` honours; below it scipy warns and runs
 # at this value instead.
 MIN_RTOL = 100 * np.finfo(float).eps
+DEFAULT_RTOL = 1e-10   # of integrate_sphere_ode and ``helflow ode --rtol``
 
 FOUR_PI = 4.0 * np.pi
 
@@ -164,7 +165,7 @@ class SphereOdeSolution:
 
 
 def integrate_sphere_ode(r0: float, params: FlowParams, horizon: float,
-                         rtol: float = 1e-10) -> SphereOdeSolution:
+                         rtol: float = DEFAULT_RTOL) -> SphereOdeSolution:
     """Integrate the radius ODE with event detection.
 
     Events: extinction (handled by switching to the closed form below

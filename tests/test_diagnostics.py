@@ -4,13 +4,15 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import helflow.diagnostics as diagnostics
-from helflow.diagnostics import (KAPPA_BLOCK, BlowUpFrame, DiagnosticsError,
-                                 FrameSink, _ball_sums, _kappa_scan,
+from helflow.diagnostics import (KAPPA_BLOCK, KAPPA_TARGET_FRACTION,
+                                 BlowUpFrame, DiagnosticsError, FrameSink,
+                                 _ball_sums, _kappa_scan,
                                  classify_singularity, default_radii_grid,
                                  extract_blowup_frame, kappa, kappa_profile,
                                  select_blowup_radius, sphere_fit)
@@ -207,7 +209,8 @@ def test_centers_survive_roundoff_jitter():
     for m in (mesh, jittered):
         state = init_state(m, params, SteppingPolicy())
         prof = kappa_profile(m, state.cache, default_radii_grid(m))
-        frame = extract_blowup_frame(state, params, profile=prof)
+        frame = extract_blowup_frame(state, params,
+                                     KAPPA_TARGET_FRACTION * prof.total, prof)
         picks.append((
             [_vertex_index(m, c) for c in prof.centers],
             [_vertex_index(m, kappa(m, state.cache, r)[1]) for r in prof.radii],
@@ -518,10 +521,19 @@ def test_select_blowup_radius(sphere5):
         select_blowup_radius(prof, -1.0)
 
 
+def _frame_at_default_target(state, params):
+    """The frame of ``state`` at ``KAPPA_TARGET_FRACTION`` of its own total
+    curvature energy."""
+    prof = kappa_profile(state.mesh, state.cache,
+                         default_radii_grid(state.mesh), t=state.t)
+    return extract_blowup_frame(state, params,
+                                KAPPA_TARGET_FRACTION * prof.total, prof)
+
+
 def test_extract_blowup_frame_identity_scale(ico3):
     params = FlowParams(-1.0, 0.0)
     state = init_state(ico3, params, SteppingPolicy())
-    frame = extract_blowup_frame(state, params)
+    frame = _frame_at_default_target(state, params)
     # energy identity is asserted inside; check the frame fields
     assert frame.r > 0
     assert frame.rescaled_params.c0 == pytest.approx(-frame.r)
@@ -538,7 +550,7 @@ def test_extract_blowup_frame_checks_the_energy_of_its_own_params(ico3):
     state = FlowState(t=0.0, mesh=ico3,
                       cache=build_cache(ico3, FlowParams(1.0, 0.5)), dt=0.0)
     params = FlowParams(-1.0, 0.0)
-    frame = extract_blowup_frame(state, params)
+    frame = _frame_at_default_target(state, params)
     assert frame.penalized == pytest.approx(
         penalized_energy(build_cache(ico3), params), rel=1e-12)
 
@@ -548,7 +560,7 @@ def test_blowup_frame_mean_radius_order_one():
     small = make_icosphere(3, 0.05)
     params = FlowParams(-1.0, 0.0)
     state = init_state(small, params, SteppingPolicy())
-    frame = extract_blowup_frame(state, params)
+    frame = _frame_at_default_target(state, params)
     v = np.asarray(frame.rescaled_mesh.vertices)
     mean_r = np.linalg.norm(v - v.mean(axis=0), axis=1).mean()
     assert 0.05 < mean_r < 20.0
@@ -622,6 +634,53 @@ def test_frame_sink_area_halving(ico3):
     small = init_state(ico3.scaled(0.6), params, SteppingPolicy())
     sink(small, None)
     assert len(sink.frames) == 1
+
+
+def test_frame_sink_frame_is_extract_blowup_frame_at_the_frozen_target(ico3):
+    # FrameSink owns the target; extract_blowup_frame only applies it
+    params = FlowParams(-1.0, 0.0)
+    sink = FrameSink(params)
+    sink(init_state(ico3, params, SteppingPolicy()), None)
+    state = init_state(perturbed_sphere(1, 3, 0.05, 0.6), params,
+                       SteppingPolicy())
+    sink(state, None)
+    (frame,), (profile,) = sink.frames, sink.profiles
+    direct = extract_blowup_frame(state, params, sink.kappa_target, profile)
+    for name in ("t", "r", "kappa_target", "willmore", "penalized",
+                 "rescaled_params"):
+        assert getattr(frame, name) == getattr(direct, name), name
+    assert frame.x.tobytes() == direct.x.tobytes()
+    for name in ("vertices", "faces"):
+        assert (getattr(frame.rescaled_mesh, name).tobytes()
+                == getattr(direct.rescaled_mesh, name).tobytes())
+
+
+def test_frame_sink_skips_a_halving_below_its_frozen_target(caplog):
+    # A start stretched 6x has integral |A|^2 = 102.4, above 32 pi, so the
+    # frozen target 25.6 exceeds the 8 pi of the round sphere it becomes
+    params = FlowParams(-1.0, 0.0)
+    ico2 = make_icosphere(2)
+    start = init_state(TriangleMesh(ico2.vertices * [1.0, 1.0, 6.0],
+                                    ico2.faces), params, SteppingPolicy())
+    radius = 0.9 * np.sqrt(start.cache.area / (8 * np.pi))
+    later = replace(init_state(make_icosphere(2, radius), params,
+                               SteppingPolicy()), t=0.5)
+    sink = FrameSink(params)
+    sink(start, None)
+    assert sink.kappa_target == pytest.approx(25.6, rel=1e-2)
+    with caplog.at_level("WARNING", logger="helflow.diagnostics"):
+        sink(later, None)
+    assert sink.frames == [] and sink.profiles == []
+    assert sink.skipped == [0.5]
+    assert sink._next_area == start.cache.area / 4
+    (warning,) = caplog.records
+    assert "t=0.5" in warning.getMessage()
+    assert "25.6" in warning.getMessage() and "24.66" in warning.getMessage()
+    # a direct caller still gets the error
+    with pytest.raises(DiagnosticsError, match="exceeds total"):
+        select_blowup_radius(kappa_profile(later.mesh, later.cache,
+                                           default_radii_grid(later.mesh)),
+                             sink.kappa_target)
 
 
 def test_default_radii_grid_spans_diameter(ico4):

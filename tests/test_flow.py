@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -221,15 +222,30 @@ def test_trajectory_rescaling_equivariance():
     assert worst <= 1e-6
 
 
-def test_remesh_hook_fires_and_flow_continues():
+def test_remesh_hook_fires_and_flow_continues(caplog):
     # hair-trigger angle floor: the icosphere's ~54 degree minimum trips the
-    # trigger every step; the run must keep stepping through remeshes
+    # trigger every step; the run must keep stepping through remeshes.  Each
+    # remesh output fails the same test, and each failure is logged once.
     policy = SteppingPolicy(max_steps=3, remesh_min_angle=np.deg2rad(60.0))
-    records, report = run_flow(make_icosphere(2, 1.0), FlowParams(-1.0, 0.0),
-                               policy)
+    with caplog.at_level("WARNING", logger="helflow.flow"):
+        records, report = run_flow(make_icosphere(2, 1.0),
+                                   FlowParams(-1.0, 0.0), policy)
     assert report.reason == "step_budget"
     assert report.evidence["remesh_count"] == 3
     assert report.steps == 3
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 3
+    assert all("fails the min angle test" in m for m in messages)
+
+
+def test_needs_remesh_names_the_failing_measure(ico3):
+    params, policy = FlowParams(-1.0, 0.0), SteppingPolicy()
+    state = init_state(ico3, params, policy)
+    edge = state.cache.mean_edge
+    assert fl._needs_remesh(state, policy, edge) is None
+    assert fl._needs_remesh(state, policy, 3.0 * edge) == "mean edge"
+    assert fl._needs_remesh(state, replace(policy, remesh_min_angle=1.0),
+                            edge) == "min angle"
 
 
 def test_willmore_bound_along_flow():
