@@ -208,40 +208,44 @@ class ImplicitSolver:
         inv_diag = 1.0 / diagonal
         tol_sq = (CG_RTOL ** 2) * np.einsum("ij,ij->i", rhs, rhs)
         check_sq = tol_sq.copy()
-        x = np.zeros(rhs.shape, dtype=np.complex128)
+        x = np.zeros(rhs.shape)   # Re x alone: no bit of it reads Im x
         r = rhs.astype(np.complex128)
-        r_flat = r.view(np.float64)
-        z = inv_diag * r
-        p, scratch = z.copy(), np.empty_like(z)
-        rho = _dot(r, z)
+        r_parts = r.view(np.float64)
+        p = inv_diag * r
+        z = np.empty_like(p)   # also the scratch of the x and r updates
+        r_flat, z_flat, p_flat = r.ravel(), z.ravel(), p.ravel()   # views
+        rho = _dot(r_flat, p_flat)
         for _ in range(CG_MAXITER):
-            r_sq = np.einsum("ij,ij->i", r_flat, r_flat)
+            r_sq = np.einsum("ij,ij->i", r_parts, r_parts)
             if (r_sq <= check_sq).all():
                 res = real_residual(r)
                 real_sq = np.einsum("ij,ij->i", res, res)
                 failed = real_sq > tol_sq
                 if not failed.any():
-                    return x.real
+                    return x
                 # recheck a failed row once |r| falls by its real/complex ratio
                 check_sq[failed] = (r_sq * tol_sq)[failed] / real_sq[failed]
             q = apply(p)
-            mu = _dot(p, q)
+            mu = _dot(p_flat, q.ravel())
             if mu == 0 or rho == 0 or not cmath.isfinite(mu):
                 raise SolverError("COCG broke down")
             alpha = rho / mu
-            x += np.multiply(alpha, p, out=scratch)
-            r -= np.multiply(alpha, q, out=scratch)
+            x += np.multiply(alpha, p, out=z).real
+            r -= np.multiply(alpha, q, out=z)
+            del q   # before the next product allocates its own
             np.multiply(inv_diag, r, out=z)
-            rho, rho_old = _dot(r, z), rho
+            rho, rho_old = _dot(r_flat, z_flat), rho
             p *= rho / rho_old
             p += z
         raise SolverError(f"COCG did not converge in {CG_MAXITER} iterations")
 
 
 def _dot(u, v) -> complex:
-    """Unconjugated ``u . v`` in pieces of 8192: OpenBLAS threads a complex
-    dot product over 10000 entries, and its bits then vary with the threads."""
-    u, v = u.ravel(), v.ravel()
+    """Unconjugated ``u . v`` of flat arrays, longer ones in pieces of 8192:
+    OpenBLAS threads a complex dot product over 10000 entries, and its bits
+    then vary with the threads."""
+    if len(u) <= 8192:
+        return complex(np.dot(u, v))
     return sum(complex(np.dot(u[k:k + 8192], v[k:k + 8192]))
                for k in range(0, len(u), 8192))
 
@@ -251,7 +255,7 @@ def shifted_block(areas, laplacian, s, pattern) -> sparse.csr_matrix:
     ``i s L.data`` on ``pattern.block_layout``, the areas on its diagonal."""
     data = np.multiply(1j * s, laplacian.data,
                        out=np.empty((3, laplacian.nnz), dtype=np.complex128))
-    data[:, pattern.diagonal] += areas
+    data.real[:, pattern.diagonal] = areas   # the real part was zero
     return sparse.csr_matrix((data.ravel(), *pattern.block_layout),
                              shape=(3 * len(areas),) * 2)
 
@@ -259,14 +263,20 @@ def shifted_block(areas, laplacian, s, pattern) -> sparse.csr_matrix:
 def shifted_operator(areas, laplacian, s, pattern):
     """``P -> A P`` on complex C-ordered ``(3, n)`` arrays, one product of
     :func:`shifted_block` with the flattened ``P``; the real residual
-    ``Re r + s L M^-1 Im r`` of a residual ``r`` of ``A``; and ``diag(A)``."""
+    ``Re r + s L M^-1 Im r`` of a residual ``r`` of ``A``, by one real product
+    of ``s L`` with the three rows (``s L.data`` is the imaginary part of the
+    block's data, all that ``Im(A y)`` reads for a real ``y``: the same bits);
+    and ``diag(A)``."""
     op = shifted_block(areas, laplacian, s, pattern)
+    s_laplacian = sparse.csr_matrix((np.multiply(s, laplacian.data),
+                                     laplacian.indices, laplacian.indptr),
+                                    shape=laplacian.shape)
 
     def apply(p):
         return (op @ p.ravel()).reshape(p.shape)
 
     def real_residual(r):
-        return r.real + (op @ (r.imag / areas).ravel()).imag.reshape(r.shape)
+        return r.real + (s_laplacian @ (r.imag / areas).T).T
 
     return apply, real_residual, op.data[pattern.diagonal]
 
@@ -324,9 +334,11 @@ def step(state: FlowState, params: FlowParams,
     except (SolverError, GeometryError, MeshError) as exc:
         logger.debug("trial step at dt=%.3e rejected: %s", dt, exc)
         new_cache = None
-    if new_cache is not None and new_cache.penalized - cache.penalized <= max(
-            policy.energy_increase_tol_rel * abs(state.energy0),
-            cache.penalized_roundoff + new_cache.penalized_roundoff):
+    # the rounding bounds are formed only when the tolerance does not decide
+    if new_cache is not None and (
+            (rise := new_cache.penalized - cache.penalized)
+            <= policy.energy_increase_tol_rel * abs(state.energy0)
+            or rise <= cache.penalized_roundoff + new_cache.penalized_roundoff):
         rate = (v_new - v_old) / dt
         rate_norm = float(
             np.sqrt(np.sum(np.einsum("ij,ij->i", rate, rate)

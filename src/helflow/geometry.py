@@ -16,6 +16,7 @@ All operations are pure functions of immutable inputs.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -78,8 +79,9 @@ class GeometryCache:
     ``vertex_areas`` for the pointwise Laplacian).  ``min_angle`` is the
     smallest face angle in radians, ``mean_edge`` the mean edge length.
     Energies that need flow parameters (``helfrich``, ``penalized``) are set
-    when ``build_cache`` receives them, with ``penalized_roundoff``, a bound
-    on the rounding error of ``penalized`` (:func:`_energy_roundoff`).
+    when ``build_cache`` receives them; ``penalized_roundoff`` then bounds the
+    rounding error of ``penalized``, formed on first read.  ``vertices`` are
+    the positions the cache was built from.
     """
 
     vertex_areas: np.ndarray
@@ -99,17 +101,36 @@ class GeometryCache:
     mean_edge: float
     helfrich: float | None = None
     penalized: float | None = None
-    penalized_roundoff: float | None = None
     params: FlowParams | None = field(default=None, repr=False)
+    vertices: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def penalized_roundoff(self) -> float:
+        """First-order rounding bound of ``(1/4) sum d^2 a`` for ``d = H - c0``.
+
+        ``H_i a_i`` is read from ``(L f)_i``, whose rounding error is of order
+        ``eps * s_i`` with ``s = |L| |f|`` (the absolute Laplacian applied to
+        the vertex norms), so ``|dH| a <= eps s`` and the energy moves by at
+        most ``eps/2 sum |d| s + eps^2/4 sum s^2 / a``.  The area term's own
+        rounding (about ``eps lam A / 2``) is left out: ``E >= lam A / 2``, so
+        the relative tolerance of step acceptance already covers it.
+        """
+        L, a = self.laplacian, self.vertex_areas
+        abs_L = sparse.csr_matrix((np.abs(L.data), L.indices, L.indptr),
+                                  shape=L.shape)
+        s = abs_L @ row_norms(self.vertices)
+        eps = np.finfo(np.float64).eps
+        return float(0.5 * eps * np.sum(np.abs(self.H - self.params.c0) * s)
+                     + 0.25 * eps * eps * np.sum(s * s / a))
 
 
 def _cotangents(fg: FaceGeometry) -> np.ndarray:
     """Corner cotangents like ``fg.dots``; raises GeometryError if degenerate."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        cots = fg.dots / fg.cross_norm[:, None]
+        cots = fg.dots / fg.cross_norm
     bad = ~np.isfinite(cots) | (np.abs(cots) > COT_OVERFLOW)
     if np.any(bad):
-        face = int(np.nonzero(np.any(bad, axis=1))[0][0])
+        face = int(np.nonzero(np.any(bad, axis=0))[0][0])
         raise GeometryError(
             f"cotangent weight overflow from degenerate triangle at face {face}"
         )
@@ -121,17 +142,17 @@ def _corner_areas(fg: FaceGeometry, cots: np.ndarray) -> np.ndarray:
     face_area = 0.5 * fg.cross_norm
     # Voronoi part (valid for non-obtuse faces): corner k gets
     # (|e_{k+1}|^2 cot_{k+1} + |e_{k+2}|^2 cot_{k+2}) / 8.
-    weighted = fg.edge_sq * cots
-    contrib = (np.roll(weighted, -1, axis=1) + np.roll(weighted, -2, axis=1)) / 8.0
+    w = fg.edge_sq * cots
+    contrib = np.stack([w[k - 2] + w[k - 1] for k in range(3)]) / 8.0
     # obtuse faces: half the area at the obtuse corner, a quarter elsewhere
     obtuse = cots < 0
-    any_obtuse = np.any(obtuse, axis=1)
+    any_obtuse = np.any(obtuse, axis=0)
     if np.any(any_obtuse):
-        rows = np.nonzero(any_obtuse)[0]
-        contrib[rows] = 0.25 * face_area[rows, None]
-        obtuse_corner = np.argmax(obtuse[rows], axis=1)
-        contrib[rows, obtuse_corner] = 0.5 * face_area[rows]
-    return contrib.T.ravel()
+        cols = np.nonzero(any_obtuse)[0]
+        contrib[:, cols] = 0.25 * face_area[cols]
+        obtuse_corner = np.argmax(obtuse[:, cols], axis=0)
+        contrib[obtuse_corner, cols] = 0.5 * face_area[cols]
+    return contrib.ravel()
 
 
 def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> GeometryCache:
@@ -144,12 +165,12 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
         return np.bincount(topo.corner_vertex, weights=per_corner, minlength=n)
 
     # corner k's cotangent weight sits on the opposite edge
-    L = topo.laplacian_pattern(n).fill(0.5 * cots.T.ravel())
+    L = topo.laplacian_pattern(n).fill(0.5 * cots.ravel())
     a = to_vertices(_corner_areas(fg, cots))
     if np.any(a <= 0):
         raise GeometryError("non-positive mixed Voronoi vertex area")
     # every corner of a face carries the face's area vector
-    nu = np.column_stack([to_vertices(np.tile(c, 3)) for c in fg.cross.T])
+    nu = np.column_stack([to_vertices(np.tile(c, 3)) for c in fg.cross])
     with np.errstate(over="ignore"):
         norms = row_norms(nu)
     big = ~np.isfinite(norms)
@@ -160,7 +181,7 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
         raise GeometryError("zero area-weighted normal at a vertex")
     nu /= norms[:, None]
     H = np.einsum("ij,ij->i", L @ mesh.vertices, nu) / a
-    K = (2.0 * np.pi - to_vertices(fg.angles.T.ravel())) / a
+    K = (2.0 * np.pi - to_vertices(fg.angles.ravel())) / a
     raw = 0.5 * H * H - 2.0 * K
     A0sq = np.maximum(raw, 0.0)
     clamp_mass = float(np.sum(np.minimum(raw, 0.0) * -a))
@@ -180,34 +201,15 @@ def build_cache(mesh: TriangleMesh, params: FlowParams | None = None) -> Geometr
         clamp_mass=clamp_mass,
         sup_Asq=float(Asq.max()),
         min_angle=float(fg.angles.min()),
-        mean_edge=float(np.sqrt(fg.edge_sq).mean()),   # 2 sides per edge
+        # 2 sides per edge, summed face by face
+        mean_edge=float(np.sqrt(fg.edge_sq).T.ravel().mean()),
+        vertices=mesh.vertices,
     )
     if params is not None:
         cache.params = params
         cache.helfrich = helfrich_energy(cache, params)
         cache.penalized = penalized_energy(cache, params)
-        cache.penalized_roundoff = _energy_roundoff(L, mesh.vertices, a,
-                                                    H - params.c0)
     return cache
-
-
-def _energy_roundoff(L: sparse.csr_matrix, vertices: np.ndarray,
-                     a: np.ndarray, d: np.ndarray) -> float:
-    """First-order rounding bound of ``(1/4) sum d^2 a`` for ``d = H - c0``.
-
-    ``H_i a_i`` is read from ``(L f)_i``, whose rounding error is of order
-    ``eps * s_i`` with ``s = |L| |f|`` (the absolute Laplacian applied to the
-    vertex norms), so ``|dH| a <= eps s`` and the energy moves by at most
-    ``eps/2 sum |d| s + eps^2/4 sum s^2 / a``.  The area term's own rounding
-    (about ``eps lam A / 2``) is left out: ``E >= lam A / 2``, so the relative
-    tolerance of step acceptance already covers it.
-    """
-    abs_L = sparse.csr_matrix((np.abs(L.data), L.indices, L.indptr),
-                              shape=L.shape)
-    s = abs_L @ row_norms(vertices)
-    eps = np.finfo(np.float64).eps
-    return float(0.5 * eps * np.sum(np.abs(d) * s)
-                 + 0.25 * eps * eps * np.sum(s * s / a))
 
 
 # ---------------------------------------------------------------------------

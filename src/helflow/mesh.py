@@ -359,7 +359,7 @@ class TriangleMesh:
 
     def face_angles(self) -> np.ndarray:
         """(m, 3) interior angles, column k is the angle at faces[:, k]."""
-        return self.face_geometry().angles
+        return self.face_geometry().angles.T
 
     def edge_lengths(self) -> np.ndarray:
         e = self.edges
@@ -443,42 +443,41 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
 
 
-class FaceGeometry:
-    """Per-face quantities of one mesh state.
+def _coord_dot(a, b):
+    """Per-column dot products of ``(3, m)`` arrays, summed in the order of
+    ``np.einsum("ij,ij->i")`` on ``(m, 3)`` rows: ``(x x' + z z') + y y'``."""
+    return a[0] * b[0] + a[2] * b[2] + a[1] * b[1]
 
-    ``cross`` is ``(v1 - v0) x (v2 - v0)``, twice the area vector.  Column k
-    of ``dots``, ``angles`` and ``edge_sq`` is corner k (vertex
-    ``faces[:, k]``): the dot product of its two sides, its interior angle and
-    its opposite side squared.  ``det_sixths`` is ``det(v0, v1, v2) / 6``.
-    Only ``cross`` and ``cross_norm`` are formed up front; the rest in one
-    pass on first use.
+
+def _cross(a, b):
+    """``np.cross`` of ``(3, m)`` arrays along the first axis, same bits."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+class FaceGeometry:
+    """Per-face quantities of one mesh state, corner-major.
+
+    ``cross`` (row c is coordinate c) is ``(v1 - v0) x (v2 - v0)``, twice the
+    area vector.  Row k of ``dots``, ``angles`` and ``edge_sq`` is corner k
+    (vertex ``faces[:, k]``): the dot product of its two sides, its interior
+    angle and its opposite side squared.  ``det_sixths`` is
+    ``det(v0, v1, v2) / 6``.  One pass forms all of them but the angles.
     """
 
     def __init__(self, mesh: TriangleMesh):
-        self._mesh = mesh
-        v0, v1, v2 = mesh.face_corners()
-        e1, e2 = v0 - v2, v1 - v0
-        self.cross = np.cross(e2, -e1)
-        self.cross_norm = row_norms(self.cross)
-
-    @cached_property
-    def _corner_terms(self):
-        # gathers the corners again: kept on the object, they would hold memory
-        v0, v1, v2 = self._mesh.face_corners()
-        e0, e1, e2 = v2 - v1, v0 - v2, v1 - v0  # side k is opposite corner k
-        # interior-angle dot products; all three corners share |cross|
-        dots = np.stack([-np.einsum("ij,ij->i", p, q)
-                         for p, q in ((e2, e1), (e0, e2), (e1, e0))], axis=1)
-        edge_sq = np.stack([np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2)], axis=1)
-        return dots, edge_sq, np.einsum("ij,ij->i", v0, np.cross(v1, v2)) / 6.0
-
-    dots = property(lambda self: self._corner_terms[0])
-    edge_sq = property(lambda self: self._corner_terms[1])
-    det_sixths = property(lambda self: self._corner_terms[2])
+        # v[k] is corner k as a (coord, m) array; kept, it would hold memory
+        v = np.take(mesh.vertices.T, mesh.faces.T, axis=1).swapaxes(0, 1)
+        e = [v[k - 1] - v[k - 2] for k in range(3)]  # side k is opposite corner k
+        self.edge_sq = np.stack([_coord_dot(s, s) for s in e])
+        self.dots = -np.stack([_coord_dot(e[k - 1], e[k - 2]) for k in range(3)])
+        self.cross = c = _cross(e[2], -e[1])
+        self.cross_norm = row_norms(c.T)
+        self.det_sixths = _coord_dot(v[0], _cross(v[1], v[2])) / 6.0
 
     @cached_property
     def angles(self) -> np.ndarray:
-        return np.arctan2(self.cross_norm[:, None], self.dots)
+        return np.arctan2(self.cross_norm, self.dots)
 
     @cached_property
     def signed_volume(self) -> float:

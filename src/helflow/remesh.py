@@ -184,7 +184,7 @@ class MeshProjector:
         self._radius = row_norms(np.stack([a, b, c]) - self._centroid).max(axis=0)
         fg = mesh.face_geometry()
         with np.errstate(divide="ignore", invalid="ignore"):
-            aspect = fg.edge_sq.max(axis=1) / fg.cross_norm
+            aspect = fg.edge_sq.max(axis=0) / fg.cross_norm
         self._slack = PRUNE_SLACK * aspect**2
         self._reach = self._radius + row_norms(self._centroid)
 

@@ -9,6 +9,7 @@ from helflow.mesh import (DegenerateFaceError, MeshError, MeshFormatError,
                           component_signed_volumes, load_mesh, make_icosphere,
                           make_torus, orient_for_positive_volume,
                           repair_winding, save_mesh, signed_volume)
+from helflow.validate import perturbed_sphere
 
 TETRA_OFF = """OFF
 4 4 6
@@ -474,33 +475,66 @@ def test_topology_matches_lexsort_reference(make_faces):
 
 @pytest.mark.parametrize("which", ["perturbed_ico4", "torus"])
 def test_cache_min_angle_matches_face_angles(which, torus):
-    from helflow.validate import perturbed_sphere
-
     mesh = perturbed_sphere(3, 4, 0.05) if which == "perturbed_ico4" else torus
     assert build_cache(mesh).min_angle == mesh.face_angles().min()
 
 
+def same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("which", ["perturbed_ico3", "torus"])
 def test_face_quantities_come_from_one_face_geometry(which, torus):
-    from helflow.validate import perturbed_sphere
-
     mesh = perturbed_sphere(2, 3, 0.05) if which == "perturbed_ico3" else torus
     fg = mesh.face_geometry()
     cache = build_cache(mesh)
 
-    def same(a, b):
-        a, b = np.asarray(a), np.asarray(b)
-        return a.dtype == b.dtype and a.shape == b.shape and \
-            a.tobytes() == b.tobytes()
-
     assert same(mesh.face_areas(), 0.5 * fg.cross_norm)
-    assert same(mesh.face_angles(), fg.angles)
+    assert same(mesh.face_angles(), fg.angles.T)
     assert same(signed_volume(mesh), fg.signed_volume)
     assert same(component_signed_volumes(mesh),
                 np.bincount(mesh.face_components, weights=-fg.det_sixths))
     assert same(cache.area, float(0.5 * np.sum(fg.cross_norm)))
     assert same(cache.min_angle, float(fg.angles.min()))
     assert same(cache.signed_volume, fg.signed_volume)
+
+
+def _stretched_ico3():
+    mesh = make_icosphere(3)
+    return mesh.with_vertices(mesh.vertices * np.array([1.0, 1.0, 6.0]))
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: make_icosphere(3),
+    lambda: perturbed_sphere(1, 3, 0.3),
+    _stretched_ico3,
+    lambda: make_torus(1.0, 0.4, 48, 24),
+], ids=["ico3", "perturbed-ico3", "stretched-ico3", "torus"])
+def test_face_pass_keeps_the_bits_of_the_row_formulas(make_mesh):
+    # the corner-major pass writes out np.cross and einsum's order of sums;
+    # a numpy that changes either fails here instead of moving every flow
+    mesh = make_mesh()
+    fg = mesh.face_geometry()
+    v0, v1, v2 = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    e0, e1, e2 = v2 - v1, v0 - v2, v1 - v0
+    cross = np.cross(e2, -e1)
+    cross_norm = np.linalg.norm(cross, axis=1)
+    dots = np.stack([-np.einsum("ij,ij->i", p, q)
+                     for p, q in ((e2, e1), (e0, e2), (e1, e0))], axis=1)
+    edge_sq = np.stack([np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2)],
+                       axis=1)
+
+    assert same(fg.cross, cross.T)
+    assert same(fg.cross_norm, cross_norm)
+    assert same(fg.dots, dots.T)
+    assert same(fg.edge_sq, edge_sq.T)
+    assert same(fg.det_sixths,
+                np.einsum("ij,ij->i", v0, np.cross(v1, v2)) / 6.0)
+    assert same(fg.angles, np.arctan2(cross_norm[:, None], dots).T)
+    # the mean edge sums the sides face by face, as the (m, 3) rows do
+    assert build_cache(mesh).mean_edge == np.sqrt(edge_sq).mean()
 
 
 def test_starting_a_flow_makes_one_face_geometry(monkeypatch, ico3):
