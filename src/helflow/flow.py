@@ -10,7 +10,8 @@ treated implicitly in stabilized (add-subtract) form,
 
 with M the diagonal mixed-area mass matrix and L the cotangent operator; all
 curvature (lower-order) terms stay explicit.  The update is the real part of
-one complex-shifted solve, by one COCG on the stacked coordinates
+one complex-shifted solve, by one COCG on the stacked coordinates started
+from the last accepted update, scaled per coordinate by least squares
 (:class:`ImplicitSolver`); a solve that fails rejects the step.  dt is
 capped by ``curvature_dt_coeff / (sup |A|^2)^2``, which tracks the physical
 r^4 stiffness scale, so shrinking surfaces remain time-accurate.
@@ -124,6 +125,7 @@ class FlowState:
     energy0: float = 0.0
     last_step_accepted: bool = True
     rate_norm: float = np.nan   # L2(dmu) norm of the realized dt f
+    rate: np.ndarray | None = None   # last accepted (v+ - v) / dt
 
 
 @dataclass
@@ -179,37 +181,55 @@ class ImplicitSolver:
     Melissen, IEEE Trans. Magn. 26 (1990) 706), Jacobi-preconditioned by
     ``1/(a + i s L_ii)``, solves the stacked system ``diag(A, A, A)`` on a
     complex ``(3, n)`` array, one product with :func:`shifted_block` and one
-    step length per iteration.  It stops once, at one iterate, every row's
-    real residual ``Re r + s L M^-1 Im r`` is within ``CG_RTOL |b|`` of that
-    row.  A breakdown, ``CG_MAXITER`` or non-finite positions raise
-    :class:`SolverError`.  The solve is a pure function of the state at any
-    BLAS thread count; ``sqrt`` is exact under parabolic rescaling by powers
-    of two.
+    step length per iteration.  Given the last accepted ``rate`` it starts
+    at ``alpha u``, ``u = dt rate``, where per row ``alpha`` is the
+    least-squares scale of ``R u`` to ``b`` (``R`` the real operator, two
+    real products of ``s L``; a non-finite ``alpha`` drops the guess).  That
+    is the complex iterate ``alpha (u - i s M^-1 L u)``, whose residual
+    ``b - alpha R u`` is real and per row no larger than ``b``.  It stops
+    once, at one iterate, every row's real residual ``Re r + s L M^-1 Im r``
+    is within ``CG_RTOL |b|`` of that row.  A breakdown, ``CG_MAXITER`` or
+    non-finite positions raise :class:`SolverError`.  The solve is a pure
+    function of the state at any BLAS thread count; ``sqrt`` is exact under
+    parabolic rescaling by powers of two.
     """
 
     def solve(self, vertices: np.ndarray, areas: np.ndarray,
               laplacian: sparse.csr_matrix, dt: float, velocity: np.ndarray,
-              pattern: LaplacianPattern) -> np.ndarray:
-        """New ``(n, 3)`` positions; ``laplacian`` is filled on ``pattern``."""
+              pattern: LaplacianPattern, rate=None) -> np.ndarray:
+        """New ``(n, 3)`` positions; ``laplacian`` is filled on ``pattern``;
+        ``rate``, an ``(n, 3)`` array or ``None``, guesses ``delta / dt``."""
         rhs = dt * (areas * np.ascontiguousarray(velocity.T))
         # The stopping test squares the right-hand side; past the float
         # range it would stop at once and return a zero update.
         if not np.isfinite(np.einsum("ij,ij->", rhs, rhs)):
             raise SolverError("right-hand side out of floating-point range")
-        out = vertices + self._cocg(
-            *shifted_operator(areas, laplacian, np.sqrt(dt), pattern), rhs).T
+        *operator, real_apply = shifted_operator(areas, laplacian,
+                                                 np.sqrt(dt), pattern)
+        x, r = np.zeros(rhs.shape), rhs.astype(np.complex128)
+        if rate is not None:
+            # per row, the multiple of the guess with the least residual
+            u = dt * np.ascontiguousarray(rate.T)
+            au = real_apply(u)
+            den = np.einsum("ij,ij->i", au, au)
+            scale = np.divide(np.einsum("ij,ij->i", rhs, au), den,
+                              out=np.zeros(3), where=den > 0)[:, None]
+            if np.isfinite(den).all() and np.isfinite(scale).all():
+                x = np.multiply(scale, u, out=u)
+                r.real -= np.multiply(scale, au, out=au)
+        out = vertices + self._cocg(*operator, rhs, x, r).T
         if not np.all(np.isfinite(out)):
             raise SolverError("linear solve produced non-finite positions")
         return out
 
-    def _cocg(self, apply, real_residual, diagonal, rhs):
+    def _cocg(self, apply, real_residual, diagonal, rhs, x, r):
         """``Re[A^-1 rhs]`` for complex-symmetric ``A``, one COCG on all rows
-        stacked; the iterates are updated in place, in buffers made once."""
+        stacked, from ``Re x = x`` with the residual ``r``, complex and
+        C-ordered (no bit of ``Re x`` reads ``Im x``); ``x`` and the iterates
+        are updated in place, in buffers made once."""
         inv_diag = 1.0 / diagonal
         tol_sq = (CG_RTOL ** 2) * np.einsum("ij,ij->i", rhs, rhs)
         check_sq = tol_sq.copy()
-        x = np.zeros(rhs.shape)   # Re x alone: no bit of it reads Im x
-        r = rhs.astype(np.complex128)
         r_parts = r.view(np.float64)
         p = inv_diag * r
         z = np.empty_like(p)   # also the scratch of the x and r updates
@@ -266,7 +286,8 @@ def shifted_operator(areas, laplacian, s, pattern):
     ``Re r + s L M^-1 Im r`` of a residual ``r`` of ``A``, by one real product
     of ``s L`` with the three rows (``s L.data`` is the imaginary part of the
     block's data, all that ``Im(A y)`` reads for a real ``y``: the same bits);
-    and ``diag(A)``."""
+    ``diag(A)``; and the real operator ``u -> M u + s L M^-1 s L u`` on real
+    ``(3, n)`` arrays, by two such products."""
     op = shifted_block(areas, laplacian, s, pattern)
     s_laplacian = sparse.csr_matrix((np.multiply(s, laplacian.data),
                                      laplacian.indices, laplacian.indptr),
@@ -278,7 +299,11 @@ def shifted_operator(areas, laplacian, s, pattern):
     def real_residual(r):
         return r.real + (s_laplacian @ (r.imag / areas).T).T
 
-    return apply, real_residual, op.data[pattern.diagonal]
+    def real_apply(u):
+        w = (s_laplacian @ u.T) / areas[:, None]
+        return areas * u + (s_laplacian @ w).T
+
+    return apply, real_residual, op.data[pattern.diagonal], real_apply
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +341,9 @@ def step(state: FlowState, params: FlowParams,
     if cache.penalized is None or cache.params != params:
         cache = build_cache(state.mesh, params)
         state = replace(state, cache=cache)
-    dt = min(state.dt,
-             policy.curvature_dt_coeff / max(cache.sup_Asq, 1e-300) ** 2)
+    # sup * sup: libm's pow(sup, 2) is not correctly rounded
+    sup = max(cache.sup_Asq, 1e-300)
+    dt = min(state.dt, policy.curvature_dt_coeff / (sup * sup))
 
     xi = flow_velocity(cache, params)
     velocity = xi[:, None] * cache.normals
@@ -328,7 +354,7 @@ def step(state: FlowState, params: FlowParams,
         with np.errstate(over="ignore", invalid="ignore"):
             v_new = ImplicitSolver().solve(
                 v_old, cache.vertex_areas, cache.laplacian, dt, velocity,
-                state.mesh.topology.laplacian_pattern(len(v_old)))
+                state.mesh.topology.laplacian_pattern(len(v_old)), state.rate)
             new_mesh = state.mesh.with_vertices(v_new)
             new_cache = build_cache(new_mesh, params)
     except (SolverError, GeometryError, MeshError) as exc:
@@ -353,6 +379,7 @@ def step(state: FlowState, params: FlowParams,
             step_index=state.step_index + 1,
             last_step_accepted=True,
             rate_norm=rate_norm,
+            rate=rate,
         )
     return replace(
         state,
@@ -381,11 +408,6 @@ def _make_record(state: FlowState, grad_l2: float) -> TimeSeriesRecord:
     )
 
 
-def _initial_rate_norm(state: FlowState, params: FlowParams) -> float:
-    xi = flow_velocity(state.cache, params)
-    return float(np.sqrt(np.sum(xi * xi * state.cache.vertex_areas)))
-
-
 def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
              sinks=()):
     """Iterate :func:`step` until termination.
@@ -410,7 +432,8 @@ def run_flow(initial: TriangleMesh, params: FlowParams, policy: SteppingPolicy,
         for sink in sinks:
             sink(st, rec)
 
-    emit(state, _initial_rate_norm(state, params))
+    xi = flow_velocity(state.cache, params)
+    emit(state, float(np.sqrt(np.sum(xi * xi * state.cache.vertex_areas))))
 
     while True:
         if state.cache.area < policy.area_floor_fraction * area0:
@@ -496,7 +519,8 @@ def _apply_remesh(state: FlowState, params: FlowParams, target: float,
 
     logger.info("remeshing at t=%.6g (target edge %.4g)", state.t, target)
     new_mesh = remesh(state.mesh, target)
-    state = replace(state, mesh=new_mesh, cache=build_cache(new_mesh, params))
+    state = replace(state, mesh=new_mesh, cache=build_cache(new_mesh, params),
+                    rate=None)
     if failed := _needs_remesh(state, policy, target):
         logger.warning("remeshed mesh fails the %s test: mean edge %.4g, target "
                        "%.4g, min angle %.3g rad", failed, state.cache.mean_edge,

@@ -71,7 +71,23 @@ def test_curvature_dt_cap():
     state = init_state(mesh, params, policy)
     new = step(state, params, policy)
     assert new.last_step_accepted
-    assert new.t == policy.curvature_dt_coeff / state.cache.sup_Asq ** 2
+    sup = state.cache.sup_Asq
+    assert new.t == policy.curvature_dt_coeff / (sup * sup)
+
+
+def test_curvature_dt_cap_is_exactly_covariant(monkeypatch):
+    # x -> x/2 multiplies sup|A|^2 by 4, and the cap must fall by exactly 16;
+    # at this sup|A|^2, libm's pow(x, 2) made the ratio 16.000000000000004
+    caps = []
+    monkeypatch.setattr(fl.ImplicitSolver, "solve",
+                        lambda self, v_old, areas, L, dt, *args:
+                        caps.append(dt) or v_old)
+    params, policy = FlowParams(-1.0, 0.0), SteppingPolicy(dt_init=1.0)
+    state = init_state(make_icosphere(2, 1.0), params, policy)
+    for sup in (11.694885962096523, 4.0 * 11.694885962096523):
+        step(replace(state, cache=replace(state.cache, sup_Asq=sup)),
+             params, policy)
+    assert caps[0] == 16.0 * caps[1]
 
 
 def test_step_rejection_contract(monkeypatch):
@@ -207,7 +223,7 @@ def test_translation_equivariance():
 def test_trajectory_rescaling_equivariance():
     # x -> x/2 maps the flow of (c0, lam) to that of (2 c0, 4 lam) with
     # t -> t/16; powers of two keep every accepted state exact in floating
-    # point, so the twin runs agree position by position
+    # point, so the twin runs agree bit for bit
     mesh = make_icosphere(3, 1.0)
     policy = SteppingPolicy(max_steps=100)
     twin_policy = SteppingPolicy(max_steps=100, dt_init=policy.dt_init / 16.0)
@@ -217,9 +233,7 @@ def test_trajectory_rescaling_equivariance():
     run_flow(mesh.scaled(0.5), FlowParams(-2.0, 0.0), twin_policy,
              sinks=[lambda s, r: out2.append(s.mesh.vertices)])
     assert len(out1) == len(out2) > 1
-    worst = max(np.abs(a / 2.0 - b).max() / np.abs(a).max()
-                for a, b in zip(out1, out2))
-    assert worst <= 1e-6
+    assert all(np.array_equal(a / 2.0, b) for a, b in zip(out1, out2))
 
 
 def test_remesh_hook_fires_and_flow_continues(caplog):
@@ -246,6 +260,17 @@ def test_needs_remesh_names_the_failing_measure(ico3):
     assert fl._needs_remesh(state, policy, 3.0 * edge) == "mean edge"
     assert fl._needs_remesh(state, replace(policy, remesh_min_angle=1.0),
                             edge) == "min angle"
+
+
+def test_remesh_drops_the_rate(ico3):
+    # the last update lives on the old vertices and cannot guess the next
+    params, policy = FlowParams(-1.0, 0.0), SteppingPolicy()
+    state = step(init_state(ico3, params, policy), params, policy)
+    assert state.last_step_accepted and state.rate is not None
+    target = 0.8 * state.cache.mean_edge
+    remeshed = fl._apply_remesh(state, params, target, policy)
+    assert remeshed.mesh.n_vertices != ico3.n_vertices
+    assert remeshed.rate is None
 
 
 def test_willmore_bound_along_flow():
@@ -502,7 +527,8 @@ def test_shifted_operator_matches_assembled_system(make_mesh, dt):
     a, L, s = cache.vertex_areas, cache.laplacian, np.sqrt(dt)
     shifted = (sparse.diags(a) + 1j * s * L).tocsr()
     pattern = mesh.topology.laplacian_pattern(mesh.n_vertices)
-    apply, real_residual, diagonal = fl.shifted_operator(a, L, s, pattern)
+    apply, real_residual, diagonal, real_apply = fl.shifted_operator(
+        a, L, s, pattern)
     # coordinate-major: one row per coordinate
     rng = np.random.default_rng(0)
     y = rng.standard_normal((3, len(a))) + 1j * rng.standard_normal((3, len(a)))
@@ -510,6 +536,10 @@ def test_shifted_operator_matches_assembled_system(make_mesh, dt):
     assert (np.linalg.norm(apply(y) - shifted_y)
             <= 1e-12 * np.linalg.norm(shifted_y))
     np.testing.assert_allclose(diagonal, shifted.diagonal(), rtol=1e-14, atol=0)
+    # the real operator at s^2, as the complex one factors it
+    real_y = (_assembled_system(a, L, s * s) @ y.real.T).T
+    assert (np.linalg.norm(real_apply(y.real) - real_y)
+            <= 1e-12 * np.linalg.norm(real_y))
     # one complex block diag(A, A, A), its three blocks bit-identical
     block, n = fl.shifted_block(a, L, s, pattern), len(a)
     blocks = [block[k * n:(k + 1) * n, k * n:(k + 1) * n] for k in range(3)]
@@ -536,7 +566,7 @@ def test_real_residual_keeps_the_bits_of_the_complex_product(level):
     cache = build_cache(mesh)
     a, L, s = cache.vertex_areas, cache.laplacian, np.sqrt(5e-3)
     pattern = mesh.topology.laplacian_pattern(mesh.n_vertices)
-    _, real_residual, _ = fl.shifted_operator(a, L, s, pattern)
+    _, real_residual, _, _ = fl.shifted_operator(a, L, s, pattern)
     op = fl.shifted_block(a, L, s, pattern)
     rng = np.random.default_rng(level)
     r = rng.standard_normal((3, len(a))) + 1j * rng.standard_normal((3, len(a)))
@@ -544,23 +574,29 @@ def test_real_residual_keeps_the_bits_of_the_complex_product(level):
     assert real_residual(r).tobytes() == expected.tobytes()
 
 
-def test_cocg_product_counts_are_pinned(monkeypatch):
-    # a cheaper iteration that needs more iterations is no speedup, so the
-    # products with the shifted operator per solve are pinned
+def _count_products(monkeypatch):
+    """Per solve, the products with the shifted operator, once patched."""
     counts = []
     shifted_operator = fl.shifted_operator
 
     def counting(*args):
-        apply, real_residual, diagonal = shifted_operator(*args)
+        apply, *rest = shifted_operator(*args)
         counts.append(0)
 
         def counted(p):
             counts[-1] += 1
             return apply(p)
 
-        return counted, real_residual, diagonal
+        return counted, *rest
 
     monkeypatch.setattr(fl, "shifted_operator", counting)
+    return counts
+
+
+def test_cocg_product_counts_are_pinned(monkeypatch):
+    # a cheaper iteration that needs more iterations is no speedup, so the
+    # products with the shifted operator per solve are pinned
+    counts = _count_products(monkeypatch)
     mesh, params = perturbed_sphere(1, 3, 0.05), FlowParams(1.0, 0.5)
     cache = build_cache(mesh, params)
     velocity = flow_velocity(cache, params)[:, None] * cache.normals
@@ -569,6 +605,16 @@ def test_cocg_product_counts_are_pinned(monkeypatch):
         fl.ImplicitSolver().solve(mesh.vertices, cache.vertex_areas,
                                   cache.laplacian, dt, velocity, pattern)
     assert counts == [14, 25, 46, 65, 75]
+
+
+def test_warm_started_product_counts_are_pinned(monkeypatch):
+    # from the second step on, each solve starts from the last accepted
+    # update, scaled per row by least squares; the first one starts cold
+    counts = _count_products(monkeypatch)
+    _, report = run_flow(perturbed_sphere(1, 3, 0.05), FlowParams(1.0, 0.5),
+                         SteppingPolicy(max_steps=8))
+    assert report.steps == 8 and report.rejected_steps == 0
+    assert counts == [46, 47, 47, 51, 53, 58, 58, 58]
 
 
 def test_complex_shift_identity():
@@ -583,14 +629,15 @@ def test_complex_shift_identity():
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
-def _assert_meets_residual_contract(mesh, params, dt, scales=(1.0, 1.0, 1.0)):
+def _assert_meets_residual_contract(mesh, params, dt, scales=(1.0, 1.0, 1.0),
+                                    rate=None):
     cache = build_cache(mesh, params)
     a, L = cache.vertex_areas, cache.laplacian
     velocity = (flow_velocity(cache, params)[:, None] * cache.normals
                 * np.asarray(scales))
     delta = fl.ImplicitSolver().solve(
         np.zeros_like(velocity), a, L, dt, velocity,
-        mesh.topology.laplacian_pattern(mesh.n_vertices))
+        mesh.topology.laplacian_pattern(mesh.n_vertices), rate)
     b = dt * (a[:, None] * velocity)
     residual = b - _assembled_system(a, L, dt) @ delta
     assert np.abs(delta).max() > 0
@@ -619,6 +666,28 @@ def test_solve_meets_residual_contract_on_rows_of_unequal_size(make_mesh, dt,
                                     scales)
 
 
+def _guess(kind, mesh, params):
+    """A guessed rate: the flow velocity with no row scaled, or noise."""
+    if kind == "random":
+        return np.random.default_rng(7).standard_normal((mesh.n_vertices, 3))
+    cache = build_cache(mesh, params)
+    return flow_velocity(cache, params)[:, None] * cache.normals
+
+
+@SOLVER_MESHES
+@pytest.mark.parametrize("dt", [1e-6, 1e-3])
+@pytest.mark.parametrize("scales", [(1.0, 1e-3, 1e-8), (1e-8, 0.0, 1.0)],
+                         ids=["graded", "zero-row"])
+@pytest.mark.parametrize("guess", ["velocity", "random"])
+def test_guessed_solve_meets_residual_contract(make_mesh, dt, scales, guess):
+    # the guess's rows are not scaled as the right-hand side's are, and a
+    # guess unrelated to the solution must cost iterations, not accuracy;
+    # a row with no right-hand side stays exactly zero
+    mesh, params = make_mesh(), FlowParams(1.0, 0.5)
+    _assert_meets_residual_contract(mesh, params, dt, scales,
+                                    _guess(guess, mesh, params))
+
+
 def test_ico5_solve_converges_at_flow_dt():
     # dt 5e-3 is the unit sphere's curvature cap; Jacobi CG on the real
     # system M + dt L M^-1 L does not converge here within CG_MAXITER
@@ -636,16 +705,20 @@ def test_ico5_solve_is_independent_of_blas_threads(helflow_env):
             "mesh, params = perturbed_sphere(1, 5, 0.05), FlowParams(1.0, 0.5)\n"
             "cache = build_cache(mesh, params)\n"
             "velocity = flow_velocity(cache, params)[:, None] * cache.normals\n"
-            "out = fl.ImplicitSolver().solve(\n"
-            "    mesh.vertices, cache.vertex_areas, cache.laplacian, 5e-3,\n"
-            "    velocity, mesh.topology.laplacian_pattern(mesh.n_vertices))\n"
-            "print(hashlib.sha256(out.tobytes()).hexdigest())")
+            "args = (mesh.vertices, cache.vertex_areas, cache.laplacian,\n"
+            "        5e-3, velocity,\n"
+            "        mesh.topology.laplacian_pattern(mesh.n_vertices))\n"
+            "for rate in (None, 0.9 * velocity):\n"
+            "    out = fl.ImplicitSolver().solve(*args, rate)\n"
+            "    print(hashlib.sha256(out.tobytes()).hexdigest())")
     digests = {subprocess.run([sys.executable, "-c", code],
                               env=dict(helflow_env, OPENBLAS_NUM_THREADS=k),
                               check=True, capture_output=True, text=True,
-                              timeout=120).stdout.strip()
+                              timeout=120).stdout
                for k in ("1", "2")}
     assert len(digests) == 1
+    # the cold and the guessed solve differ, so each was hashed
+    assert len(set(digests.pop().split())) == 2
 
 
 def test_solver_breakdown_raises():
@@ -653,7 +726,8 @@ def test_solver_breakdown_raises():
     rhs = np.ones((3, 4))
     with pytest.raises(fl.SolverError, match="broke down"):
         fl.ImplicitSolver()._cocg(np.zeros_like, lambda r: r.real,
-                                  np.ones(4, dtype=complex), rhs)
+                                  np.ones(4, dtype=complex), rhs,
+                                  np.zeros_like(rhs), rhs.astype(complex))
 
 
 @pytest.mark.parametrize("make_mesh", [
@@ -666,6 +740,23 @@ def test_cached_mean_edge_matches_mesh(make_mesh):
     mesh = make_mesh()
     expected = mesh.mean_edge_length()
     assert abs(build_cache(mesh).mean_edge - expected) <= 1e-14 * expected
+
+
+def test_rate_is_the_last_accepted_update(monkeypatch):
+    # the rate that guesses the next solve is that of the last accepted
+    # step; a rejected step keeps it
+    params, policy = FlowParams(-1.0, 0.0), SteppingPolicy()
+    state = init_state(make_icosphere(2), params, policy)
+    assert state.rate is None
+    new = step(state, params, policy)
+    assert new.last_step_accepted
+    dt = new.t - state.t
+    assert np.array_equal(new.rate,
+                          (new.mesh.vertices - state.mesh.vertices) / dt)
+    monkeypatch.setattr(fl, "CG_MAXITER", 1)
+    rejected = step(new, params, policy)
+    assert not rejected.last_step_accepted
+    assert rejected.rate is new.rate
 
 
 def test_failed_solve_is_a_rejection(monkeypatch):
